@@ -23,7 +23,6 @@ units so windows transfer between parameter sets.  The output directory is
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -42,7 +41,7 @@ from .algebra import (
 )
 from .dynamics import Trajectory, integrate_numeric, propagate_analytic
 from .errors import CHECKS_FAILED_EXIT, NCLabError, UnreachableRatio, exit_code_for
-from .manifest import TOOL_VERSION, RunManifest
+from .manifest import TOOL_VERSION, RunManifest, write_csv
 from .observables import (
     SOURCES,
     ground_mode_ic,
@@ -197,10 +196,6 @@ def _physics(settings):
 def _manifest_args(settings) -> dict:
     # The output location is where the run landed, not what it computed.
     return {k: v for k, v in settings.items() if k != "out"}
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 def _print_checks(man: RunManifest) -> None:
@@ -465,14 +460,11 @@ def cmd_wigner(args) -> int:
     grid_q, grid_p = np.meshgrid(q_axis, p_axis, indexing="ij")
     rho = wigner_eigenfunction(PhasePoint(grid_q, 0.0, grid_p, 0.0), qn, dc, hb)
     slice_path = outdir / "wigner_slice.csv"
-    with open(slice_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(WIGNER_SLICE_HEADER)
-        for i in range(n):
-            for j in range(n):
-                writer.writerow(
-                    [_fmt(q_axis[i]), "0", _fmt(p_axis[j]), "0", _fmt(rho[i, j])]
-                )
+    write_csv(
+        slice_path,
+        WIGNER_SLICE_HEADER,
+        [np.repeat(q_axis, n), "0", np.tile(p_axis, n), "0", rho.ravel()],
+    )
     man.add_output(slice_path)
     print("wrote", slice_path)
 
@@ -602,11 +594,7 @@ def cmd_figure(args) -> int:
         )
         target = dc.gamma / dc.omega_big
         path = outdir / "figure2.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(FIG2_HEADER)
-            for wt, rv in zip(omega_t, rate):
-                writer.writerow([_fmt(wt), _fmt(rv), _fmt(target)])
+        write_csv(path, FIG2_HEADER, [omega_t, rate, target])
         man.add_output(path)
         print("wrote", path)
 

@@ -9,13 +9,13 @@ the closed form, not to replace it.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import DerivedConstants
 from .errors import NonFiniteState
+from .manifest import write_csv
 from .states import InitialConditions, PhaseState
 
 __all__ = [
@@ -47,18 +47,8 @@ class Trajectory:
 
     def write_csv(self, path) -> None:
         """Write rows t, Omega_t, Q1, Q2, P1, P2 with full precision."""
-        omega_big = self.constants.omega_big
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for t, row in zip(self.times, self.states):
-                writer.writerow(
-                    [_fmt(t), _fmt(omega_big * t)] + [_fmt(v) for v in row]
-                )
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+        omega_t = self.constants.omega_big * self.times
+        write_csv(path, CSV_HEADER, [self.times, omega_t, *self.states.T])
 
 
 def eom_rhs(state: PhaseState, dc: DerivedConstants) -> PhaseState:

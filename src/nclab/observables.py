@@ -13,7 +13,6 @@ quantities (alpha/beta, the frame coordinates) are not.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ from .algebra import (
 )
 from .dynamics import propagate_analytic
 from .errors import DegenerateFormMisuse, DomainError
+from .manifest import write_csv
 from .states import InitialConditions, NCState, PhaseState
 
 __all__ = [
@@ -246,18 +246,7 @@ class SectorEnergySeries:
     source: str
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for wt, a, b in zip(self.times, self.xi1, self.xi2):
-                writer.writerow(
-                    [
-                        format(float(wt), ".17g"),
-                        format(float(a), ".17g"),
-                        format(float(b), ".17g"),
-                        self.source,
-                    ]
-                )
+        write_csv(path, CSV_HEADER, [self.times, self.xi1, self.xi2, self.source])
 
 
 def sector_energy_series(

@@ -1,4 +1,5 @@
-"""Output bytes: golden SHA-256 of every data file from small fixed runs.
+"""Output bytes: golden SHA-256 of every data file from small fixed runs,
+and the shared CSV writer checked byte for byte against ``csv.writer``.
 
 The hashes pin the exact bytes the commands write, so a change to the
 output path (row formatting, line ends, column order) shows up here even
@@ -6,11 +7,17 @@ when every value still parses to the same float.  They were recorded on
 x86-64 Linux with numpy 2.4; a platform whose libm rounds a sine or cosine
 differently in the last bit writes different bytes.
 """
+import csv
 import hashlib
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nclab.cli import main
+from nclab.manifest import CSV_BLOCK_ROWS, write_csv
 
 RATIO_XI = ["xi", "--ratio", "0.002", "--t-max", "20", "--grid-points", "300"]
 
@@ -85,3 +92,67 @@ def test_golden_output_bytes(tmp_path, name):
     assert written == sorted(expected)
     for rel, digest in expected.items():
         assert hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() == digest, rel
+
+
+# ---------------------------------------------------------------------------
+# the shared writer against csv.writer
+
+BLOCK = CSV_BLOCK_ROWS
+SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1e308, 0.1]
+TEXT = st.text(alphabet=',"\r\nab %x0', max_size=6)
+
+
+def reference_csv(path, header, columns, n_rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(n_rows):
+            writer.writerow(
+                [
+                    col if isinstance(col, str)
+                    else format(float(col if np.ndim(col) == 0 else col[i]), ".17g")
+                    for col in columns
+                ]
+            )
+
+
+@st.composite
+def tables(draw):
+    n_rows = draw(st.sampled_from([0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]))
+    pool = np.array(SPECIALS + draw(st.lists(st.floats(), min_size=1, max_size=8)))
+    kinds = draw(st.lists(st.sampled_from(["array", "text", "float"]), min_size=1, max_size=6))
+    if "array" not in kinds:
+        kinds[draw(st.integers(0, len(kinds) - 1))] = "array"
+    columns = []
+    for kind in kinds:
+        if kind == "array":
+            shift = draw(st.integers(0, len(pool) - 1))
+            columns.append(np.resize(np.roll(pool, shift), n_rows))
+        elif kind == "text":
+            columns.append(draw(TEXT))
+        else:
+            columns.append(draw(st.sampled_from(SPECIALS)))
+    header = draw(st.lists(TEXT.filter(bool), min_size=len(kinds), max_size=len(kinds)))
+    return header, columns, n_rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables())
+def test_write_csv_matches_csv_writer(tmp_path_factory, table):
+    header, columns, n_rows = table
+    out = tmp_path_factory.mktemp("csv")
+    write_csv(out / "bulk.csv", header, columns)
+    reference_csv(out / "ref.csv", header, columns, n_rows)
+    assert (out / "bulk.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
+def test_write_csv_rejects_mismatched_columns(tmp_path):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError):
+        write_csv(path, ("a", "b"), [np.zeros(3)])
+    with pytest.raises(ValueError):
+        write_csv(path, ("a", ""), [np.zeros(3), np.zeros(3)])
+    with pytest.raises(ValueError):
+        write_csv(path, ("a", "b"), [np.zeros(3), np.zeros(4)])
+    with pytest.raises(ValueError):
+        write_csv(path, ("a", "b"), ["text", 1.0])
