@@ -65,4 +65,4 @@ from .wigner import (
     wigner_normalization,
 )
 
-__version__ = "0.1.0"
+__version__ = TOOL_VERSION

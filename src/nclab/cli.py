@@ -198,6 +198,15 @@ def _manifest_args(settings) -> dict:
     return {k: v for k, v in settings.items() if k != "out"}
 
 
+def _grid_points(settings, default=None) -> int:
+    """The resolved number of time samples; a time grid needs at least two."""
+    n = settings["grid_points"]
+    n = int(default if n is None else n)
+    if n < 2:
+        raise ValueError("grid_points must be at least 2, got %d" % n)
+    return n
+
+
 def _print_checks(man: RunManifest) -> None:
     for c in man.checks:
         status = "pass" if c["passed"] else "FAIL"
@@ -319,6 +328,9 @@ def cmd_simulate(args) -> int:
     method = s["method"]
     if method not in ("analytic", "rk4", "both"):
         raise ValueError("method must be analytic, rk4 or both, got %r" % (method,))
+    for key in ("t_max", "dt"):
+        if not 0.0 < float(s[key]) < math.inf:
+            raise ValueError("%s must be positive and finite, got %r" % (key, s[key]))
     outdir = _out_dir(s)
     params, gauge, dc = _physics(s)
     man = RunManifest("simulate", _manifest_args(s), params, gauge, dc)
@@ -378,10 +390,11 @@ def cmd_xi(args) -> int:
         raise ValueError(
             "source must be one of %s, got %r" % (", ".join(SOURCES), source)
         )
+    n = _grid_points(s)
     outdir = _out_dir(s)
     params, gauge, dc = _physics(s)
     man = RunManifest("xi", _manifest_args(s), params, gauge, dc)
-    omega_t = np.linspace(0.0, float(s["t_max"]), int(s["grid_points"]))
+    omega_t = np.linspace(0.0, float(s["t_max"]), n)
     series = sector_energy_series(params, gauge, omega_t, source)
     path = outdir / ("xi_%s.csv" % source)
     series.write_csv(path)
@@ -542,6 +555,7 @@ def cmd_figure(args) -> int:
     if s["ratio"] is None and s["theta"] == 0.0 and s["eta"] == 0.0:
         s["ratio"] = 0.002
     which = int(args.which)
+    n = _grid_points(s, 200000 if which == 1 else 4000)
     outdir = _out_dir(s)
     params, gauge, dc = _physics(s)
     man = RunManifest(
@@ -552,15 +566,15 @@ def cmd_figure(args) -> int:
 
     if which == 1:
         beat = math.pi * dc.omega_big / dc.gamma
-        n_full = int(s["grid_points"] or 200000)
-        full_t = np.linspace(0.0, 3.0 * beat, n_full)
+        full_t = np.linspace(0.0, 3.0 * beat, n)
         full = sector_energy_series(params, gauge, full_t, "closed_form")
         path = outdir / "figure1_full.csv"
         full.write_csv(path)
         man.add_output(path)
         print("wrote", path)
 
-        zoom_t = np.linspace(0.0, min(float(s["t_max"] or 40.0), 3.0 * beat), 4000)
+        t_max = 40.0 if s["t_max"] is None else float(s["t_max"])
+        zoom_t = np.linspace(0.0, min(t_max, 3.0 * beat), 4000)
         zoom = sector_energy_series(params, gauge, zoom_t, "closed_form")
         path = outdir / "figure1_zoom.csv"
         zoom.write_csv(path)
@@ -585,8 +599,7 @@ def cmd_figure(args) -> int:
         man.add_check("zoom_start_xi1_match", gap1 <= 1e-9, gap1)
         man.add_check("zoom_start_xi2_match", gap2 <= 1e-9, gap2)
     else:
-        span = float(s["t_max"] or 4.0 * math.pi)
-        n = int(s["grid_points"] or 4000)
+        span = 4.0 * math.pi if s["t_max"] is None else float(s["t_max"])
         omega_t = np.linspace(0.0, span, n)
         t = omega_t / dc.omega_big
         rate = np.asarray(
@@ -633,18 +646,23 @@ def cmd_sweep(args) -> int:
     ratios = sorted(float(r) for r in raw)
     if not ratios:
         raise ValueError("empty ratio grid")
+    specs = [RatioSpec(ratio=r, mode=s["mode"]) for r in ratios]
+    if ratios[0] == 0.0:
+        # Each cell's error is relative to the beat amplitude, zero at ratio 0.
+        raise ValueError("sweep ratios must be positive, got 0")
     s["ratios"] = ratios
+    n = _grid_points(s)
     outdir = _out_dir(s)
-    omega_t = np.linspace(0.0, float(s["t_max"]), int(s["grid_points"]))
+    omega_t = np.linspace(0.0, float(s["t_max"]), n)
 
     cells = []
     all_ok = True
-    for r in ratios:
+    for r, spec in zip(ratios, specs):
         name = "r_%s" % format(r, "g")
         cell_dir = outdir / name
         cell_dir.mkdir(parents=True, exist_ok=True)
         params = params_from_ratio(
-            RatioSpec(ratio=r, mode=s["mode"]),
+            spec,
             m=float(s["m"]),
             omega=float(s["omega"]),
             hbar=float(s["hbar"]),

@@ -1,12 +1,16 @@
 """Command surface: settings, artifacts, manifests and exit codes."""
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import nclab
 from nclab import (
+    TOOL_VERSION,
     RatioSpec,
     UnreachableRatio,
     file_sha256,
@@ -440,6 +444,40 @@ def test_exit_code_checks_failed(tmp_path):
     assert rc == 1
 
 
+def assert_rejected_up_front(capsys, out, argv):
+    """Exit 2 with one error line, before the output directory exists."""
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["xi"], ["figure", "1"], ["figure", "2"], ["sweep"]],
+    ids=["xi", "figure1", "figure2", "sweep"],
+)
+@pytest.mark.parametrize("points", ["0", "1", "-5"])
+def test_grid_points_below_two_rejected(tmp_path, capsys, argv, points):
+    assert_rejected_up_front(capsys, tmp_path / "out", argv + ["--grid-points", points])
+
+
+@pytest.mark.parametrize("flag,value", [("--dt", "0"), ("--dt", "-0.1"), ("--dt", "nan"), ("--t-max", "0")])
+def test_simulate_rejects_nonpositive_step_or_span(tmp_path, capsys, flag, value):
+    argv = ["simulate", "--method", "both", flag, value]
+    assert_rejected_up_front(capsys, tmp_path / "out", argv)
+
+
+def test_sweep_rejects_zero_ratio(tmp_path, capsys):
+    assert_rejected_up_front(capsys, tmp_path / "out", ["sweep", "--ratios", "0,0.002"])
+
+
+def test_sweep_rejects_unreachable_ratio_before_any_cell(tmp_path):
+    out = tmp_path / "out"
+    assert main(["sweep", "--ratios", "0.002,1.5", "--out", str(out)]) == 5
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # module entry point
 
@@ -453,3 +491,9 @@ def test_module_invocation(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "constants_manifest.json").exists()
     assert "alpha" in proc.stdout
+
+
+def test_version_defined_once():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+    assert match and match.group(1) == nclab.__version__ == TOOL_VERSION
