@@ -476,7 +476,7 @@ def cmd_wigner(args) -> int:
     write_csv(
         slice_path,
         WIGNER_SLICE_HEADER,
-        [np.repeat(q_axis, n), "0", np.tile(p_axis, n), "0", rho.ravel()],
+        [grid_q.ravel(), "0", grid_p.ravel(), "0", rho.ravel()],
     )
     man.add_output(slice_path)
     print("wrote", slice_path)

@@ -47,8 +47,11 @@ class Trajectory:
 
     def write_csv(self, path) -> None:
         """Write rows t, Omega_t, Q1, Q2, P1, P2 with full precision."""
-        omega_t = self.constants.omega_big * self.times
-        write_csv(path, CSV_HEADER, [self.times, omega_t, *self.states.T])
+        write_csv(
+            path,
+            CSV_HEADER,
+            [self.times, self.constants.omega_big * self.times, *self.states.T],
+        )
 
 
 def eom_rhs(state: PhaseState, dc: DerivedConstants) -> PhaseState:
