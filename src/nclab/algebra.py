@@ -49,6 +49,8 @@ class PhysicalParams:
     eta : float
         Momentum-momentum deformation (action**2 over area).  Either sign.
 
+    Every field must be finite; NaN and infinities raise ValueError.
+
     The linear maps exist only while theta*eta < hbar**2, so that product
     is rejected at construction time.
     """
@@ -60,6 +62,11 @@ class PhysicalParams:
     eta: float = 0.0
 
     def __post_init__(self):
+        for name in ("m", "omega", "hbar", "theta", "eta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    "%s must be finite, got %r" % (name, getattr(self, name))
+                )
         if self.m <= 0.0 or self.omega <= 0.0 or self.hbar <= 0.0:
             raise ValueError("m, omega and hbar must all be positive")
         if self.theta * self.eta >= self.hbar**2:

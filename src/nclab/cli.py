@@ -224,8 +224,8 @@ def _finish(man: RunManifest, path) -> int:
 
 def cmd_constants(args) -> int:
     s = _resolve(args, {})
-    outdir = _out_dir(s)
     params, gauge, dc = _physics(s)
+    outdir = _out_dir(s)
     man = RunManifest("constants", _manifest_args(s), params, gauge, dc)
 
     x = params.nc_product
@@ -331,10 +331,10 @@ def cmd_simulate(args) -> int:
     for key in ("t_max", "dt"):
         if not 0.0 < float(s[key]) < math.inf:
             raise ValueError("%s must be positive and finite, got %r" % (key, s[key]))
-    outdir = _out_dir(s)
     params, gauge, dc = _physics(s)
-    man = RunManifest("simulate", _manifest_args(s), params, gauge, dc)
     ic = _initial_conditions(s, dc, params.hbar)
+    outdir = _out_dir(s)
+    man = RunManifest("simulate", _manifest_args(s), params, gauge, dc)
     t_end = float(s["t_max"]) / dc.omega_big
     dt = float(s["dt"]) / dc.omega_big
 
@@ -391,8 +391,8 @@ def cmd_xi(args) -> int:
             "source must be one of %s, got %r" % (", ".join(SOURCES), source)
         )
     n = _grid_points(s)
-    outdir = _out_dir(s)
     params, gauge, dc = _physics(s)
+    outdir = _out_dir(s)
     man = RunManifest("xi", _manifest_args(s), params, gauge, dc)
     omega_t = np.linspace(0.0, float(s["t_max"]), n)
     series = sector_energy_series(params, gauge, omega_t, source)
@@ -458,16 +458,28 @@ def cmd_wigner(args) -> int:
             "nodes": 40,
         },
     )
-    outdir = _out_dir(s)
-    params, gauge, dc = _physics(s)
-    man = RunManifest("wigner", _manifest_args(s), params, gauge, dc)
+    n = _grid_points(s)
+    nodes = int(s["nodes"])
+    if nodes < 11:
+        # The coarsest of the three rules has nodes - 10 points per axis.
+        raise ValueError("nodes must be at least 11, got %d" % nodes)
+    n_points = int(s["residual_points"])
+    if n_points < 1:
+        raise ValueError("residual_points must be at least 1, got %d" % n_points)
+    extent = float(s["extent"])
+    if not 0.0 < extent < math.inf:
+        raise ValueError("extent must be positive and finite, got %r" % (s["extent"],))
+    fd_scale = float(s["fd_scale"])
+    if not math.isfinite(fd_scale):
+        raise ValueError("fd_scale must be finite, got %r" % (s["fd_scale"],))
     qn = QuantumNumbers(int(s["n1"]), int(s["n2"]))
+    params, gauge, dc = _physics(s)
+    outdir = _out_dir(s)
+    man = RunManifest("wigner", _manifest_args(s), params, gauge, dc)
     hb = params.hbar
     w_q = math.sqrt(hb * dc.beta / dc.alpha)
     w_p = math.sqrt(hb * dc.alpha / dc.beta)
 
-    n = int(s["grid_points"])
-    extent = float(s["extent"])
     q_axis = np.linspace(-extent * w_q, extent * w_q, n)
     p_axis = np.linspace(-extent * w_p, extent * w_p, n)
     grid_q, grid_p = np.meshgrid(q_axis, p_axis, indexing="ij")
@@ -484,14 +496,12 @@ def cmd_wigner(args) -> int:
     energy = energy_level(qn, dc, hb)
     rng = np.random.default_rng(int(s["seed"]))
     records = []
-    worst = 0.0
-    for _ in range(int(s["residual_points"])):
+    for _ in range(n_points):
         u = rng.uniform(-2.0, 2.0, 4)
         pt = PhasePoint(u[0] * w_q, u[1] * w_q, u[2] * w_p, u[3] * w_p)
-        res = stargen_residual(pt, qn, dc, hb, base_step_scale=float(s["fd_scale"]))
+        res = stargen_residual(pt, qn, dc, hb, base_step_scale=fd_scale)
         rho0 = float(wigner_eigenfunction(pt, qn, dc, hb))
         rel = max(abs(res.real), abs(res.imag)) / abs(energy * rho0)
-        worst = max(worst, rel)
         records.append(
             {
                 "point": [float(v) for v in (pt.Q1, pt.Q2, pt.P1, pt.P2)],
@@ -520,6 +530,8 @@ def cmd_wigner(args) -> int:
         fh.write("\n")
     man.add_output(res_path)
     print("wrote", res_path)
+    # np.max, unlike max(), carries a NaN residual through to the check.
+    worst = float(np.max([r["rel"] for r in records]))
     man.add_check("stargen_residual_bound", worst <= 1e-6, worst)
 
     spread_e = max(
@@ -530,7 +542,6 @@ def cmd_wigner(args) -> int:
         "spectrum_gauge_invariance", spread_e <= 1e-12 * abs(energy), spread_e
     )
 
-    nodes = int(s["nodes"])
     norms = [
         wigner_normalization(qn, dc, hb, n_nodes=k)
         for k in (nodes - 10, nodes, nodes + 10)
@@ -538,6 +549,9 @@ def cmd_wigner(args) -> int:
     man.add_measured("wigner_normalization", norms[1])
     stability = max(norms) - min(norms)
     man.add_check("normalization_stable", stability <= 1e-6, stability)
+    # Stability alone would pass a prefactor that is off by a constant.
+    unit_gap = abs(norms[1] - 1.0)
+    man.add_check("normalization_unit", unit_gap <= 1e-9, unit_gap)
 
     _print_checks(man)
     return _finish(man, outdir / "wigner_manifest.json")
@@ -556,13 +570,13 @@ def cmd_figure(args) -> int:
         s["ratio"] = 0.002
     which = int(args.which)
     n = _grid_points(s, 200000 if which == 1 else 4000)
-    outdir = _out_dir(s)
     params, gauge, dc = _physics(s)
+    if dc.gamma == 0.0:
+        raise ValueError("figure data needs gamma > 0; set --ratio or deformations")
+    outdir = _out_dir(s)
     man = RunManifest(
         "figure", dict(_manifest_args(s), which=which), params, gauge, dc
     )
-    if dc.gamma == 0.0:
-        raise ValueError("figure data needs gamma > 0; set --ratio or deformations")
 
     if which == 1:
         beat = math.pi * dc.omega_big / dc.gamma
@@ -652,15 +666,8 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweep ratios must be positive, got 0")
     s["ratios"] = ratios
     n = _grid_points(s)
-    outdir = _out_dir(s)
-    omega_t = np.linspace(0.0, float(s["t_max"]), n)
-
-    cells = []
-    all_ok = True
-    for r, spec in zip(ratios, specs):
-        name = "r_%s" % format(r, "g")
-        cell_dir = outdir / name
-        cell_dir.mkdir(parents=True, exist_ok=True)
+    physics = []
+    for spec in specs:
         params = params_from_ratio(
             spec,
             m=float(s["m"]),
@@ -668,7 +675,16 @@ def cmd_sweep(args) -> int:
             hbar=float(s["hbar"]),
         )
         gauge = make_gauge(params, float(s["gauge_ratio"]))
-        dc = derived_constants(params, gauge)
+        physics.append((params, gauge, derived_constants(params, gauge)))
+    outdir = _out_dir(s)
+    omega_t = np.linspace(0.0, float(s["t_max"]), n)
+
+    cells = []
+    all_ok = True
+    for r, (params, gauge, dc) in zip(ratios, physics):
+        name = "r_%s" % format(r, "g")
+        cell_dir = outdir / name
+        cell_dir.mkdir(parents=True, exist_ok=True)
         cman = RunManifest(
             "sweep-cell", dict(_manifest_args(s), ratio=r), params, gauge, dc
         )

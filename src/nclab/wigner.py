@@ -33,6 +33,11 @@ __all__ = [
     "wigner_normalization",
 ]
 
+# Integrand points per call of ``func`` in phase_space_integral: whole Q2
+# rows of an n**2 (P1, P2) plane, as many as fit (at least one).  Blocks of
+# 5k to 20k points keep each temporary in L2 and measured alike.
+QUAD_BLOCK_POINTS = 10_000
+
 
 @dataclass(frozen=True)
 class QuantumNumbers:
@@ -70,6 +75,13 @@ def laguerre0(n: int, x):
     return cur if cur.ndim else float(cur)
 
 
+def _mode_forms(pt: PhasePoint, dc: DerivedConstants):
+    """Width-scaled quadratic form X and angular momentum L at a point."""
+    r = dc.alpha / dc.beta
+    x = r * (pt.Q1**2 + pt.Q2**2) + (pt.P1**2 + pt.P2**2) / r
+    return x, pt.Q1 * pt.P2 - pt.Q2 * pt.P1
+
+
 def omega_pm(pt: PhasePoint, dc: DerivedConstants):
     """Quadratic mode arguments (Omega_plus, Omega_minus) at a point.
 
@@ -77,9 +89,7 @@ def omega_pm(pt: PhasePoint, dc: DerivedConstants):
     four times the actions of the two circular modes.  Both are
     nonnegative: each is a sum of two squares of width-scaled coordinates.
     """
-    r = dc.alpha / dc.beta
-    x = r * (pt.Q1**2 + pt.Q2**2) + (pt.P1**2 + pt.P2**2) / r
-    ell = pt.Q1 * pt.P2 - pt.Q2 * pt.P1
+    x, ell = _mode_forms(pt, dc)
     return x - 2.0 * ell, x + 2.0 * ell
 
 
@@ -93,17 +103,15 @@ def wigner_eigenfunction(
     with X the width-scaled quadratic form.  The prefactor normalises the
     distribution: its phase-space integral is 1 (for every n1, n2).
     """
-    r = dc.alpha / dc.beta
-    x = r * (pt.Q1**2 + pt.Q2**2) + (pt.P1**2 + pt.P2**2) / r
-    op, om = omega_pm(pt, dc)
+    x, ell = _mode_forms(pt, dc)
     sign = -1.0 if (qn.n1 + qn.n2) % 2 else 1.0
-    return (
-        sign
-        / (np.pi**2 * hbar**2)
-        * np.exp(-x / hbar)
-        * laguerre0(qn.n1, op / hbar)
-        * laguerre0(qn.n2, om / hbar)
-    )
+    rho = sign / (np.pi**2 * hbar**2) * np.exp(-x / hbar)
+    # L_0 = 1, so a zero quantum number skips an exact multiply by one.
+    if qn.n1:
+        rho = rho * laguerre0(qn.n1, (x - 2.0 * ell) / hbar)
+    if qn.n2:
+        rho = rho * laguerre0(qn.n2, (x + 2.0 * ell) / hbar)
+    return rho
 
 
 def energy_level(qn: QuantumNumbers, dc: DerivedConstants, hbar: float) -> float:
@@ -254,8 +262,16 @@ def phase_space_integral(
     decay at least like exp(-decay * X / hbar) with X the width-scaled
     quadratic form; the nodes are rescaled by the Gaussian widths over
     sqrt(decay), which makes the rule exact for Gaussian-times-polynomial
-    integrands.  Batched over the first axis to bound memory.
+    integrands.
+
+    For each Q1 node, ``func`` fills one reused (Q2, P1, P2) buffer in
+    blocks of whole Q2 rows (see QUAD_BLOCK_POINTS), so its temporaries
+    stay cache-sized; the weighted sum then runs over the whole buffer, so
+    the result does not depend on the block size.  Raises ValueError if
+    ``n_nodes`` is below 1.
     """
+    if n_nodes < 1:
+        raise ValueError("n_nodes must be at least 1, got %r" % (n_nodes,))
     nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
     wfac = weights * np.exp(nodes**2)
     w_q = np.sqrt(hbar * dc.beta / dc.alpha / decay)
@@ -267,9 +283,13 @@ def phase_space_integral(
     wsub = (
         wfac[:, None, None] * wfac[None, :, None] * wfac[None, None, :]
     )
+    jb = max(1, QUAD_BLOCK_POINTS // n_nodes**2)
+    vals = np.empty((n_nodes,) * 3)
     total = 0.0
     for i in range(n_nodes):
-        vals = func(w_q * nodes[i], q2, p1, p2)
+        q1 = w_q * nodes[i]
+        for j in range(0, n_nodes, jb):
+            vals[j : j + jb] = func(q1, q2[j : j + jb], p1, p2)
         total += wfac[i] * float(np.sum(wsub * vals))
     return jac * total
 

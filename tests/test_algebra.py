@@ -74,6 +74,15 @@ def test_nonpositive_scales_rejected():
             PhysicalParams(*bad)
 
 
+@pytest.mark.parametrize("field", ["m", "omega", "hbar", "theta", "eta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_nonfinite_fields_rejected(field, value):
+    kwargs = dict(m=1.0, omega=1.0, hbar=1.0, theta=0.0, eta=0.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=field):
+        PhysicalParams(**kwargs)
+
+
 def test_make_gauge_commutative_ratio_one():
     g = make_gauge(PhysicalParams(1.0, 1.0, 1.0))
     assert g.lam == 1.0 and g.mu == 1.0

@@ -239,6 +239,7 @@ def test_wigner_command(tmp_path):
     man = read_manifest(tmp_path / "wigner_manifest.json")
     assert_all_passed(man)
     assert abs(man["measured_constants"]["wigner_normalization"] - 1.0) < 1e-9
+    assert check_map(man)["normalization_unit"]["value"] <= 1e-9
     with open(tmp_path / "wigner_residuals.json") as fh:
         res = json.load(fh)
     assert len(res["records"]) == 3
@@ -247,6 +248,31 @@ def test_wigner_command(tmp_path):
     with open(tmp_path / "wigner_slice.csv") as fh:
         header = fh.readline().strip().split(",")
     assert header == ["Q1", "Q2", "P1", "P2", "rho"]
+
+
+def test_normalization_unit_catches_wrong_prefactor(tmp_path, monkeypatch):
+    # A prefactor off by 2 integrates to 2 at every node count: stable, not 1.
+    exact = nclab.wigner.wigner_eigenfunction
+
+    def doubled(*args):
+        return 2.0 * exact(*args)
+
+    monkeypatch.setattr(nclab.wigner, "wigner_eigenfunction", doubled)
+    monkeypatch.setattr(nclab.cli, "wigner_eigenfunction", doubled)
+    argv = ["wigner", "--grid-points", "5", "--residual-points", "2", "--nodes", "20"]
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    checks = check_map(read_manifest(tmp_path / "wigner_manifest.json"))
+    assert checks["normalization_stable"]["passed"]
+    assert not checks["normalization_unit"]["passed"]
+    assert abs(checks["normalization_unit"]["value"] - 1.0) < 1e-9
+
+
+def test_nan_residual_fails_its_check(tmp_path, monkeypatch):
+    monkeypatch.setattr(nclab.cli, "stargen_residual", lambda *a, **k: complex(math.nan, math.nan))
+    argv = ["wigner", "--grid-points", "5", "--residual-points", "2", "--nodes", "20"]
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    checks = check_map(read_manifest(tmp_path / "wigner_manifest.json"))
+    assert not checks["stargen_residual_bound"]["passed"]
 
 
 def test_wigner_excited_state(tmp_path):
@@ -454,8 +480,8 @@ def assert_rejected_up_front(capsys, out, argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [["xi"], ["figure", "1"], ["figure", "2"], ["sweep"]],
-    ids=["xi", "figure1", "figure2", "sweep"],
+    [["xi"], ["figure", "1"], ["figure", "2"], ["sweep"], ["wigner"]],
+    ids=["xi", "figure1", "figure2", "sweep", "wigner"],
 )
 @pytest.mark.parametrize("points", ["0", "1", "-5"])
 def test_grid_points_below_two_rejected(tmp_path, capsys, argv, points):
@@ -466,6 +492,49 @@ def test_grid_points_below_two_rejected(tmp_path, capsys, argv, points):
 def test_simulate_rejects_nonpositive_step_or_span(tmp_path, capsys, flag, value):
     argv = ["simulate", "--method", "both", flag, value]
     assert_rejected_up_front(capsys, tmp_path / "out", argv)
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        # The coarsest of the three rules has nodes - 10 points per axis.
+        ("--nodes", "10"),
+        ("--nodes", "0"),
+        ("--residual-points", "0"),
+        ("--residual-points", "-1"),
+        ("--extent", "0"),
+        ("--extent", "nan"),
+        ("--extent", "inf"),
+        ("--fd-scale", "nan"),
+        ("--fd-scale", "inf"),
+    ],
+)
+def test_wigner_rejects_bad_sizes(tmp_path, capsys, flag, value):
+    assert_rejected_up_front(capsys, tmp_path / "out", ["wigner", flag, value])
+
+
+def test_figure_rejects_zero_gamma_before_any_output(tmp_path, capsys):
+    assert_rejected_up_front(capsys, tmp_path / "out", ["figure", "1", "--ratio", "0"])
+
+
+@pytest.mark.parametrize("field", ["m", "omega", "hbar", "theta", "eta"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_nonfinite_parameter_rejected(tmp_path, capsys, field, value):
+    argv = ["constants", "--%s=%s" % (field, value)]
+    assert_rejected_up_front(capsys, tmp_path / "out", argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate"], ["xi"], ["wigner"], ["figure", "1"], ["sweep"]],
+    ids=["simulate", "xi", "wigner", "figure1", "sweep"],
+)
+def test_every_command_checks_physics_before_output(tmp_path, capsys, argv):
+    assert_rejected_up_front(capsys, tmp_path / "out", argv + ["--m=nan"])
+
+
+def test_simulate_rejects_bad_initial_conditions(tmp_path, capsys):
+    assert_rejected_up_front(capsys, tmp_path / "out", ["simulate", "--ic", "1,2"])
 
 
 def test_sweep_rejects_zero_ratio(tmp_path, capsys):

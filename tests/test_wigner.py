@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+import nclab.wigner
 from nclab import (
     PhysicalParams,
     QuantumNumbers,
@@ -230,3 +231,107 @@ def test_purity_value():
     val = phase_space_integral(square, dc, p.hbar, n_nodes=40, decay=2.0)
     want = 1.0 / (2.0 * math.pi * p.hbar) ** 2
     assert abs(val - want) < 1e-12 * want
+
+
+# ---------------------------------------------------------------------------
+# bit-exact pins of the blocked quadrature and the eigenfunction
+
+
+def reference_integral(func, dc, hbar, n_nodes, decay):
+    """The quadrature evaluated one whole (Q2, P1, P2) slice per Q1 node."""
+    nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
+    wfac = weights * np.exp(nodes**2)
+    w_q = np.sqrt(hbar * dc.beta / dc.alpha / decay)
+    w_p = np.sqrt(hbar * dc.alpha / dc.beta / decay)
+    q2 = (w_q * nodes)[:, None, None]
+    p1 = (w_p * nodes)[None, :, None]
+    p2 = (w_p * nodes)[None, None, :]
+    wsub = wfac[:, None, None] * wfac[None, :, None] * wfac[None, None, :]
+    total = 0.0
+    for i in range(n_nodes):
+        vals = func(w_q * nodes[i], q2, p1, p2)
+        total += wfac[i] * float(np.sum(wsub * vals))
+    return (hbar / decay) ** 2 * total
+
+
+def reference_eigenfunction(pt, qn, dc, hbar):
+    """The eigenfunction as first written: omega_pm and both Laguerre factors."""
+    r = dc.alpha / dc.beta
+    x = r * (pt.Q1**2 + pt.Q2**2) + (pt.P1**2 + pt.P2**2) / r
+    op, om = omega_pm(pt, dc)
+    sign = -1.0 if (qn.n1 + qn.n2) % 2 else 1.0
+    return (
+        sign
+        / (np.pi**2 * hbar**2)
+        * np.exp(-x / hbar)
+        * laguerre0(qn.n1, op / hbar)
+        * laguerre0(qn.n2, om / hbar)
+    )
+
+
+PIN_PAIRS = [(0, 0), (3, 0), (2, 2), (1, 3)]
+
+
+def pin_integrands(qn, hbar, dc):
+    """The normalization integrand (decay 1) and the overlap with the ground state (decay 2)."""
+    ground = QuantumNumbers(0, 0)
+
+    def rho(q1, q2, p1, p2):
+        return wigner_eigenfunction(PhasePoint(q1, q2, p1, p2), qn, dc, hbar)
+
+    def overlap(q1, q2, p1, p2):
+        pt = PhasePoint(q1, q2, p1, p2)
+        return wigner_eigenfunction(pt, qn, dc, hbar) * wigner_eigenfunction(
+            pt, ground, dc, hbar
+        )
+
+    return rho, overlap
+
+
+@pytest.mark.parametrize("pair", PIN_PAIRS, ids=str)
+def test_blocked_quadrature_bits_match_slice_loop(pair):
+    # 30, 40 and 50 nodes all end on a short block at the default size.
+    p, gauge, dc = physics(-0.7, 0.4, ratio=1.7, m=1.3, omega=0.8, hbar=1.1)
+    rho, overlap = pin_integrands(QuantumNumbers(*pair), p.hbar, dc)
+    cases = [(rho, 1.0, 30), (rho, 1.0, 40), (rho, 1.0, 50), (overlap, 2.0, 40)]
+    for func, decay, n in cases:
+        want = reference_integral(func, dc, p.hbar, n, decay)
+        got = phase_space_integral(func, dc, p.hbar, n_nodes=n, decay=decay)
+        assert got == want, (decay, n)
+
+
+@pytest.mark.parametrize("rows", [1, 7], ids=["one_row", "seven_rows"])
+def test_quadrature_bits_independent_of_block_size(monkeypatch, rows):
+    # Blocks of one Q2 row, and of seven, which divides neither node count.
+    p, gauge, dc = physics(0.3, -0.5, ratio=0.6, hbar=0.9)
+    for n in (12, 30):
+        monkeypatch.setattr(nclab.wigner, "QUAD_BLOCK_POINTS", rows * n * n)
+        for pair in PIN_PAIRS:
+            rho, overlap = pin_integrands(QuantumNumbers(*pair), p.hbar, dc)
+            for func, decay in ((rho, 1.0), (overlap, 2.0)):
+                want = reference_integral(func, dc, p.hbar, n, decay)
+                got = phase_space_integral(func, dc, p.hbar, n_nodes=n, decay=decay)
+                assert got == want, (pair, decay, n)
+
+
+def test_quadrature_rejects_no_nodes():
+    p, gauge, dc = physics(0.0, 0.0)
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            phase_space_integral(lambda *z: 1.0, dc, 1.0, n_nodes=n)
+
+
+def test_eigenfunction_bits_match_first_form():
+    rng = np.random.default_rng(44)
+    p, gauge, dc = physics(0.6, -0.8, ratio=2.5, m=0.7, omega=1.4, hbar=1.2)
+    pt = PhasePoint(*rng.normal(0.0, 1.5, (4, 2000)))
+    for n1 in range(4):
+        for n2 in range(4):
+            qn = QuantumNumbers(n1, n2)
+            want = reference_eigenfunction(pt, qn, dc, p.hbar)
+            got = wigner_eigenfunction(pt, qn, dc, p.hbar)
+            assert np.array_equal(got, want), qn
+            scalar = PhasePoint(0.3, -0.2, 0.5, 0.1)
+            assert wigner_eigenfunction(scalar, qn, dc, p.hbar) == (
+                reference_eigenfunction(scalar, qn, dc, p.hbar)
+            )
