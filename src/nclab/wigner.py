@@ -9,9 +9,16 @@ star-product eigen-equation H * rho = E rho, where the Moyal series of a
 quadratic Hamiltonian terminates at second order; the residual of that
 equation, evaluated with Richardson-extrapolated central differences, is
 the module's self-test.
+
+Every stationary function depends on the point only through X and L, so it
+is even under z -> -z, and exactly so in floating point.  The Gauss-Hermite
+quadrature (phase_space_integral) relies on that: it evaluates half of the
+Q1 nodes and mirrors the rest, and raises ValueError for an integrand that
+is not even.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,14 +271,30 @@ def phase_space_integral(
     sqrt(decay), which makes the rule exact for Gaussian-times-polynomial
     integrands.
 
-    For each Q1 node, ``func`` fills one reused (Q2, P1, P2) buffer in
-    blocks of whole Q2 rows (see QUAD_BLOCK_POINTS), so its temporaries
-    stay cache-sized; the weighted sum then runs over the whole buffer, so
-    the result does not depend on the block size.  Raises ValueError if
-    ``n_nodes`` is below 1.
+    ``func`` must also be even under z -> -z, bit for bit: func(-z) returns
+    the same doubles as func(z).  Every function of X and the angular
+    momentum L (the eigenfunctions, their products and powers) is, because
+    squares and the products in L are sign-exact.  The Gauss-Hermite nodes
+    are exactly antisymmetric, so the slice at the mirror Q1 node
+    n_nodes-1-i is the slice at node i reversed on all three axes, and
+    ``func`` runs only for the first ceil(n_nodes/2) Q1 nodes.  Each mirror
+    node still evaluates one Q2 row directly (row i for mirror node
+    n_nodes-1-i) and raises ValueError unless it equals that row of the
+    reversed slice, so an integrand with an odd part, such as a term linear
+    in one coordinate, fails instead of returning a wrong number.
+
+    For each evaluated Q1 node, ``func`` fills one reused (Q2, P1, P2)
+    buffer in blocks of whole Q2 rows (see QUAD_BLOCK_POINTS), so its
+    temporaries stay cache-sized; the weighted sum then runs over the whole
+    buffer and the node sums are added in node order, so the result does
+    not depend on the block size and has the bits of evaluating every node.
+    Raises ValueError if ``n_nodes`` is below 1 or ``decay`` is not a
+    positive finite number.
     """
     if n_nodes < 1:
         raise ValueError("n_nodes must be at least 1, got %r" % (n_nodes,))
+    if not (decay > 0.0 and math.isfinite(decay)):
+        raise ValueError("decay must be positive and finite, got %r" % (decay,))
     nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
     wfac = weights * np.exp(nodes**2)
     w_q = np.sqrt(hbar * dc.beta / dc.alpha / decay)
@@ -285,12 +308,28 @@ def phase_space_integral(
     )
     jb = max(1, QUAD_BLOCK_POINTS // n_nodes**2)
     vals = np.empty((n_nodes,) * 3)
+    prod = np.empty_like(vals)
+    sums = [0.0] * n_nodes
+    for i in range((n_nodes + 1) // 2):
+        for j in range(0, n_nodes, jb):
+            vals[j : j + jb] = func(w_q * nodes[i], q2[j : j + jb], p1, p2)
+        sums[i] = float(np.sum(np.multiply(wsub, vals, out=prod)))
+        m = n_nodes - 1 - i
+        if m == i:
+            continue
+        mirror = vals[::-1, ::-1, ::-1]
+        row = mirror[i : i + 1]
+        probe = func(w_q * nodes[m], q2[i : i + 1], p1, p2)
+        # NaN matches NaN, so a NaN integrand still integrates to NaN.
+        if not np.array_equal(np.broadcast_to(probe, row.shape), row, equal_nan=True):
+            raise ValueError(
+                "integrand is not even under z -> -z (Q1 node %d, Q2 row %d)"
+                % (m, i)
+            )
+        sums[m] = float(np.sum(np.multiply(wsub, mirror, out=prod)))
     total = 0.0
     for i in range(n_nodes):
-        q1 = w_q * nodes[i]
-        for j in range(0, n_nodes, jb):
-            vals[j : j + jb] = func(q1, q2[j : j + jb], p1, p2)
-        total += wfac[i] * float(np.sum(wsub * vals))
+        total += wfac[i] * sums[i]
     return jac * total
 
 

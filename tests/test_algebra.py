@@ -103,8 +103,9 @@ def test_make_gauge_frozen_values():
 
 def test_make_gauge_rejects_bad_ratio():
     p = PhysicalParams(1.0, 1.0, 1.0)
-    for ratio in (0.0, -1.0, float("nan")):
-        with pytest.raises(InvalidGauge):
+    # 1e-320 is positive and finite, but mu = sqrt(product / ratio) overflows.
+    for ratio in (0.0, -1.0, float("nan"), float("inf"), 1e-320):
+        with pytest.raises(InvalidGauge, match="gauge ratio"):
             make_gauge(p, ratio)
 
 

@@ -435,6 +435,15 @@ def test_exit_codes(tmp_path):
     assert main(["constants", "--config", str(cfg)] + out) == 2
 
 
+@pytest.mark.parametrize("ratio", ["inf", "1e-320"])
+def test_extreme_gauge_ratio_rejected_naming_the_ratio(tmp_path, capsys, ratio):
+    out = tmp_path / "out"
+    assert main(["constants", "--gauge-ratio", ratio, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "InvalidGauge: gauge ratio" in err and repr(float(ratio)) in err, err
+    assert not out.exists()
+
+
 def test_exit_code_nonfinite(tmp_path):
     rc = main(
         [

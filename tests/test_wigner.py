@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nclab.wigner
 from nclab import (
@@ -290,10 +292,12 @@ def pin_integrands(qn, hbar, dc):
 
 @pytest.mark.parametrize("pair", PIN_PAIRS, ids=str)
 def test_blocked_quadrature_bits_match_slice_loop(pair):
-    # 30, 40 and 50 nodes all end on a short block at the default size.
+    # 30, 31, 40 and 50 nodes all end on a short block at the default size;
+    # odd counts have a middle Q1 node with no mirror.
     p, gauge, dc = physics(-0.7, 0.4, ratio=1.7, m=1.3, omega=0.8, hbar=1.1)
     rho, overlap = pin_integrands(QuantumNumbers(*pair), p.hbar, dc)
-    cases = [(rho, 1.0, 30), (rho, 1.0, 40), (rho, 1.0, 50), (overlap, 2.0, 40)]
+    cases = [(rho, 1.0, n) for n in (1, 11, 30, 31, 40, 50)]
+    cases += [(overlap, 2.0, 31), (overlap, 2.0, 40)]
     for func, decay, n in cases:
         want = reference_integral(func, dc, p.hbar, n, decay)
         got = phase_space_integral(func, dc, p.hbar, n_nodes=n, decay=decay)
@@ -302,9 +306,9 @@ def test_blocked_quadrature_bits_match_slice_loop(pair):
 
 @pytest.mark.parametrize("rows", [1, 7], ids=["one_row", "seven_rows"])
 def test_quadrature_bits_independent_of_block_size(monkeypatch, rows):
-    # Blocks of one Q2 row, and of seven, which divides neither node count.
+    # Blocks of one Q2 row, and of seven, which divides no node count.
     p, gauge, dc = physics(0.3, -0.5, ratio=0.6, hbar=0.9)
-    for n in (12, 30):
+    for n in (1, 11, 12, 30, 31):
         monkeypatch.setattr(nclab.wigner, "QUAD_BLOCK_POINTS", rows * n * n)
         for pair in PIN_PAIRS:
             rho, overlap = pin_integrands(QuantumNumbers(*pair), p.hbar, dc)
@@ -321,6 +325,29 @@ def test_quadrature_rejects_no_nodes():
             phase_space_integral(lambda *z: 1.0, dc, 1.0, n_nodes=n)
 
 
+def test_quadrature_rejects_bad_decay():
+    p, gauge, dc = physics(0.0, 0.0)
+    rho, overlap = pin_integrands(QuantumNumbers(0, 0), p.hbar, dc)
+    for decay in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="decay"):
+            phase_space_integral(rho, dc, p.hbar, n_nodes=11, decay=decay)
+
+
+@pytest.mark.parametrize("axis", [0, 3], ids=["Q1", "P2"])
+@pytest.mark.parametrize("n", [2, 11, 40])
+def test_quadrature_rejects_integrand_that_is_not_even(axis, n):
+    # A term linear in one coordinate breaks z -> -z symmetry; reusing the
+    # mirrored slices would silently drop it, so the quadrature must refuse.
+    p, gauge, dc = physics(0.3, -0.5, ratio=0.6, hbar=0.9)
+    rho, overlap = pin_integrands(QuantumNumbers(1, 2), p.hbar, dc)
+
+    def tilted(*z):
+        return rho(*z) * (1.0 + 0.1 * z[axis])
+
+    with pytest.raises(ValueError, match="not even"):
+        phase_space_integral(tilted, dc, p.hbar, n_nodes=n)
+
+
 def test_eigenfunction_bits_match_first_form():
     rng = np.random.default_rng(44)
     p, gauge, dc = physics(0.6, -0.8, ratio=2.5, m=0.7, omega=1.4, hbar=1.2)
@@ -335,3 +362,47 @@ def test_eigenfunction_bits_match_first_form():
             assert wigner_eigenfunction(scalar, qn, dc, p.hbar) == (
                 reference_eigenfunction(scalar, qn, dc, p.hbar)
             )
+
+
+# ---------------------------------------------------------------------------
+# exact parity, on which the mirrored quadrature rests
+
+
+@st.composite
+def admissible_physics(draw):
+    """Parameters over the admissible domain: either sign of theta and eta,
+    theta*eta up to just below hbar**2, gauge ratios 1e-3 to 1e3."""
+    hbar = draw(st.floats(0.2, 3.0))
+    theta = draw(st.floats(1e-4, 5.0)) * draw(st.sampled_from([1.0, -1.0]))
+    # Fraction of hbar**2 reached by |theta*eta|, including 1 - 1e-12.
+    frac = draw(
+        st.one_of(
+            st.floats(0.0, 0.999),
+            st.integers(3, 12).map(lambda k: 1.0 - 10.0**-k),
+        )
+    )
+    eta = frac * hbar**2 / theta * draw(st.sampled_from([1.0, -1.0]))
+    ratio = 10.0 ** draw(st.floats(-3.0, 3.0))
+    m = draw(st.floats(0.2, 5.0))
+    omega = draw(st.floats(0.2, 5.0))
+    return physics(theta, eta, ratio=ratio, m=m, omega=omega, hbar=hbar)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    admissible_physics(),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_eigenfunction_is_even_bit_for_bit(phys, n1, n2, seed):
+    p, gauge, dc = phys
+    w_q = math.sqrt(p.hbar * dc.beta / dc.alpha)
+    w_p = math.sqrt(p.hbar * dc.alpha / dc.beta)
+    widths = np.array([w_q, w_q, w_p, w_p])[:, None]
+    # Out to about 12 widths, where the Gaussian factor nears underflow.
+    z = np.random.default_rng(seed).normal(0.0, 3.0, (4, 64)) * widths
+    qn = QuantumNumbers(n1, n2)
+    plus = wigner_eigenfunction(PhasePoint(*z), qn, dc, p.hbar)
+    minus = wigner_eigenfunction(PhasePoint(*-z), qn, dc, p.hbar)
+    assert minus.tobytes() == plus.tobytes()
