@@ -148,13 +148,11 @@ def make_gauge(params: PhysicalParams, ratio: float = 1.0) -> GaugeChoice:
 
     ``ratio`` is lambda/mu; it rescales the commutative frame but cancels
     from every observable.  Raises InvalidGauge, naming the ratio, for a
-    ratio that is not positive and finite, or so extreme that lambda or mu
-    underflows to zero or overflows to infinity.
+    ratio that is not positive, or one (infinity included) so extreme that
+    lambda or mu underflows to zero or overflows to infinity.
     """
-    if not (ratio > 0.0 and math.isfinite(ratio)):
-        raise InvalidGauge(
-            "gauge ratio must be positive and finite, got %r" % (ratio,)
-        )
+    if not ratio > 0.0:
+        raise InvalidGauge("gauge ratio must be positive, got %r" % (ratio,))
     product = solve_gauge_product(params)
     lam = math.sqrt(product * ratio)
     mu = math.sqrt(product / ratio)

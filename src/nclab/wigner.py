@@ -13,8 +13,9 @@ the module's self-test.
 Every stationary function depends on the point only through X and L, so it
 is even under z -> -z, and exactly so in floating point.  The Gauss-Hermite
 quadrature (phase_space_integral) relies on that: it evaluates half of the
-Q1 nodes and mirrors the rest, and raises ValueError for an integrand that
-is not even.
+Q1 nodes and mirrors the rest, checking two directly evaluated Q2 rows of
+each mirrored node, so an integrand with an odd linear term raises
+ValueError.
 """
 from __future__ import annotations
 
@@ -278,10 +279,12 @@ def phase_space_integral(
     are exactly antisymmetric, so the slice at the mirror Q1 node
     n_nodes-1-i is the slice at node i reversed on all three axes, and
     ``func`` runs only for the first ceil(n_nodes/2) Q1 nodes.  Each mirror
-    node still evaluates one Q2 row directly (row i for mirror node
-    n_nodes-1-i) and raises ValueError unless it equals that row of the
-    reversed slice, so an integrand with an odd part, such as a term linear
-    in one coordinate, fails instead of returning a wrong number.
+    node n_nodes-1-i still evaluates the Q2 rows i and i+1 directly and
+    raises ValueError unless they equal those rows of the reversed slice.
+    Their (Q1, Q2) points lie on two different lines through the origin and
+    every (P1, P2) node is probed, so an integrand with any odd term linear
+    in z fails instead of returning a wrong number; an odd part that
+    vanishes on every probed row is not seen.
 
     For each evaluated Q1 node, ``func`` fills one reused (Q2, P1, P2)
     buffer in blocks of whole Q2 rows (see QUAD_BLOCK_POINTS), so its
@@ -318,13 +321,15 @@ def phase_space_integral(
         if m == i:
             continue
         mirror = vals[::-1, ::-1, ::-1]
-        row = mirror[i : i + 1]
-        probe = func(w_q * nodes[m], q2[i : i + 1], p1, p2)
+        # Row i alone puts every probe on Q1 + Q2 = 0; row i + 1 (< n_nodes,
+        # since i < m) leaves that line.
+        rows = mirror[i : i + 2]
+        probe = func(w_q * nodes[m], q2[i : i + 2], p1, p2)
         # NaN matches NaN, so a NaN integrand still integrates to NaN.
-        if not np.array_equal(np.broadcast_to(probe, row.shape), row, equal_nan=True):
+        if not np.array_equal(np.broadcast_to(probe, rows.shape), rows, equal_nan=True):
             raise ValueError(
-                "integrand is not even under z -> -z (Q1 node %d, Q2 row %d)"
-                % (m, i)
+                "integrand is not even under z -> -z (Q1 node %d, Q2 rows %d-%d)"
+                % (m, i, i + 1)
             )
         sums[m] = float(np.sum(np.multiply(wsub, mirror, out=prod)))
     total = 0.0

@@ -333,16 +333,21 @@ def test_quadrature_rejects_bad_decay():
             phase_space_integral(rho, dc, p.hbar, n_nodes=11, decay=decay)
 
 
-@pytest.mark.parametrize("axis", [0, 3], ids=["Q1", "P2"])
-@pytest.mark.parametrize("n", [2, 11, 40])
-def test_quadrature_rejects_integrand_that_is_not_even(axis, n):
-    # A term linear in one coordinate breaks z -> -z symmetry; reusing the
-    # mirrored slices would silently drop it, so the quadrature must refuse.
+@pytest.mark.parametrize(
+    "tilt",
+    [(1, 0, 0, 0), (0, 0, 0, 1), (1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 1)],
+    ids=["Q1", "P2", "Q1+Q2", "Q1-Q2", "P1+P2"],
+)
+@pytest.mark.parametrize("n", [2, 3, 11, 40])
+def test_quadrature_rejects_integrand_that_is_not_even(tilt, n):
+    # A term linear in z breaks z -> -z symmetry; reusing the mirrored
+    # slices would silently drop it, so the quadrature must refuse.  Q1+Q2
+    # vanishes wherever Q1 = -Q2, so it needs a probe off that line.
     p, gauge, dc = physics(0.3, -0.5, ratio=0.6, hbar=0.9)
     rho, overlap = pin_integrands(QuantumNumbers(1, 2), p.hbar, dc)
 
     def tilted(*z):
-        return rho(*z) * (1.0 + 0.1 * z[axis])
+        return rho(*z) * (1.0 + 0.1 * sum(c * x for c, x in zip(tilt, z)))
 
     with pytest.raises(ValueError, match="not even"):
         phase_space_integral(tilted, dc, p.hbar, n_nodes=n)
