@@ -11,11 +11,13 @@ equation, evaluated with Richardson-extrapolated central differences, is
 the module's self-test.
 
 Every stationary function depends on the point only through X and L, so it
-is even under z -> -z, and exactly so in floating point.  The Gauss-Hermite
-quadrature (phase_space_integral) relies on that: it evaluates half of the
-Q1 nodes and mirrors the rest, checking two directly evaluated Q2 rows of
-each mirrored node, so an integrand with an odd linear term raises
-ValueError.
+is even under z -> -z and under T: (Q1, Q2, P1, P2) -> (Q1, -Q2, -P1, P2),
+and exactly so in floating point.  The Gauss-Hermite quadrature
+(phase_space_integral) relies on both: it evaluates half of the Q2 rows of
+half of the Q1 nodes, a quarter of the grid, and fills the rest by the two
+reflections.  It evaluates one reflected Q2 row of every evaluated node and
+two rows of every mirrored node directly, so an integrand with a term odd
+under T (such as Q1 Q2 or P1 P2) or an odd linear term raises ValueError.
 """
 from __future__ import annotations
 
@@ -47,6 +49,11 @@ __all__ = [
 QUAD_BLOCK_POINTS = 10_000
 
 
+def _is_count(n) -> bool:
+    """True for a Python or numpy integer; bool is refused although it is an int."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 @dataclass(frozen=True)
 class QuantumNumbers:
     """Occupation pair (n1, n2) of the two circular modes.
@@ -61,8 +68,10 @@ class QuantumNumbers:
 
     def __post_init__(self):
         for n in (self.n1, self.n2):
-            if not isinstance(n, (int, np.integer)) or n < 0:
-                raise ValueError("quantum numbers must be nonnegative integers")
+            if not _is_count(n) or n < 0:
+                raise ValueError(
+                    "quantum numbers must be nonnegative integers, got %r" % (n,)
+                )
 
 
 def laguerre0(n: int, x):
@@ -71,7 +80,7 @@ def laguerre0(n: int, x):
     (k+1) L_{k+1}(x) = (2k+1-x) L_k(x) - k L_{k-1}(x), which is stable in
     the forward direction for the arguments used here.  Vectorised in x.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
+    if not _is_count(n) or n < 0:
         raise ValueError("degree must be a nonnegative integer")
     x = np.asarray(x, dtype=float)
     prev = np.ones_like(x)
@@ -202,9 +211,13 @@ def stargen_residual(
     differences with Richardson extrapolation (steps h and h/2), h being
     base_step_scale times the Gaussian width of each direction.  The
     imaginary part isolates the bracket term, which must vanish for a
-    stationary function.  Raises StepUnderflow if the step scale drops
-    below 1e-10 of the width.
+    stationary function.  Raises ValueError if the step scale is not
+    finite, and StepUnderflow if it drops below 1e-10 of the width.
     """
+    if not math.isfinite(base_step_scale):
+        raise ValueError(
+            "finite-difference step scale must be finite, got %r" % (base_step_scale,)
+        )
     if base_step_scale < 1e-10:
         raise StepUnderflow(
             "finite-difference step %g of the Gaussian width is below 1e-10"
@@ -272,30 +285,42 @@ def phase_space_integral(
     sqrt(decay), which makes the rule exact for Gaussian-times-polynomial
     integrands.
 
-    ``func`` must also be even under z -> -z, bit for bit: func(-z) returns
-    the same doubles as func(z).  Every function of X and the angular
-    momentum L (the eigenfunctions, their products and powers) is, because
-    squares and the products in L are sign-exact.  The Gauss-Hermite nodes
-    are exactly antisymmetric, so the slice at the mirror Q1 node
-    n_nodes-1-i is the slice at node i reversed on all three axes, and
-    ``func`` runs only for the first ceil(n_nodes/2) Q1 nodes.  Each mirror
-    node n_nodes-1-i still evaluates the Q2 rows i and i+1 directly and
-    raises ValueError unless they equal those rows of the reversed slice.
-    Their (Q1, Q2) points lie on two different lines through the origin and
-    every (P1, P2) node is probed, so an integrand with any odd term linear
-    in z fails instead of returning a wrong number; an odd part that
-    vanishes on every probed row is not seen.
+    ``func`` must also be even, bit for bit, under two reflections: z -> -z
+    and T: (Q1, Q2, P1, P2) -> (Q1, -Q2, -P1, P2).  Every function of X and
+    the angular momentum L = Q1 P2 - Q2 P1 (the eigenfunctions, their
+    products and powers) is, because squares and the products in L are
+    sign-exact.  The Gauss-Hermite nodes are exactly antisymmetric, so in
+    the (Q2, P1, P2) slice of a Q1 node, Q2 row n_nodes-1-j is row j
+    reversed along P1 (T), and the slice at the mirror Q1 node n_nodes-1-i
+    is the slice at node i reversed on all three axes (z -> -z).  ``func``
+    therefore runs only on the first ceil(n_nodes/2) Q2 rows of the first
+    ceil(n_nodes/2) Q1 nodes, about a quarter of the n_nodes**4 points.
 
-    For each evaluated Q1 node, ``func`` fills one reused (Q2, P1, P2)
-    buffer in blocks of whole Q2 rows (see QUAD_BLOCK_POINTS), so its
-    temporaries stay cache-sized; the weighted sum then runs over the whole
-    buffer and the node sums are added in node order, so the result does
-    not depend on the block size and has the bits of evaluating every node.
-    Raises ValueError if ``n_nodes`` is below 1 or ``decay`` is not a
+    Two probes evaluate more rows directly and raise ValueError unless they
+    equal the filled rows.  At every evaluated Q1 node, the first reflected
+    Q2 row (row ceil(n_nodes/2), at a nonzero Q2 and every (P1, P2) node)
+    is checked against T, so an integrand with a term odd under T, such as
+    Q1 Q2, Q1 P1, Q2 P2 or P1 P2 times an even function, fails.  Each
+    mirror node n_nodes-1-i evaluates the Q2 rows i and i+1 and checks them
+    against z -> -z; their (Q1, Q2) points lie on two different lines
+    through the origin and every (P1, P2) node is probed, so an integrand
+    with any odd term linear in z fails.  As rows i and i+1 of node
+    n_nodes-1-i are compared with rows that T filled, this probe sees most
+    T-odd terms too, but not on the middle Q1 node of an odd n_nodes, which
+    has no mirror.  An odd part that vanishes on every probed row is not
+    seen.
+
+    For each evaluated Q1 node, ``func`` fills the first ceil(n_nodes/2) Q2
+    rows of one reused (Q2, P1, P2) buffer in blocks of whole rows (see
+    QUAD_BLOCK_POINTS), so its temporaries stay cache-sized; the weighted
+    sum then runs over the whole buffer and the node sums are added in node
+    order, so the result does not depend on the block size and has the bits
+    of evaluating every node.  Raises ValueError if ``n_nodes`` is not an
+    integer of at least 1 (a bool is refused) or ``decay`` is not a
     positive finite number.
     """
-    if n_nodes < 1:
-        raise ValueError("n_nodes must be at least 1, got %r" % (n_nodes,))
+    if not _is_count(n_nodes) or n_nodes < 1:
+        raise ValueError("n_nodes must be an integer of at least 1, got %r" % (n_nodes,))
     if not (decay > 0.0 and math.isfinite(decay)):
         raise ValueError("decay must be positive and finite, got %r" % (decay,))
     nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
@@ -310,12 +335,29 @@ def phase_space_integral(
         wfac[:, None, None] * wfac[None, :, None] * wfac[None, None, :]
     )
     jb = max(1, QUAD_BLOCK_POINTS // n_nodes**2)
+    h = (n_nodes + 1) // 2
     vals = np.empty((n_nodes,) * 3)
     prod = np.empty_like(vals)
     sums = [0.0] * n_nodes
-    for i in range((n_nodes + 1) // 2):
-        for j in range(0, n_nodes, jb):
-            vals[j : j + jb] = func(w_q * nodes[i], q2[j : j + jb], p1, p2)
+
+    def probe(k, lo, rows, symmetry):
+        # Evaluate Q2 rows lo.. of Q1 node k directly; they must be ``rows``.
+        got = func(w_q * nodes[k], q2[lo : lo + len(rows)], p1, p2)
+        # NaN matches NaN, so a NaN integrand still integrates to NaN.
+        if not np.array_equal(np.broadcast_to(got, rows.shape), rows, equal_nan=True):
+            raise ValueError(
+                "integrand is not even under %s (Q1 node %d, Q2 rows %d-%d)"
+                % (symmetry, k, lo, lo + len(rows) - 1)
+            )
+
+    for i in range(h):
+        for j in range(0, h, jb):
+            hi = min(j + jb, h)
+            vals[j:hi] = func(w_q * nodes[i], q2[j:hi], p1, p2)
+        # Row n_nodes-1-j is row j at (-Q2, -P1): reversed along P1.
+        vals[h:] = vals[: n_nodes - h][::-1, ::-1]
+        if h < n_nodes:
+            probe(i, h, vals[h : h + 1], "(Q1, Q2, P1, P2) -> (Q1, -Q2, -P1, P2)")
         sums[i] = float(np.sum(np.multiply(wsub, vals, out=prod)))
         m = n_nodes - 1 - i
         if m == i:
@@ -323,14 +365,7 @@ def phase_space_integral(
         mirror = vals[::-1, ::-1, ::-1]
         # Row i alone puts every probe on Q1 + Q2 = 0; row i + 1 (< n_nodes,
         # since i < m) leaves that line.
-        rows = mirror[i : i + 2]
-        probe = func(w_q * nodes[m], q2[i : i + 2], p1, p2)
-        # NaN matches NaN, so a NaN integrand still integrates to NaN.
-        if not np.array_equal(np.broadcast_to(probe, rows.shape), rows, equal_nan=True):
-            raise ValueError(
-                "integrand is not even under z -> -z (Q1 node %d, Q2 rows %d-%d)"
-                % (m, i, i + 1)
-            )
+        probe(m, i, mirror[i : i + 2], "z -> -z")
         sums[m] = float(np.sum(np.multiply(wsub, mirror, out=prod)))
     total = 0.0
     for i in range(n_nodes):

@@ -53,6 +53,11 @@ def test_quantum_numbers_validate():
         QuantumNumbers(-1, 0)
     with pytest.raises(ValueError):
         QuantumNumbers(0.5, 0)
+    # bool is an int subclass; numpy integers are counts too.
+    for bad in ((True, False), (0, True), (2.0, 0)):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            QuantumNumbers(*bad)
+    assert QuantumNumbers(np.int64(2), np.uint8(1)).n1 == 2
 
 
 def test_omega_pm_origin_and_frozen():
@@ -192,10 +197,14 @@ def test_stargen_residual_commutative():
 
 def test_stargen_residual_step_guard():
     p, gauge, dc = physics(0.02, 0.01)
-    with pytest.raises(StepUnderflow):
-        stargen_residual(
-            PhasePoint(0.1, 0.0, 0.0, 0.0), QuantumNumbers(0, 0), dc, 1.0, base_step_scale=1e-11
-        )
+    pt, qn = PhasePoint(0.1, 0.0, 0.0, 0.0), QuantumNumbers(0, 0)
+    for scale in (1e-11, 0.0, -1.0):
+        with pytest.raises(StepUnderflow):
+            stargen_residual(pt, qn, dc, 1.0, base_step_scale=scale)
+    # NaN compares False with 1e-10 and would give nan+nanj unnoticed.
+    for scale in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            stargen_residual(pt, qn, dc, 1.0, base_step_scale=scale)
 
 
 def test_normalization_unit_and_stable():
@@ -320,9 +329,14 @@ def test_quadrature_bits_independent_of_block_size(monkeypatch, rows):
 
 def test_quadrature_rejects_no_nodes():
     p, gauge, dc = physics(0.0, 0.0)
-    for n in (0, -1):
-        with pytest.raises(ValueError):
+    for n in (0, -1, 40.0, True, False):
+        with pytest.raises(ValueError, match="n_nodes"):
             phase_space_integral(lambda *z: 1.0, dc, 1.0, n_nodes=n)
+    with pytest.raises(ValueError, match="n_nodes"):
+        wigner_normalization(QuantumNumbers(0, 0), dc, 1.0, n_nodes=40.0)
+    assert wigner_normalization(QuantumNumbers(0, 0), dc, 1.0, n_nodes=np.int64(11)) == (
+        wigner_normalization(QuantumNumbers(0, 0), dc, 1.0, n_nodes=11)
+    )
 
 
 def test_quadrature_rejects_bad_decay():
@@ -353,6 +367,40 @@ def test_quadrature_rejects_integrand_that_is_not_even(tilt, n):
         phase_space_integral(tilted, dc, p.hbar, n_nodes=n)
 
 
+@pytest.mark.parametrize(
+    "pair", [(0, 1), (0, 2), (1, 3), (2, 3)], ids=["Q1*Q2", "Q1*P1", "Q2*P2", "P1*P2"]
+)
+@pytest.mark.parametrize("n", [2, 3, 11, 40])
+def test_quadrature_rejects_integrand_that_is_not_even_under_t(pair, n):
+    # Each product is even under z -> -z but odd under (Q1, Q2, P1, P2) ->
+    # (Q1, -Q2, -P1, P2); filling rows by that reflection would silently
+    # give a wrong number, so the quadrature must refuse.
+    p, gauge, dc = physics(0.3, -0.5, ratio=0.6, hbar=0.9)
+    rho, overlap = pin_integrands(QuantumNumbers(1, 2), p.hbar, dc)
+
+    def tilted(*z):
+        return rho(*z) * (1.0 + 0.1 * z[pair[0]] * z[pair[1]])
+
+    with pytest.raises(ValueError, match="not even"):
+        phase_space_integral(tilted, dc, p.hbar, n_nodes=n)
+
+
+@pytest.mark.parametrize("n", [3, 11, 41])
+def test_quadrature_checks_t_on_the_unmirrored_middle_slice(n):
+    # The z -> -z probe also compares against T-filled rows, but the middle
+    # Q1 node of an odd count (Q1 = 0 exactly) has no mirror.  A term odd
+    # under T that lives on that slice alone is seen only by the probe of
+    # its reflected Q2 row.
+    p, gauge, dc = physics(0.3, -0.5, ratio=0.6, hbar=0.9)
+    rho, overlap = pin_integrands(QuantumNumbers(1, 2), p.hbar, dc)
+
+    def tilted(q1, q2, p1, p2):
+        return rho(q1, q2, p1, p2) * (1.0 + 0.1 * np.where(q1 == 0.0, p1 * p2, 0.0))
+
+    with pytest.raises(ValueError, match="not even"):
+        phase_space_integral(tilted, dc, p.hbar, n_nodes=n)
+
+
 def test_eigenfunction_bits_match_first_form():
     rng = np.random.default_rng(44)
     p, gauge, dc = physics(0.6, -0.8, ratio=2.5, m=0.7, omega=1.4, hbar=1.2)
@@ -370,7 +418,7 @@ def test_eigenfunction_bits_match_first_form():
 
 
 # ---------------------------------------------------------------------------
-# exact parity, on which the mirrored quadrature rests
+# exact reflections, on which the quartered quadrature rests
 
 
 @st.composite
@@ -411,3 +459,23 @@ def test_eigenfunction_is_even_bit_for_bit(phys, n1, n2, seed):
     plus = wigner_eigenfunction(PhasePoint(*z), qn, dc, p.hbar)
     minus = wigner_eigenfunction(PhasePoint(*-z), qn, dc, p.hbar)
     assert minus.tobytes() == plus.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    admissible_physics(),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_eigenfunction_is_even_under_t_bit_for_bit(phys, n1, n2, seed):
+    # T: (Q1, Q2, P1, P2) -> (Q1, -Q2, -P1, P2) keeps X and L sign-exact.
+    p, gauge, dc = phys
+    w_q = math.sqrt(p.hbar * dc.beta / dc.alpha)
+    w_p = math.sqrt(p.hbar * dc.alpha / dc.beta)
+    widths = np.array([w_q, w_q, w_p, w_p])[:, None]
+    z = np.random.default_rng(seed).normal(0.0, 3.0, (4, 64)) * widths
+    qn = QuantumNumbers(n1, n2)
+    plus = wigner_eigenfunction(PhasePoint(*z), qn, dc, p.hbar)
+    reflected = wigner_eigenfunction(PhasePoint(z[0], -z[1], -z[2], z[3]), qn, dc, p.hbar)
+    assert reflected.tobytes() == plus.tobytes()
