@@ -23,7 +23,7 @@ from nclab import (
     wigner_eigenfunction,
     wigner_normalization,
 )
-from nclab.states import PhasePoint
+from nclab.states import PhaseState
 
 params = PhysicalParams(m=1.0, omega=1.0, hbar=1.0, theta=0.05, eta=0.02)
 dc = derived_constants(params)
@@ -35,7 +35,7 @@ for n1 in range(3):
 
 # Ground state peaks at 1/(pi*hbar)^2 at the origin; excited states
 # alternate sign there.
-origin = PhasePoint(0.0, 0.0, 0.0, 0.0)
+origin = PhaseState(0.0, 0.0, 0.0, 0.0)
 for qn in (QuantumNumbers(0, 0), QuantumNumbers(1, 0), QuantumNumbers(1, 1)):
     rho = wigner_eigenfunction(origin, qn, dc, params.hbar)
     print("rho(origin) for (%d,%d) = %.9f" % (qn.n1, qn.n2, rho))
@@ -48,7 +48,7 @@ w_q = math.sqrt(params.hbar * dc.beta / dc.alpha)
 w_p = math.sqrt(params.hbar * dc.alpha / dc.beta)
 print("stargenvalue residual for (1,0), energy %.9f:" % energy)
 for _ in range(4):
-    pt = PhasePoint(
+    pt = PhaseState(
         rng.uniform(-1.5, 1.5) * w_q,
         rng.uniform(-1.5, 1.5) * w_q,
         rng.uniform(-1.5, 1.5) * w_p,
@@ -67,7 +67,7 @@ print("normalization integral of the ground state:", norm)
 
 
 def square(q1, q2, p1, p2):
-    return wigner_eigenfunction(PhasePoint(q1, q2, p1, p2), QuantumNumbers(0, 0), dc, params.hbar) ** 2
+    return wigner_eigenfunction(PhaseState(q1, q2, p1, p2), QuantumNumbers(0, 0), dc, params.hbar) ** 2
 
 
 purity = phase_space_integral(square, dc, params.hbar, decay=2.0)
@@ -75,7 +75,7 @@ print("purity integral:", purity, " expected:", 1.0 / (2.0 * math.pi * params.hb
 
 
 def overlap(q1, q2, p1, p2):
-    pt = PhasePoint(q1, q2, p1, p2)
+    pt = PhaseState(q1, q2, p1, p2)
     a = wigner_eigenfunction(pt, QuantumNumbers(0, 0), dc, params.hbar)
     b = wigner_eigenfunction(pt, QuantumNumbers(0, 1), dc, params.hbar)
     return a * b

@@ -52,7 +52,7 @@ from .observables import (
     xi_trajectory,
     xi_trajectory_closed,
 )
-from .states import InitialConditions, NCState, PhasePoint, PhaseState
+from .states import InitialConditions, NCState, PhaseState
 from .wigner import (
     QuantumNumbers,
     energy_level,

@@ -35,6 +35,17 @@ __all__ = [
     "algebra_residual",
 ]
 
+# Canonical bracket matrix of (Q1, Q2, P1, P2) in units of i*hbar, which is
+# also the symplectic form of Hamilton's equations dz/dt = J grad H.
+_J = np.array(
+    [
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [-1.0, 0.0, 0.0, 0.0],
+        [0.0, -1.0, 0.0, 0.0],
+    ]
+)
+
 
 @dataclass(frozen=True)
 class PhysicalParams:
@@ -113,6 +124,29 @@ class DerivedConstants:
     gamma: float
     omega_big: float
     product_lm: float
+
+    @property
+    def K(self) -> np.ndarray:
+        """Symmetric 4x4 matrix of the Hamiltonian H = z^T K z.
+
+        z = (Q1, Q2, P1, P2) and H = alpha**2 |Q|**2 + beta**2 |P|**2 +
+        gamma (P1 Q2 - P2 Q1); the equations of motion, the Weyl symbol and
+        the Moyal terms of the eigen-equation are all derived from K.
+        """
+        a2, b2, h = self.alpha**2, self.beta**2, 0.5 * self.gamma
+        return np.array(
+            [
+                [a2, 0.0, 0.0, -h],
+                [0.0, a2, h, 0.0],
+                [0.0, h, b2, 0.0],
+                [-h, 0.0, 0.0, b2],
+            ]
+        )
+
+    @property
+    def A(self) -> np.ndarray:
+        """Generator of the flow: Hamilton's equations read dz/dt = A z, A = 2 J K."""
+        return (2.0 * _J) @ self.K
 
 
 def gamma_components(params: PhysicalParams) -> tuple[float, float]:
@@ -200,11 +234,20 @@ def derived_constants(
     )
 
 
-def _map_coefficients(params: PhysicalParams, gauge: GaugeChoice):
+def _forward_matrix(params: PhysicalParams, gauge: GaugeChoice) -> np.ndarray:
+    lam, mu = gauge.lam, gauge.mu
     # Off-diagonal weights of the forward map; eps_12 = +1.
-    c = params.theta / (2.0 * gauge.lam * params.hbar)
-    d = params.eta / (2.0 * gauge.mu * params.hbar)
-    return c, d
+    c = params.theta / (2.0 * lam * params.hbar)
+    d = params.eta / (2.0 * mu * params.hbar)
+    # Rows: (q1, q2, p1, p2) in the ordered basis (Q1, Q2, P1, P2).
+    return np.array(
+        [
+            [lam, 0.0, 0.0, -c],
+            [0.0, lam, c, 0.0],
+            [0.0, d, mu, 0.0],
+            [-d, 0.0, 0.0, mu],
+        ]
+    )
 
 
 def sw_to_nc(state: PhaseState, params: PhysicalParams, gauge: GaugeChoice) -> NCState:
@@ -213,14 +256,10 @@ def sw_to_nc(state: PhaseState, params: PhysicalParams, gauge: GaugeChoice) -> N
     Positions mix with the opposite momentum through theta, momenta with
     the opposite position through eta.  Works elementwise on array fields.
     """
-    c, d = _map_coefficients(params, gauge)
-    lam, mu = gauge.lam, gauge.mu
-    return NCState(
-        q1=lam * state.Q1 - c * state.P2,
-        q2=lam * state.Q2 + c * state.P1,
-        p1=mu * state.P1 + d * state.Q2,
-        p2=mu * state.P2 - d * state.Q1,
-    )
+    # einsum sums each row in column order, so the result has the bits of
+    # the written-out products; BLAS (z @ M.T) would not.
+    z = np.einsum("ij,...j->i...", _forward_matrix(params, gauge), state.as_array())
+    return NCState(*z)
 
 
 def sw_to_commutative(
@@ -250,20 +289,6 @@ def sw_to_commutative(
     )
 
 
-def _forward_matrix(params: PhysicalParams, gauge: GaugeChoice) -> np.ndarray:
-    c, d = _map_coefficients(params, gauge)
-    lam, mu = gauge.lam, gauge.mu
-    # Rows: (q1, q2, p1, p2) in the ordered basis (Q1, Q2, P1, P2).
-    return np.array(
-        [
-            [lam, 0.0, 0.0, -c],
-            [0.0, lam, c, 0.0],
-            [0.0, d, mu, 0.0],
-            [-d, 0.0, 0.0, mu],
-        ]
-    )
-
-
 def algebra_residual(params: PhysicalParams, gauge: GaugeChoice) -> float:
     """Worst-case bracket defect of the frame map.
 
@@ -274,15 +299,6 @@ def algebra_residual(params: PhysicalParams, gauge: GaugeChoice) -> float:
     function deliberately accepts off-shell gauges.
     """
     M = _forward_matrix(params, gauge)
-    # Canonical bracket matrix of (Q1, Q2, P1, P2), in units of i*hbar.
-    S = np.array(
-        [
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [-1.0, 0.0, 0.0, 0.0],
-            [0.0, -1.0, 0.0, 0.0],
-        ]
-    )
     hb, th, et = params.hbar, params.theta, params.eta
     target = np.array(
         [
@@ -292,4 +308,4 @@ def algebra_residual(params: PhysicalParams, gauge: GaugeChoice) -> float:
             [0.0, -hb, -et, 0.0],
         ]
     )
-    return float(np.max(np.abs(hb * (M @ S @ M.T) - target)))
+    return float(np.max(np.abs(hb * (M @ _J @ M.T) - target)))

@@ -39,7 +39,7 @@ from .algebra import (
     gamma_components,
     make_gauge,
 )
-from .dynamics import Trajectory, integrate_numeric, propagate_analytic
+from .dynamics import Trajectory, integrate_numeric, invariant_pair, propagate_analytic
 from .errors import CHECKS_FAILED_EXIT, NCLabError, UnreachableRatio, exit_code_for
 from .manifest import TOOL_VERSION, RunManifest, write_csv
 from .observables import (
@@ -49,7 +49,7 @@ from .observables import (
     xi_closed_rate,
     xi_trajectory_closed,
 )
-from .states import InitialConditions, PhasePoint
+from .states import InitialConditions, PhaseState
 from .wigner import (
     QuantumNumbers,
     energy_level,
@@ -289,30 +289,11 @@ def _initial_conditions(settings, dc, hbar) -> InitialConditions:
     return InitialConditions(*vals)
 
 
-def _state_matrix(state) -> np.ndarray:
-    return np.stack(
-        [
-            np.asarray(state.Q1, dtype=float),
-            np.asarray(state.Q2, dtype=float),
-            np.asarray(state.P1, dtype=float),
-            np.asarray(state.P2, dtype=float),
-        ],
-        axis=-1,
-    )
-
-
-def _invariant_drift(states: np.ndarray, dc) -> tuple[float, float, float]:
-    r = dc.alpha / dc.beta
-    i1 = r * (states[:, 0] ** 2 + states[:, 1] ** 2) + (
-        states[:, 2] ** 2 + states[:, 3] ** 2
-    ) / r
-    i2 = states[:, 0] * states[:, 3] - states[:, 1] * states[:, 2]
+def _invariant_drift(states: np.ndarray, dc) -> tuple[float, float]:
+    """Spreads of the two flow invariants over rows (Q1, Q2, P1, P2), over |X(0)|."""
+    i1, i2 = invariant_pair(PhaseState(*states.T), dc)
     scale = abs(float(i1[0])) or 1.0
-    return (
-        float(i1.max() - i1.min()) / scale,
-        float(i2.max() - i2.min()) / scale,
-        scale,
-    )
+    return float(i1.max() - i1.min()) / scale, float(i2.max() - i2.min()) / scale
 
 
 def cmd_simulate(args) -> int:
@@ -342,13 +323,13 @@ def cmd_simulate(args) -> int:
     if method in ("analytic", "both"):
         n_steps = max(1, int(round(t_end / dt)))
         times = dt * np.arange(n_steps + 1)
-        analytic_states = _state_matrix(propagate_analytic(ic, dc, times))
+        analytic_states = propagate_analytic(ic, dc, times).as_array()
         traj = Trajectory(times=times, states=analytic_states, step=dt, constants=dc)
         path = outdir / "trajectory_analytic.csv"
         traj.write_csv(path)
         man.add_output(path)
         print("wrote", path)
-        d1, d2, _ = _invariant_drift(analytic_states, dc)
+        d1, d2 = _invariant_drift(analytic_states, dc)
         man.add_check("invariant_quadratic_drift", d1 <= 1e-10, d1)
         man.add_check("invariant_angular_drift", d2 <= 1e-10, d2)
         if dc.gamma == 0.0:
@@ -363,11 +344,11 @@ def cmd_simulate(args) -> int:
         traj_n.write_csv(path)
         man.add_output(path)
         print("wrote", path)
-        d1, d2, _ = _invariant_drift(traj_n.states, dc)
+        d1, d2 = _invariant_drift(traj_n.states, dc)
         man.add_check("invariant_quadratic_drift_rk4", d1 <= 1e-8, d1)
         man.add_check("invariant_angular_drift_rk4", d2 <= 1e-8, d2)
         if analytic_states is not None:
-            ref = _state_matrix(propagate_analytic(ic, dc, traj_n.times))
+            ref = propagate_analytic(ic, dc, traj_n.times).as_array()
             sup = float(np.max(np.abs(traj_n.states - ref)))
             man.add_check("rk4_matches_analytic", sup <= 1e-8, sup)
 
@@ -483,7 +464,7 @@ def cmd_wigner(args) -> int:
     q_axis = np.linspace(-extent * w_q, extent * w_q, n)
     p_axis = np.linspace(-extent * w_p, extent * w_p, n)
     grid_q, grid_p = np.meshgrid(q_axis, p_axis, indexing="ij")
-    rho = wigner_eigenfunction(PhasePoint(grid_q, 0.0, grid_p, 0.0), qn, dc, hb)
+    rho = wigner_eigenfunction(PhaseState(grid_q, 0.0, grid_p, 0.0), qn, dc, hb)
     slice_path = outdir / "wigner_slice.csv"
     write_csv(
         slice_path,
@@ -498,7 +479,7 @@ def cmd_wigner(args) -> int:
     records = []
     for _ in range(n_points):
         u = rng.uniform(-2.0, 2.0, 4)
-        pt = PhasePoint(u[0] * w_q, u[1] * w_q, u[2] * w_p, u[3] * w_p)
+        pt = PhaseState(u[0] * w_q, u[1] * w_q, u[2] * w_p, u[3] * w_p)
         res = stargen_residual(pt, qn, dc, hb, base_step_scale=fd_scale)
         rho0 = float(wigner_eigenfunction(pt, qn, dc, hb))
         rel = max(abs(res.real), abs(res.imag)) / abs(energy * rho0)

@@ -226,8 +226,7 @@ def xi_trajectory(
     the deformed frame, and evaluate the physical sector energy there.
     """
     _check_mode(i)
-    state = propagate_analytic(ic, dc, t)
-    nc = sw_to_nc(state, params, gauge)
+    nc = sw_to_nc(propagate_analytic(ic, dc, t), params, gauge)
     return sector_energy(nc, params, i)
 
 
@@ -273,8 +272,10 @@ def sector_energy_series(
     elif source == "first_order":
         xi = [xi_first_order(dc, t, i, params.hbar) for i in (1, 2)]
     else:
-        ic = ground_mode_ic(dc, params.hbar)
-        xi = [xi_trajectory(ic, dc, params, gauge, t, i) for i in (1, 2)]
+        # One flow and one frame map serve both sectors.
+        state = propagate_analytic(ground_mode_ic(dc, params.hbar), dc, t)
+        nc = sw_to_nc(state, params, gauge)
+        xi = [sector_energy(nc, params, i) for i in (1, 2)]
     return SectorEnergySeries(
         times=omega_t, xi1=xi[0] / scale, xi2=xi[1] / scale, source=source
     )

@@ -8,20 +8,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class PhaseState:
     """Point (or series of points) in the commutative frame.
 
-    Q1, Q2 are positions, P1, P2 the conjugate momenta.  ``t`` is an
-    optional time tag and is not used in any algebra.
+    Q1, Q2 are positions, P1, P2 the conjugate momenta: the ordered basis
+    z = (Q1, Q2, P1, P2) of the frame's 4x4 matrices.
     """
 
     Q1: object
     Q2: object
     P1: object
     P2: object
-    t: object = None
+
+    def as_array(self) -> np.ndarray:
+        """Components broadcast to one shape, stacked on a last axis of length 4."""
+        fields = (self.Q1, self.Q2, self.P1, self.P2)
+        return np.stack(
+            np.broadcast_arrays(*(np.asarray(f, dtype=float) for f in fields)), axis=-1
+        )
 
 
 @dataclass(frozen=True)
@@ -42,13 +50,3 @@ class NCState:
     q2: object
     p1: object
     p2: object
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """Evaluation point for phase-space distributions (no time tag)."""
-
-    Q1: object
-    Q2: object
-    P1: object
-    P2: object

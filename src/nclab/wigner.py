@@ -8,7 +8,8 @@ quadratic form and L the angular momentum.  The functions solve the
 star-product eigen-equation H * rho = E rho, where the Moyal series of a
 quadratic Hamiltonian terminates at second order; the residual of that
 equation, evaluated with Richardson-extrapolated central differences, is
-the module's self-test.
+the module's self-test.  Points are PhaseState values of the commutative
+frame, with scalar or array fields.
 
 Every stationary function depends on the point only through X and L, so it
 is even under z -> -z and under T: (Q1, Q2, P1, P2) -> (Q1, -Q2, -P1, P2),
@@ -26,13 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DerivedConstants
+from .algebra import _J, DerivedConstants
+from .dynamics import invariant_pair
 from .errors import StepUnderflow
-from .states import PhasePoint
+from .states import PhaseState
 
 __all__ = [
     "QuantumNumbers",
-    "PhasePoint",
     "laguerre0",
     "omega_pm",
     "wigner_eigenfunction",
@@ -92,26 +93,24 @@ def laguerre0(n: int, x):
     return cur if cur.ndim else float(cur)
 
 
-def _mode_forms(pt: PhasePoint, dc: DerivedConstants):
-    """Width-scaled quadratic form X and angular momentum L at a point."""
-    r = dc.alpha / dc.beta
-    x = r * (pt.Q1**2 + pt.Q2**2) + (pt.P1**2 + pt.P2**2) / r
-    return x, pt.Q1 * pt.P2 - pt.Q2 * pt.P1
+def _check_hbar(hbar) -> None:
+    if not (hbar > 0.0 and math.isfinite(hbar)):
+        raise ValueError("hbar must be positive and finite, got %r" % (hbar,))
 
 
-def omega_pm(pt: PhasePoint, dc: DerivedConstants):
+def omega_pm(pt: PhaseState, dc: DerivedConstants):
     """Quadratic mode arguments (Omega_plus, Omega_minus) at a point.
 
     Omega_pm = (alpha/beta)|Q|**2 + (beta/alpha)|P|**2 -+ 2(Q1 P2 - Q2 P1),
     four times the actions of the two circular modes.  Both are
     nonnegative: each is a sum of two squares of width-scaled coordinates.
     """
-    x, ell = _mode_forms(pt, dc)
+    x, ell = invariant_pair(pt, dc)
     return x - 2.0 * ell, x + 2.0 * ell
 
 
 def wigner_eigenfunction(
-    pt: PhasePoint, qn: QuantumNumbers, dc: DerivedConstants, hbar: float
+    pt: PhaseState, qn: QuantumNumbers, dc: DerivedConstants, hbar: float
 ):
     """Stationary phase-space eigenfunction at a point (vectorised).
 
@@ -119,8 +118,12 @@ def wigner_eigenfunction(
           * L_n1(Omega_plus/hbar) * L_n2(Omega_minus/hbar)
     with X the width-scaled quadratic form.  The prefactor normalises the
     distribution: its phase-space integral is 1 (for every n1, n2).
+    X and L are the two invariants of the flow (invariant_pair).  Raises
+    ValueError unless hbar is positive and finite, as do energy_level,
+    stargen_residual and phase_space_integral.
     """
-    x, ell = _mode_forms(pt, dc)
+    _check_hbar(hbar)
+    x, ell = invariant_pair(pt, dc)
     sign = -1.0 if (qn.n1 + qn.n2) % 2 else 1.0
     rho = sign / (np.pi**2 * hbar**2) * np.exp(-x / hbar)
     # L_0 = 1, so a zero quantum number skips an exact multiply by one.
@@ -137,23 +140,21 @@ def energy_level(qn: QuantumNumbers, dc: DerivedConstants, hbar: float) -> float
     Depends only on Omega and gamma, so it is gauge-ratio invariant; the
     gamma term splits the circular modes like a uniform magnetic field.
     """
+    _check_hbar(hbar)
     return hbar * (
         dc.omega_big * (qn.n1 + qn.n2 + 1) + dc.gamma * (qn.n1 - qn.n2)
     )
 
 
-def hamiltonian_weyl(pt: PhasePoint, dc: DerivedConstants):
+def hamiltonian_weyl(pt: PhaseState, dc: DerivedConstants):
     """Phase-space symbol of the Hamiltonian in the commutative frame.
 
-    alpha**2 |Q|**2 + beta**2 |P|**2 + gamma (P1 Q2 - P2 Q1).  Composed
-    with the inverse frame map it reproduces the physical two-sector
-    oscillator energy, independent of the gauge ratio.
+    The quadratic form z^T K z of DerivedConstants.K.  Composed with the
+    inverse frame map it reproduces the physical two-sector oscillator
+    energy, independent of the gauge ratio.
     """
-    return (
-        dc.alpha**2 * (pt.Q1**2 + pt.Q2**2)
-        + dc.beta**2 * (pt.P1**2 + pt.P2**2)
-        + dc.gamma * (pt.P1 * pt.Q2 - pt.P2 * pt.Q1)
-    )
+    z = pt.as_array()
+    return np.einsum("...i,ij,...j->...", z, dc.K, z)
 
 
 def _richardson_first(f, z, axis, h):
@@ -193,7 +194,7 @@ def _richardson_cross(f, z, ax1, ax2, h1, h2):
 
 
 def stargen_residual(
-    pt: PhasePoint,
+    pt: PhaseState,
     qn: QuantumNumbers,
     dc: DerivedConstants,
     hbar: float,
@@ -214,6 +215,7 @@ def stargen_residual(
     stationary function.  Raises ValueError if the step scale is not
     finite, and StepUnderflow if it drops below 1e-10 of the width.
     """
+    _check_hbar(hbar)
     if not math.isfinite(base_step_scale):
         raise ValueError(
             "finite-difference step scale must be finite, got %r" % (base_step_scale,)
@@ -223,47 +225,35 @@ def stargen_residual(
             "finite-difference step %g of the Gaussian width is below 1e-10"
             % base_step_scale
         )
-    a2 = dc.alpha**2
-    b2 = dc.beta**2
-    g = dc.gamma
     w_q = np.sqrt(hbar * dc.beta / dc.alpha)
     w_p = np.sqrt(hbar * dc.alpha / dc.beta)
     steps = np.array([w_q, w_q, w_p, w_p]) * base_step_scale
 
     def rho(z):
-        return wigner_eigenfunction(
-            PhasePoint(z[0], z[1], z[2], z[3]), qn, dc, hbar
-        )
+        return wigner_eigenfunction(PhaseState(*z), qn, dc, hbar)
 
-    z0 = np.array([pt.Q1, pt.Q2, pt.P1, pt.P2], dtype=float)
+    z0 = pt.as_array()
     rho0 = rho(z0)
     grad = np.array(
         [_richardson_first(rho, z0, a, steps[a]) for a in range(4)]
     )
-    second_diag = np.array(
-        [_richardson_second(rho, z0, a, steps[a], rho0) for a in range(4)]
-    )
-    # Axis order (Q1, Q2, P1, P2): cross terms needed by the quadratic
-    # Hamiltonian are P1-Q2 and P2-Q1.
-    rho_p1q2 = _richardson_cross(rho, z0, 2, 1, steps[2], steps[1])
-    rho_p2q1 = _richardson_cross(rho, z0, 3, 0, steps[3], steps[0])
-
-    h_q = np.array([2.0 * a2 * z0[0] - g * z0[3], 2.0 * a2 * z0[1] + g * z0[2]])
-    h_p = np.array([2.0 * b2 * z0[2] + g * z0[1], 2.0 * b2 * z0[3] - g * z0[0]])
-    h0 = hamiltonian_weyl(pt, dc)
-
-    bracket = h_q[0] * grad[2] + h_q[1] * grad[3] - (
-        h_p[0] * grad[0] + h_p[1] * grad[1]
-    )
-    # H_QQ : rho_PP and H_PP : rho_QQ reduce to traces; the only nonzero
-    # mixed entries are d2H/dQ1 dP2 = -gamma and d2H/dQ2 dP1 = +gamma.
-    quad = (
-        2.0 * a2 * (second_diag[2] + second_diag[3])
-        + 2.0 * b2 * (second_diag[0] + second_diag[1])
-        - 2.0 * (-g * rho_p1q2 + g * rho_p2q1)
-    )
+    # H = z^T K z has gradient 2 K z and Hessian 2 K.  The bracket term is
+    # grad H . J grad rho; the second-order term contracts the Hessian of
+    # rho with J^T (2 K) J, so only the rho entries under a nonzero weight
+    # are differenced (here the diagonal and the pairs Q1-P2, Q2-P1).
+    hess = 2.0 * dc.K
+    bracket = (hess @ z0) @ (_J @ grad)
+    weight = _J.T @ hess @ _J
+    quad = 0.0
+    for a in range(4):
+        quad += weight[a, a] * _richardson_second(rho, z0, a, steps[a], rho0)
+        for b in range(a + 1, 4):
+            if weight[a, b]:
+                quad += 2.0 * weight[a, b] * _richardson_cross(
+                    rho, z0, a, b, steps[a], steps[b]
+                )
     star = (
-        h0 * rho0
+        hamiltonian_weyl(pt, dc) * rho0
         - hbar**2 / 8.0 * quad
         + 1j * (hbar / 2.0) * bracket
     )
@@ -316,9 +306,10 @@ def phase_space_integral(
     sum then runs over the whole buffer and the node sums are added in node
     order, so the result does not depend on the block size and has the bits
     of evaluating every node.  Raises ValueError if ``n_nodes`` is not an
-    integer of at least 1 (a bool is refused) or ``decay`` is not a
-    positive finite number.
+    integer of at least 1 (a bool is refused), or ``hbar`` or ``decay`` is
+    not a positive finite number.
     """
+    _check_hbar(hbar)
     if not _is_count(n_nodes) or n_nodes < 1:
         raise ValueError("n_nodes must be an integer of at least 1, got %r" % (n_nodes,))
     if not (decay > 0.0 and math.isfinite(decay)):
@@ -379,6 +370,6 @@ def wigner_normalization(
     """Measured phase-space integral of the eigenfunction (expected: 1)."""
 
     def f(q1, q2, p1, p2):
-        return wigner_eigenfunction(PhasePoint(q1, q2, p1, p2), qn, dc, hbar)
+        return wigner_eigenfunction(PhaseState(q1, q2, p1, p2), qn, dc, hbar)
 
     return phase_space_integral(f, dc, hbar, n_nodes=n_nodes, decay=1.0)

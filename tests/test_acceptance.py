@@ -40,7 +40,7 @@ from nclab import (
     xi_trajectory_closed,
 )
 from nclab.cli import main
-from nclab.states import PhasePoint, PhaseState
+from nclab.states import PhaseState
 
 
 def report(num: int, description: str, passed: bool, detail: str = ""):
@@ -144,12 +144,8 @@ def test_criterion_04_dynamics_oracle():
 
         def sup_err(dt):
             traj = integrate_numeric(ic, dc, t_end, dt, stride=20)
-            ref = propagate_analytic(ic, dc, traj.times)
-            ref_m = np.stack(
-                [np.asarray(ref.Q1), np.asarray(ref.Q2), np.asarray(ref.P1), np.asarray(ref.P2)],
-                axis=-1,
-            )
-            return float(np.max(np.abs(traj.states - ref_m)))
+            ref = propagate_analytic(ic, dc, traj.times).as_array()
+            return float(np.max(np.abs(traj.states - ref)))
 
         coarse = sup_err(period / 2000.0)
         fine = sup_err(period / 4000.0)
@@ -396,7 +392,7 @@ def test_criterion_11_stargen_residual():
         for qn in states:
             energy = energy_level(qn, dc, p.hbar)
             for _ in range(20):
-                pt = PhasePoint(
+                pt = PhaseState(
                     rng.uniform(-2.0, 2.0) * w_q,
                     rng.uniform(-2.0, 2.0) * w_q,
                     rng.uniform(-2.0, 2.0) * w_p,

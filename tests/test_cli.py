@@ -1,6 +1,7 @@
 """Command surface: settings, artifacts, manifests and exit codes."""
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -561,10 +562,15 @@ def test_sweep_rejects_unreachable_ratio_before_any_cell(tmp_path):
 
 
 def test_module_invocation(tmp_path):
+    # The child finds this checkout's package however the suite was started.
+    src = str(Path(nclab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "nclab", "constants", "--ratio", "0.01", "--out", str(tmp_path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "constants_manifest.json").exists()

@@ -24,7 +24,7 @@ from nclab import (
     wigner_eigenfunction,
     wigner_normalization,
 )
-from nclab.states import PhasePoint
+from nclab.states import PhaseState
 
 
 def physics(theta, eta, ratio=1.0, m=1.0, omega=1.0, hbar=1.0):
@@ -62,9 +62,9 @@ def test_quantum_numbers_validate():
 
 def test_omega_pm_origin_and_frozen():
     p, gauge, dc = physics(0.0, 0.0)
-    assert omega_pm(PhasePoint(0.0, 0.0, 0.0, 0.0), dc) == (0.0, 0.0)
+    assert omega_pm(PhaseState(0.0, 0.0, 0.0, 0.0), dc) == (0.0, 0.0)
     # alpha = beta: X = |Q|^2 + |P|^2 = 2, L = Q1 P2 - Q2 P1 = 1.
-    lo, hi = omega_pm(PhasePoint(1.0, 0.0, 0.0, 1.0), dc)
+    lo, hi = omega_pm(PhaseState(1.0, 0.0, 0.0, 1.0), dc)
     assert abs(lo - 0.0) < 1e-14 and abs(hi - 4.0) < 1e-14
 
 
@@ -72,7 +72,7 @@ def test_omega_pm_sum_and_difference():
     rng = np.random.default_rng(41)
     p, gauge, dc = physics(0.07, 0.02, m=1.2, omega=0.8, hbar=1.1)
     for _ in range(20):
-        pt = PhasePoint(*rng.normal(0.0, 1.0, 4))
+        pt = PhaseState(*rng.normal(0.0, 1.0, 4))
         lo, hi = omega_pm(pt, dc)
         x_form = dc.alpha / dc.beta * (pt.Q1**2 + pt.Q2**2) + dc.beta / dc.alpha * (
             pt.P1**2 + pt.P2**2
@@ -84,13 +84,13 @@ def test_omega_pm_sum_and_difference():
 
 def test_ground_state_peak_value():
     p, gauge, dc = physics(0.0, 0.0)
-    rho = wigner_eigenfunction(PhasePoint(0.0, 0.0, 0.0, 0.0), QuantumNumbers(0, 0), dc, 1.0)
+    rho = wigner_eigenfunction(PhaseState(0.0, 0.0, 0.0, 0.0), QuantumNumbers(0, 0), dc, 1.0)
     assert abs(rho - 1.0 / math.pi**2) < 1e-15
 
 
 def test_origin_parity():
     p, gauge, dc = physics(0.04, 0.01, hbar=1.3)
-    origin = PhasePoint(0.0, 0.0, 0.0, 0.0)
+    origin = PhaseState(0.0, 0.0, 0.0, 0.0)
     for n1 in range(3):
         for n2 in range(3):
             rho = wigner_eigenfunction(origin, QuantumNumbers(n1, n2), dc, p.hbar)
@@ -139,8 +139,8 @@ def test_energy_levels_gauge_invariant():
 
 def test_hamiltonian_weyl_frozen():
     p, gauge, dc = physics(0.0, 0.0)
-    assert hamiltonian_weyl(PhasePoint(0.0, 0.0, 0.0, 0.0), dc) == 0.0
-    got = hamiltonian_weyl(PhasePoint(1.0, 0.0, 1.0, 0.0), dc)
+    assert hamiltonian_weyl(PhaseState(0.0, 0.0, 0.0, 0.0), dc) == 0.0
+    got = hamiltonian_weyl(PhaseState(1.0, 0.0, 1.0, 0.0), dc)
     assert abs(got - 1.0) < 1e-14
 
 
@@ -153,7 +153,7 @@ def test_hamiltonian_weyl_is_physical_energy():
         gauge = make_gauge(p, ratio=ratio)
         dc = derived_constants(p, gauge)
         for _ in range(10):
-            pt = PhasePoint(*rng.normal(0.0, 1.0, 4))
+            pt = PhaseState(*rng.normal(0.0, 1.0, 4))
             nc = sw_to_nc(pt, p, gauge)
             want = (nc.p1**2 + nc.p2**2) / (2.0 * p.m) + 0.5 * p.m * p.omega**2 * (
                 nc.q1**2 + nc.q2**2
@@ -172,7 +172,7 @@ def test_stargen_residual_small():
     for qn in (QuantumNumbers(0, 0), QuantumNumbers(1, 0), QuantumNumbers(1, 2)):
         energy = energy_level(qn, dc, p.hbar)
         for _ in range(6):
-            pt = PhasePoint(
+            pt = PhaseState(
                 rng.uniform(-1.5, 1.5) * widths[0],
                 rng.uniform(-1.5, 1.5) * widths[0],
                 rng.uniform(-1.5, 1.5) * widths[1],
@@ -188,7 +188,7 @@ def test_stargen_residual_small():
 def test_stargen_residual_commutative():
     p, gauge, dc = physics(0.0, 0.0)
     qn = QuantumNumbers(0, 1)
-    pt = PhasePoint(0.4, -0.3, 0.8, 0.2)
+    pt = PhaseState(0.4, -0.3, 0.8, 0.2)
     rho = wigner_eigenfunction(pt, qn, dc, 1.0)
     res = stargen_residual(pt, qn, dc, 1.0)
     bound = 1e-6 * energy_level(qn, dc, 1.0) * max(abs(rho), 1e-3)
@@ -197,7 +197,7 @@ def test_stargen_residual_commutative():
 
 def test_stargen_residual_step_guard():
     p, gauge, dc = physics(0.02, 0.01)
-    pt, qn = PhasePoint(0.1, 0.0, 0.0, 0.0), QuantumNumbers(0, 0)
+    pt, qn = PhaseState(0.1, 0.0, 0.0, 0.0), QuantumNumbers(0, 0)
     for scale in (1e-11, 0.0, -1.0):
         with pytest.raises(StepUnderflow):
             stargen_residual(pt, qn, dc, 1.0, base_step_scale=scale)
@@ -205,6 +205,29 @@ def test_stargen_residual_step_guard():
     for scale in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="finite"):
             stargen_residual(pt, qn, dc, 1.0, base_step_scale=scale)
+
+
+HBAR_ENTRY_POINTS = {
+    "wigner_eigenfunction": lambda pt, qn, dc, hb: wigner_eigenfunction(pt, qn, dc, hb),
+    "energy_level": lambda pt, qn, dc, hb: energy_level(qn, dc, hb),
+    "stargen_residual": lambda pt, qn, dc, hb: stargen_residual(pt, qn, dc, hb),
+    "phase_space_integral": lambda pt, qn, dc, hb: phase_space_integral(
+        lambda q1, q2, p1, p2: wigner_eigenfunction(PhaseState(q1, q2, p1, p2), qn, dc, 1.0),
+        dc,
+        hb,
+        n_nodes=4,
+    ),
+}
+
+
+@pytest.mark.parametrize("hbar", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", sorted(HBAR_ENTRY_POINTS))
+def test_wigner_entry_points_reject_bad_hbar(entry, hbar):
+    # -1 gave a value (and a nan norm), 0 a bare ZeroDivisionError, nan a nan.
+    p, gauge, dc = physics(0.02, 0.01)
+    pt, qn = PhaseState(0.1, 0.2, -0.3, 0.4), QuantumNumbers(1, 0)
+    with pytest.raises(ValueError, match="hbar"):
+        HBAR_ENTRY_POINTS[entry](pt, qn, dc, hbar)
 
 
 def test_normalization_unit_and_stable():
@@ -223,7 +246,7 @@ def test_orthogonality_of_distinct_levels():
     b = QuantumNumbers(1, 0)
 
     def overlap(q1, q2, p1, p2):
-        pt = PhasePoint(q1, q2, p1, p2)
+        pt = PhaseState(q1, q2, p1, p2)
         return wigner_eigenfunction(pt, a, dc, p.hbar) * wigner_eigenfunction(
             pt, b, dc, p.hbar
         )
@@ -237,7 +260,7 @@ def test_purity_value():
     qn = QuantumNumbers(0, 0)
 
     def square(q1, q2, p1, p2):
-        return wigner_eigenfunction(PhasePoint(q1, q2, p1, p2), qn, dc, p.hbar) ** 2
+        return wigner_eigenfunction(PhaseState(q1, q2, p1, p2), qn, dc, p.hbar) ** 2
 
     val = phase_space_integral(square, dc, p.hbar, n_nodes=40, decay=2.0)
     want = 1.0 / (2.0 * math.pi * p.hbar) ** 2
@@ -288,10 +311,10 @@ def pin_integrands(qn, hbar, dc):
     ground = QuantumNumbers(0, 0)
 
     def rho(q1, q2, p1, p2):
-        return wigner_eigenfunction(PhasePoint(q1, q2, p1, p2), qn, dc, hbar)
+        return wigner_eigenfunction(PhaseState(q1, q2, p1, p2), qn, dc, hbar)
 
     def overlap(q1, q2, p1, p2):
-        pt = PhasePoint(q1, q2, p1, p2)
+        pt = PhaseState(q1, q2, p1, p2)
         return wigner_eigenfunction(pt, qn, dc, hbar) * wigner_eigenfunction(
             pt, ground, dc, hbar
         )
@@ -404,14 +427,14 @@ def test_quadrature_checks_t_on_the_unmirrored_middle_slice(n):
 def test_eigenfunction_bits_match_first_form():
     rng = np.random.default_rng(44)
     p, gauge, dc = physics(0.6, -0.8, ratio=2.5, m=0.7, omega=1.4, hbar=1.2)
-    pt = PhasePoint(*rng.normal(0.0, 1.5, (4, 2000)))
+    pt = PhaseState(*rng.normal(0.0, 1.5, (4, 2000)))
     for n1 in range(4):
         for n2 in range(4):
             qn = QuantumNumbers(n1, n2)
             want = reference_eigenfunction(pt, qn, dc, p.hbar)
             got = wigner_eigenfunction(pt, qn, dc, p.hbar)
             assert np.array_equal(got, want), qn
-            scalar = PhasePoint(0.3, -0.2, 0.5, 0.1)
+            scalar = PhaseState(0.3, -0.2, 0.5, 0.1)
             assert wigner_eigenfunction(scalar, qn, dc, p.hbar) == (
                 reference_eigenfunction(scalar, qn, dc, p.hbar)
             )
@@ -456,8 +479,8 @@ def test_eigenfunction_is_even_bit_for_bit(phys, n1, n2, seed):
     # Out to about 12 widths, where the Gaussian factor nears underflow.
     z = np.random.default_rng(seed).normal(0.0, 3.0, (4, 64)) * widths
     qn = QuantumNumbers(n1, n2)
-    plus = wigner_eigenfunction(PhasePoint(*z), qn, dc, p.hbar)
-    minus = wigner_eigenfunction(PhasePoint(*-z), qn, dc, p.hbar)
+    plus = wigner_eigenfunction(PhaseState(*z), qn, dc, p.hbar)
+    minus = wigner_eigenfunction(PhaseState(*-z), qn, dc, p.hbar)
     assert minus.tobytes() == plus.tobytes()
 
 
@@ -476,6 +499,6 @@ def test_eigenfunction_is_even_under_t_bit_for_bit(phys, n1, n2, seed):
     widths = np.array([w_q, w_q, w_p, w_p])[:, None]
     z = np.random.default_rng(seed).normal(0.0, 3.0, (4, 64)) * widths
     qn = QuantumNumbers(n1, n2)
-    plus = wigner_eigenfunction(PhasePoint(*z), qn, dc, p.hbar)
-    reflected = wigner_eigenfunction(PhasePoint(z[0], -z[1], -z[2], z[3]), qn, dc, p.hbar)
+    plus = wigner_eigenfunction(PhaseState(*z), qn, dc, p.hbar)
+    reflected = wigner_eigenfunction(PhaseState(z[0], -z[1], -z[2], z[3]), qn, dc, p.hbar)
     assert reflected.tobytes() == plus.tobytes()
