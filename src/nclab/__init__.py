@@ -14,6 +14,7 @@ from .algebra import (
     algebra_residual,
     derived_constants,
     gamma_components,
+    invariant_pair,
     make_gauge,
     solve_gauge_product,
     sw_to_commutative,
@@ -24,7 +25,6 @@ from .dynamics import (
     Trajectory,
     eom_rhs,
     integrate_numeric,
-    invariant_pair,
     propagate_analytic,
 )
 from .errors import (

@@ -33,11 +33,13 @@ __all__ = [
     "sw_to_nc",
     "sw_to_commutative",
     "algebra_residual",
+    "invariant_pair",
+    "J",
 ]
 
 # Canonical bracket matrix of (Q1, Q2, P1, P2) in units of i*hbar, which is
 # also the symplectic form of Hamilton's equations dz/dt = J grad H.
-_J = np.array(
+J = np.array(
     [
         [0.0, 0.0, 1.0, 0.0],
         [0.0, 0.0, 0.0, 1.0],
@@ -146,7 +148,7 @@ class DerivedConstants:
     @property
     def A(self) -> np.ndarray:
         """Generator of the flow: Hamilton's equations read dz/dt = A z, A = 2 J K."""
-        return (2.0 * _J) @ self.K
+        return (2.0 * J) @ self.K
 
 
 def gamma_components(params: PhysicalParams) -> tuple[float, float]:
@@ -255,6 +257,9 @@ def sw_to_nc(state: PhaseState, params: PhysicalParams, gauge: GaugeChoice) -> N
 
     Positions mix with the opposite momentum through theta, momenta with
     the opposite position through eta.  Works elementwise on array fields.
+    Every output is summed over all four inputs, zero weights included, so
+    one non-finite component makes the whole mapped point non-finite
+    (0 * inf is NaN).
     """
     # einsum sums each row in column order, so the result has the bits of
     # the written-out products; BLAS (z @ M.T) would not.
@@ -308,4 +313,19 @@ def algebra_residual(params: PhysicalParams, gauge: GaugeChoice) -> float:
             [0.0, -hb, -et, 0.0],
         ]
     )
-    return float(np.max(np.abs(hb * (M @ _J @ M.T) - target)))
+    return float(np.max(np.abs(hb * (M @ J @ M.T) - target)))
+
+
+def invariant_pair(state: PhaseState, dc: DerivedConstants):
+    """The two conserved quantities of the flow of H = z^T K z.
+
+    The first is the weighted quadratic form alpha/beta * |Q|**2 +
+    beta/alpha * |P|**2 (fast-rotation action), the second the angular
+    momentum Q1*P2 - Q2*P1 (slow-rotation generator).  Both are exactly
+    constant along the analytic flow.  They are the X and L of the Wigner
+    functions and of the simulate command's drift checks.
+    """
+    r = dc.alpha / dc.beta
+    i1 = r * (state.Q1**2 + state.Q2**2) + (state.P1**2 + state.P2**2) / r
+    i2 = state.Q1 * state.P2 - state.Q2 * state.P1
+    return i1, i2

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _J, DerivedConstants
-from .dynamics import invariant_pair
+from .algebra import DerivedConstants, J, invariant_pair
 from .errors import StepUnderflow
 from .states import PhaseState
 
@@ -241,9 +240,11 @@ def stargen_residual(
     # grad H . J grad rho; the second-order term contracts the Hessian of
     # rho with J^T (2 K) J, so only the rho entries under a nonzero weight
     # are differenced (here the diagonal and the pairs Q1-P2, Q2-P1).
+    # einsum rather than BLAS: these 4x4 products are too small to gain,
+    # and a first BLAS call costs the process about 0.4 MiB of memory.
     hess = 2.0 * dc.K
-    bracket = (hess @ z0) @ (_J @ grad)
-    weight = _J.T @ hess @ _J
+    bracket = np.einsum("ij,j,ik,k->", hess, z0, J, grad)
+    weight = np.einsum("ji,jk,kl->il", J, hess, J)
     quad = 0.0
     for a in range(4):
         quad += weight[a, a] * _richardson_second(rho, z0, a, steps[a], rho0)

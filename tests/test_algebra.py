@@ -196,6 +196,22 @@ def test_forward_map_frozen_example():
     assert abs(nc4.q1 - (g4.lam - 0.002 / g4.lam)) < 1e-15
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_forward_map_non_finite_component_poisons_the_point(bad):
+    # Every output sums all four inputs (zero weights too), so one
+    # non-finite component leaves no mapped coordinate finite; other
+    # points of an array state are unaffected.
+    p = PhysicalParams(1.0, 1.0, 1.0, 0.2, 0.1)
+    g = make_gauge(p)
+    for k in range(4):
+        fields = [np.array([0.3, -0.4]) for _ in range(4)]
+        fields[k] = np.array([bad, -0.4])
+        nc = sw_to_nc(PhaseState(*fields), p, g)
+        for v in (nc.q1, nc.q2, nc.p1, nc.p2):
+            assert not np.isfinite(v[0])
+            assert np.isfinite(v[1])
+
+
 def test_round_trip_inverse():
     rng = np.random.default_rng(14)
     for k in range(100):

@@ -227,9 +227,7 @@ def test_stride_keeps_every_nth_row():
     full = integrate_numeric(ic, dc, 1.0, 0.01)
     thin = integrate_numeric(ic, dc, 1.0, 0.01, stride=10)
     assert thin.states.shape == (11, 4)
-    # One R**10 jump rounds differently from ten R steps, so the kept
-    # states agree to roundoff rather than bit for bit.
-    assert np.max(np.abs(thin.states - full.states[::10])) <= 1e-14
+    assert np.array_equal(thin.states, full.states[::10])
     assert np.array_equal(thin.times, full.times[::10])
 
 

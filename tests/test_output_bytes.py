@@ -27,7 +27,7 @@ GOLDEN = {
         ["simulate", "--theta", "0.04", "--eta", "0.01", "--method", "both", "--t-max", "4"],
         {
             "trajectory_analytic.csv": "44864784d10bdc1dd10cc406f365183d81a2832951eca8f62bd2bbbbf1b69c2b",
-            "trajectory_rk4.csv": "394a78df49f8828d33d1acd8fbefbc36887fc84cda730bb9fad8752b3fe5ada6",
+            "trajectory_rk4.csv": "5c73c8d6cd974d889c807d0fa603a761b167b8f40bb57efbd98ac10d1f77bfb2",
         },
     ),
     "xi_closed_form": (
@@ -52,7 +52,7 @@ GOLDEN = {
             "--grid-points", "11", "--residual-points", "2", "--nodes", "20",
         ],
         {
-            "wigner_residuals.json": "c26493ee6163879a3f74c140c5a7fa521887d2126f967a72254e461cfdba4231",
+            "wigner_residuals.json": "81ac4e6998e1c8b1664cc41bb7fa32bfc67b8b3231c6fc7cd5124119ae05da2a",
             "wigner_slice.csv": "27581d5b2b4a67d8bb0872aa6c84f53eb99ea31f7e764fa4be6ecd6d98d06f23",
         },
     ),
