@@ -21,6 +21,7 @@ from nclab import (
     phase_space_integral,
     stargen_residual,
     wigner_eigenfunction,
+    wigner_from_invariants,
     wigner_normalization,
 )
 from nclab.states import PhaseState
@@ -61,24 +62,24 @@ for _ in range(4):
         % (pt.Q1, pt.Q2, pt.P1, pt.P2, abs(res.real), abs(res.imag), 1e-6 * energy * abs(rho))
     )
 
-# Quadrature: unit normalization, pure-state purity, orthogonality.
-norm = wigner_normalization(QuantumNumbers(0, 0), dc, params.hbar)
+# Quadrature over the two mode actions: the integrands are functions of the
+# invariants X and L.  Unit normalization, pure-state purity, orthogonality.
+norm = wigner_normalization(QuantumNumbers(0, 0), params.hbar)
 print("normalization integral of the ground state:", norm)
 
 
-def square(q1, q2, p1, p2):
-    return wigner_eigenfunction(PhaseState(q1, q2, p1, p2), QuantumNumbers(0, 0), dc, params.hbar) ** 2
+def square(x, ell):
+    return wigner_from_invariants(x, ell, QuantumNumbers(0, 0), params.hbar) ** 2
 
 
-purity = phase_space_integral(square, dc, params.hbar, decay=2.0)
+purity = phase_space_integral(square, params.hbar, decay=2.0)
 print("purity integral:", purity, " expected:", 1.0 / (2.0 * math.pi * params.hbar) ** 2)
 
 
-def overlap(q1, q2, p1, p2):
-    pt = PhaseState(q1, q2, p1, p2)
-    a = wigner_eigenfunction(pt, QuantumNumbers(0, 0), dc, params.hbar)
-    b = wigner_eigenfunction(pt, QuantumNumbers(0, 1), dc, params.hbar)
+def overlap(x, ell):
+    a = wigner_from_invariants(x, ell, QuantumNumbers(0, 0), params.hbar)
+    b = wigner_from_invariants(x, ell, QuantumNumbers(0, 1), params.hbar)
     return a * b
 
 
-print("overlap of distinct levels:", phase_space_integral(overlap, dc, params.hbar, decay=2.0))
+print("overlap of distinct levels:", phase_space_integral(overlap, params.hbar, decay=2.0))

@@ -62,6 +62,7 @@ from .wigner import (
     phase_space_integral,
     stargen_residual,
     wigner_eigenfunction,
+    wigner_from_invariants,
     wigner_normalization,
 )
 

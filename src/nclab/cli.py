@@ -51,6 +51,7 @@ from .observables import (
 )
 from .states import InitialConditions, PhaseState
 from .wigner import (
+    MAX_NODES,
     QuantumNumbers,
     energy_level,
     stargen_residual,
@@ -441,9 +442,11 @@ def cmd_wigner(args) -> int:
     )
     n = _grid_points(s)
     nodes = int(s["nodes"])
-    if nodes < 11:
-        # The coarsest of the three rules has nodes - 10 points per axis.
-        raise ValueError("nodes must be at least 11, got %d" % nodes)
+    if not 11 <= nodes <= MAX_NODES - 10:
+        # The three rules have nodes - 10, nodes and nodes + 10 nodes per action.
+        raise ValueError(
+            "nodes must be from 11 to %d, got %d" % (MAX_NODES - 10, nodes)
+        )
     n_points = int(s["residual_points"])
     if n_points < 1:
         raise ValueError("residual_points must be at least 1, got %d" % n_points)
@@ -524,7 +527,7 @@ def cmd_wigner(args) -> int:
     )
 
     norms = [
-        wigner_normalization(qn, dc, hb, n_nodes=k)
+        wigner_normalization(qn, hb, n_nodes=k)
         for k in (nodes - 10, nodes, nodes + 10)
     ]
     man.add_measured("wigner_normalization", norms[1])
@@ -805,7 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="fd_scale",
         help="finite-difference step, in Gaussian widths",
     )
-    p.add_argument("--nodes", type=int, help="Gauss-Hermite nodes per axis")
+    p.add_argument("--nodes", type=int, help="Gauss-Laguerre nodes per mode action")
     p.set_defaults(func=cmd_wigner)
 
     p = sub.add_parser("figure", help="plot-ready data behind the report figures")

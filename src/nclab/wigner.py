@@ -11,14 +11,12 @@ equation, evaluated with Richardson-extrapolated central differences, is
 the module's self-test.  Points are PhaseState values of the commutative
 frame, with scalar or array fields.
 
-Every stationary function depends on the point only through X and L, so it
-is even under z -> -z and under T: (Q1, Q2, P1, P2) -> (Q1, -Q2, -P1, P2),
-and exactly so in floating point.  The Gauss-Hermite quadrature
-(phase_space_integral) relies on both: it evaluates half of the Q2 rows of
-half of the Q1 nodes, a quarter of the grid, and fills the rest by the two
-reflections.  It evaluates one reflected Q2 row of every evaluated node and
-two rows of every mirrored node directly, so an integrand with a term odd
-under T (such as Q1 Q2 or P1 P2) or an odd linear term raises ValueError.
+Every stationary function depends on the point only through X and L
+(invariant_pair): wigner_eigenfunction is invariant_pair followed by
+wigner_from_invariants.  So phase-space integrals of them reduce to two
+dimensions, one per mode action, and phase_space_integral takes its
+integrand as a function of (X, L) and integrates it with an n**2
+Gauss-Laguerre rule over the two actions.
 """
 from __future__ import annotations
 
@@ -36,17 +34,19 @@ __all__ = [
     "laguerre0",
     "omega_pm",
     "wigner_eigenfunction",
+    "wigner_from_invariants",
     "energy_level",
     "hamiltonian_weyl",
     "stargen_residual",
     "phase_space_integral",
     "wigner_normalization",
+    "MAX_NODES",
 ]
 
-# Integrand points per call of ``func`` in phase_space_integral: whole Q2
-# rows of an n**2 (P1, P2) plane, as many as fit (at least one).  Blocks of
-# 5k to 20k points keep each temporary in L2 and measured alike.
-QUAD_BLOCK_POINTS = 10_000
+# Largest node count of phase_space_integral, whose weights are w exp(t): the
+# largest Gauss-Laguerre node t is 708.7 at 185 nodes and 712.6 at 186, past
+# log(float max) = 709.8, where exp(t) overflows.
+MAX_NODES = 185
 
 
 def _is_count(n) -> bool:
@@ -113,16 +113,24 @@ def wigner_eigenfunction(
 ):
     """Stationary phase-space eigenfunction at a point (vectorised).
 
+    wigner_from_invariants of the point's invariant_pair.  Raises ValueError
+    unless hbar is positive and finite, as do energy_level, stargen_residual
+    and phase_space_integral.
+    """
+    x, ell = invariant_pair(pt, dc)
+    return wigner_from_invariants(x, ell, qn, hbar)
+
+
+def wigner_from_invariants(x, ell, qn: QuantumNumbers, hbar: float):
+    """Stationary eigenfunction as a function of the invariants X and L.
+
     rho = (-1)**(n1+n2) / (pi**2 hbar**2) * exp(-X/hbar)
           * L_n1(Omega_plus/hbar) * L_n2(Omega_minus/hbar)
-    with X the width-scaled quadratic form.  The prefactor normalises the
-    distribution: its phase-space integral is 1 (for every n1, n2).
-    X and L are the two invariants of the flow (invariant_pair).  Raises
-    ValueError unless hbar is positive and finite, as do energy_level,
-    stargen_residual and phase_space_integral.
+    with Omega_pm = X -+ 2 L, X the width-scaled quadratic form and L the
+    angular momentum.  The prefactor normalises the distribution: its
+    phase-space integral is 1 (for every n1, n2).  Vectorised in x and ell.
     """
     _check_hbar(hbar)
-    x, ell = invariant_pair(pt, dc)
     sign = -1.0 if (qn.n1 + qn.n2) % 2 else 1.0
     rho = sign / (np.pi**2 * hbar**2) * np.exp(-x / hbar)
     # L_0 = 1, so a zero quantum number skips an exact multiply by one.
@@ -262,115 +270,54 @@ def stargen_residual(
 
 
 def phase_space_integral(
-    func,
-    dc: DerivedConstants,
-    hbar: float,
-    n_nodes: int = 40,
-    decay: float = 1.0,
+    func, hbar: float, n_nodes: int = 40, decay: float = 1.0
 ) -> float:
-    """Gauss-Hermite integral of ``func`` over the four phase-space axes.
+    """Integral over phase space of a function of the two invariants X and L.
 
-    ``func`` must accept four broadcastable arrays (Q1, Q2, P1, P2) and
-    decay at least like exp(-decay * X / hbar) with X the width-scaled
-    quadratic form; the nodes are rescaled by the Gaussian widths over
-    sqrt(decay), which makes the rule exact for Gaussian-times-polynomial
-    integrands.
+    ``func(x, ell)`` receives (n_nodes, n_nodes) arrays of X and L
+    (invariant_pair) and must decay at least like exp(-decay * X / hbar).
+    In the width-scaled coordinates q = sqrt(alpha/beta) Q and
+    p = sqrt(beta/alpha) P (Jacobian 1),
+    Omega_pm = X -+ 2 L = (q1 -+ p2)**2 + (q2 +- p1)**2, so the orthogonal
+    change to ((q1 -+ p2)/sqrt2, (q2 +- p1)/sqrt2) makes Omega_plus and
+    Omega_minus each twice a squared radius in a plane of its own.
+    Integrating out the two polar angles gives
 
-    ``func`` must also be even, bit for bit, under two reflections: z -> -z
-    and T: (Q1, Q2, P1, P2) -> (Q1, -Q2, -P1, P2).  Every function of X and
-    the angular momentum L = Q1 P2 - Q2 P1 (the eigenfunctions, their
-    products and powers) is, because squares and the products in L are
-    sign-exact.  The Gauss-Hermite nodes are exactly antisymmetric, so in
-    the (Q2, P1, P2) slice of a Q1 node, Q2 row n_nodes-1-j is row j
-    reversed along P1 (T), and the slice at the mirror Q1 node n_nodes-1-i
-    is the slice at node i reversed on all three axes (z -> -z).  ``func``
-    therefore runs only on the first ceil(n_nodes/2) Q2 rows of the first
-    ceil(n_nodes/2) Q1 nodes, about a quarter of the n_nodes**4 points.
+        integral g d^4z = (pi**2 / 4) int_0^inf int_0^inf g da db
 
-    Two probes evaluate more rows directly and raise ValueError unless they
-    equal the filled rows.  At every evaluated Q1 node, the first reflected
-    Q2 row (row ceil(n_nodes/2), at a nonzero Q2 and every (P1, P2) node)
-    is checked against T, so an integrand with a term odd under T, such as
-    Q1 Q2, Q1 P1, Q2 P2 or P1 P2 times an even function, fails.  Each
-    mirror node n_nodes-1-i evaluates the Q2 rows i and i+1 and checks them
-    against z -> -z; their (Q1, Q2) points lie on two different lines
-    through the origin and every (P1, P2) node is probed, so an integrand
-    with any odd term linear in z fails.  As rows i and i+1 of node
-    n_nodes-1-i are compared with rows that T filled, this probe sees most
-    T-odd terms too, but not on the middle Q1 node of an odd n_nodes, which
-    has no mirror.  An odd part that vanishes on every probed row is not
-    seen.
+    in (a, b) = (Omega_plus, Omega_minus), that is at X = (a + b)/2 and
+    L = (b - a)/4.  Gauss-Laguerre nodes t and weights w with
+    a = 2 hbar t / decay turn it into the n_nodes**2 point rule
 
-    For each evaluated Q1 node, ``func`` fills the first ceil(n_nodes/2) Q2
-    rows of one reused (Q2, P1, P2) buffer in blocks of whole rows (see
-    QUAD_BLOCK_POINTS), so its temporaries stay cache-sized; the weighted
-    sum then runs over the whole buffer and the node sums are added in node
-    order, so the result does not depend on the block size and has the bits
-    of evaluating every node.  Raises ValueError if ``n_nodes`` is not an
-    integer of at least 1 (a bool is refused), or ``hbar`` or ``decay`` is
-    not a positive finite number.
+        pi**2 (hbar/decay)**2 sum_ij wt_i wt_j g(a_i, b_j),  wt = w exp(t),
+
+    exact when g exp(decay X / hbar) is a polynomial of degree below
+    2 n_nodes in each of a and b: degrees n1 and n2 for the eigenfunction
+    of (n1, n2) at decay 1, the sums of two such for a product at decay 2.
+    No node depends on the gauge.  Raises ValueError if ``n_nodes`` is not
+    an integer from 1 to MAX_NODES (a bool is refused), or ``hbar`` or
+    ``decay`` is not a positive finite number.
     """
     _check_hbar(hbar)
-    if not _is_count(n_nodes) or n_nodes < 1:
-        raise ValueError("n_nodes must be an integer of at least 1, got %r" % (n_nodes,))
+    if not _is_count(n_nodes) or not 1 <= n_nodes <= MAX_NODES:
+        raise ValueError(
+            "n_nodes must be an integer from 1 to %d, got %r" % (MAX_NODES, n_nodes)
+        )
     if not (decay > 0.0 and math.isfinite(decay)):
         raise ValueError("decay must be positive and finite, got %r" % (decay,))
-    nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
-    wfac = weights * np.exp(nodes**2)
-    w_q = np.sqrt(hbar * dc.beta / dc.alpha / decay)
-    w_p = np.sqrt(hbar * dc.alpha / dc.beta / decay)
-    jac = (hbar / decay) ** 2
-    q2 = (w_q * nodes)[:, None, None]
-    p1 = (w_p * nodes)[None, :, None]
-    p2 = (w_p * nodes)[None, None, :]
-    wsub = (
-        wfac[:, None, None] * wfac[None, :, None] * wfac[None, None, :]
-    )
-    jb = max(1, QUAD_BLOCK_POINTS // n_nodes**2)
-    h = (n_nodes + 1) // 2
-    vals = np.empty((n_nodes,) * 3)
-    prod = np.empty_like(vals)
-    sums = [0.0] * n_nodes
-
-    def probe(k, lo, rows, symmetry):
-        # Evaluate Q2 rows lo.. of Q1 node k directly; they must be ``rows``.
-        got = func(w_q * nodes[k], q2[lo : lo + len(rows)], p1, p2)
-        # NaN matches NaN, so a NaN integrand still integrates to NaN.
-        if not np.array_equal(np.broadcast_to(got, rows.shape), rows, equal_nan=True):
-            raise ValueError(
-                "integrand is not even under %s (Q1 node %d, Q2 rows %d-%d)"
-                % (symmetry, k, lo, lo + len(rows) - 1)
-            )
-
-    for i in range(h):
-        for j in range(0, h, jb):
-            hi = min(j + jb, h)
-            vals[j:hi] = func(w_q * nodes[i], q2[j:hi], p1, p2)
-        # Row n_nodes-1-j is row j at (-Q2, -P1): reversed along P1.
-        vals[h:] = vals[: n_nodes - h][::-1, ::-1]
-        if h < n_nodes:
-            probe(i, h, vals[h : h + 1], "(Q1, Q2, P1, P2) -> (Q1, -Q2, -P1, P2)")
-        sums[i] = float(np.sum(np.multiply(wsub, vals, out=prod)))
-        m = n_nodes - 1 - i
-        if m == i:
-            continue
-        mirror = vals[::-1, ::-1, ::-1]
-        # Row i alone puts every probe on Q1 + Q2 = 0; row i + 1 (< n_nodes,
-        # since i < m) leaves that line.
-        probe(m, i, mirror[i : i + 2], "z -> -z")
-        sums[m] = float(np.sum(np.multiply(wsub, mirror, out=prod)))
-    total = 0.0
-    for i in range(n_nodes):
-        total += wfac[i] * sums[i]
-    return jac * total
+    t, w = np.polynomial.laguerre.laggauss(n_nodes)
+    wt = w * np.exp(t)
+    a = (2.0 * hbar / decay) * t
+    a, b = a[:, None], a[None, :]
+    vals = func(0.5 * (a + b), 0.25 * (b - a))
+    total = float(np.sum(wt[:, None] * wt[None, :] * vals))
+    return np.pi**2 * (hbar / decay) ** 2 * total
 
 
-def wigner_normalization(
-    qn: QuantumNumbers, dc: DerivedConstants, hbar: float, n_nodes: int = 40
-) -> float:
+def wigner_normalization(qn: QuantumNumbers, hbar: float, n_nodes: int = 40) -> float:
     """Measured phase-space integral of the eigenfunction (expected: 1)."""
 
-    def f(q1, q2, p1, p2):
-        return wigner_eigenfunction(PhaseState(q1, q2, p1, p2), qn, dc, hbar)
+    def f(x, ell):
+        return wigner_from_invariants(x, ell, qn, hbar)
 
-    return phase_space_integral(f, dc, hbar, n_nodes=n_nodes, decay=1.0)
+    return phase_space_integral(f, hbar, n_nodes=n_nodes, decay=1.0)

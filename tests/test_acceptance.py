@@ -426,9 +426,8 @@ def test_criterion_12_spectrum_and_normalization():
         levels_by_ratio.append(grid)
     arr = np.asarray(levels_by_ratio)
     gauge_dev = float(np.max(np.abs(arr - arr[0]))) / float(np.max(np.abs(arr)))
-    dc = derived_constants(p)
     norms = [
-        wigner_normalization(QuantumNumbers(0, 0), dc, p.hbar, n_nodes=n) for n in (30, 40, 50)
+        wigner_normalization(QuantumNumbers(0, 0), p.hbar, n_nodes=n) for n in (30, 40, 50)
     ]
     spread = max(norms) - min(norms)
     passed = (

@@ -253,13 +253,12 @@ def test_wigner_command(tmp_path):
 
 def test_normalization_unit_catches_wrong_prefactor(tmp_path, monkeypatch):
     # A prefactor off by 2 integrates to 2 at every node count: stable, not 1.
-    exact = nclab.wigner.wigner_eigenfunction
+    exact = nclab.wigner.wigner_from_invariants
 
     def doubled(*args):
         return 2.0 * exact(*args)
 
-    monkeypatch.setattr(nclab.wigner, "wigner_eigenfunction", doubled)
-    monkeypatch.setattr(nclab.cli, "wigner_eigenfunction", doubled)
+    monkeypatch.setattr(nclab.wigner, "wigner_from_invariants", doubled)
     argv = ["wigner", "--grid-points", "5", "--residual-points", "2", "--nodes", "20"]
     assert main(argv + ["--out", str(tmp_path)]) == 1
     checks = check_map(read_manifest(tmp_path / "wigner_manifest.json"))
@@ -510,6 +509,8 @@ def test_simulate_rejects_nonpositive_step_or_span(tmp_path, capsys, flag, value
         # The coarsest of the three rules has nodes - 10 points per axis.
         ("--nodes", "10"),
         ("--nodes", "0"),
+        # The finest has nodes + 10, at most MAX_NODES = 185.
+        ("--nodes", "176"),
         ("--residual-points", "0"),
         ("--residual-points", "-1"),
         ("--extent", "0"),
@@ -521,6 +522,14 @@ def test_simulate_rejects_nonpositive_step_or_span(tmp_path, capsys, flag, value
 )
 def test_wigner_rejects_bad_sizes(tmp_path, capsys, flag, value):
     assert_rejected_up_front(capsys, tmp_path / "out", ["wigner", flag, value])
+
+
+def test_wigner_accepts_the_largest_node_count(tmp_path):
+    argv = ["wigner", "--grid-points", "5", "--residual-points", "2", "--nodes", "175"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert check_map(read_manifest(tmp_path / "wigner_manifest.json"))["normalization_unit"][
+        "passed"
+    ]
 
 
 def test_figure_rejects_zero_gamma_before_any_output(tmp_path, capsys):

@@ -7,7 +7,6 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import nclab.wigner
 from nclab import (
     PhysicalParams,
     QuantumNumbers,
@@ -22,9 +21,12 @@ from nclab import (
     stargen_residual,
     sw_to_nc,
     wigner_eigenfunction,
+    wigner_from_invariants,
     wigner_normalization,
 )
+from nclab.algebra import invariant_pair
 from nclab.states import PhaseState
+from nclab.wigner import MAX_NODES
 
 
 def physics(theta, eta, ratio=1.0, m=1.0, omega=1.0, hbar=1.0):
@@ -209,13 +211,13 @@ def test_stargen_residual_step_guard():
 
 HBAR_ENTRY_POINTS = {
     "wigner_eigenfunction": lambda pt, qn, dc, hb: wigner_eigenfunction(pt, qn, dc, hb),
+    "wigner_from_invariants": lambda pt, qn, dc, hb: wigner_from_invariants(
+        *invariant_pair(pt, dc), qn, hb
+    ),
     "energy_level": lambda pt, qn, dc, hb: energy_level(qn, dc, hb),
     "stargen_residual": lambda pt, qn, dc, hb: stargen_residual(pt, qn, dc, hb),
     "phase_space_integral": lambda pt, qn, dc, hb: phase_space_integral(
-        lambda q1, q2, p1, p2: wigner_eigenfunction(PhaseState(q1, q2, p1, p2), qn, dc, 1.0),
-        dc,
-        hb,
-        n_nodes=4,
+        lambda x, ell: wigner_from_invariants(x, ell, qn, 1.0), hb, n_nodes=4
     ),
 }
 
@@ -231,48 +233,78 @@ def test_wigner_entry_points_reject_bad_hbar(entry, hbar):
 
 
 def test_normalization_unit_and_stable():
-    p, gauge, dc = physics(0.05, 0.02, m=1.2, omega=0.9, hbar=1.1)
-    norms = [
-        wigner_normalization(QuantumNumbers(1, 1), dc, p.hbar, n_nodes=n) for n in (30, 40, 50)
-    ]
+    norms = [wigner_normalization(QuantumNumbers(1, 1), 1.1, n_nodes=n) for n in (30, 40, 50)]
     for norm in norms:
         assert abs(norm - 1.0) < 1e-12
     assert max(norms) - min(norms) < 1e-6
 
 
 def test_orthogonality_of_distinct_levels():
-    p, gauge, dc = physics(0.03, 0.01)
-    a = QuantumNumbers(0, 0)
-    b = QuantumNumbers(1, 0)
+    hbar = 1.0
 
-    def overlap(q1, q2, p1, p2):
-        pt = PhaseState(q1, q2, p1, p2)
-        return wigner_eigenfunction(pt, a, dc, p.hbar) * wigner_eigenfunction(
-            pt, b, dc, p.hbar
+    def overlap(x, ell):
+        return wigner_from_invariants(x, ell, QuantumNumbers(0, 0), hbar) * (
+            wigner_from_invariants(x, ell, QuantumNumbers(1, 0), hbar)
         )
 
-    val = phase_space_integral(overlap, dc, p.hbar, n_nodes=40, decay=2.0)
+    val = phase_space_integral(overlap, hbar, n_nodes=40, decay=2.0)
     assert abs(val) < 1e-12
 
 
 def test_purity_value():
-    p, gauge, dc = physics(0.04, 0.02, hbar=1.3)
-    qn = QuantumNumbers(0, 0)
+    hbar = 1.3
 
-    def square(q1, q2, p1, p2):
-        return wigner_eigenfunction(PhaseState(q1, q2, p1, p2), qn, dc, p.hbar) ** 2
+    def square(x, ell):
+        return wigner_from_invariants(x, ell, QuantumNumbers(0, 0), hbar) ** 2
 
-    val = phase_space_integral(square, dc, p.hbar, n_nodes=40, decay=2.0)
-    want = 1.0 / (2.0 * math.pi * p.hbar) ** 2
+    val = phase_space_integral(square, hbar, n_nodes=40, decay=2.0)
+    want = 1.0 / (2.0 * math.pi * hbar) ** 2
     assert abs(val - want) < 1e-12 * want
 
 
+def test_quadrature_rejects_no_nodes():
+    for n in (0, -1, 40.0, True, False):
+        with pytest.raises(ValueError, match="n_nodes"):
+            phase_space_integral(lambda x, ell: 1.0, 1.0, n_nodes=n)
+    with pytest.raises(ValueError, match="n_nodes"):
+        wigner_normalization(QuantumNumbers(0, 0), 1.0, n_nodes=40.0)
+    assert wigner_normalization(QuantumNumbers(0, 0), 1.0, n_nodes=np.int64(11)) == (
+        wigner_normalization(QuantumNumbers(0, 0), 1.0, n_nodes=11)
+    )
+
+
+def test_node_bound_is_the_last_finite_weight():
+    # The weights w exp(t) are finite and positive up to MAX_NODES nodes;
+    # one node more and exp(t) of the largest node overflows.
+    t, w = np.polynomial.laguerre.laggauss(MAX_NODES)
+    assert np.all(np.isfinite(w * np.exp(t)) & (w * np.exp(t) > 0.0))
+    t, w = np.polynomial.laguerre.laggauss(MAX_NODES + 1)
+    with np.errstate(over="ignore"):
+        assert not np.all(np.isfinite(w * np.exp(t)))
+    for pair in ((0, 0), (6, 6)):
+        norm = wigner_normalization(QuantumNumbers(*pair), 0.7, n_nodes=MAX_NODES)
+        assert abs(norm - 1.0) < 1e-9, pair
+    with pytest.raises(ValueError, match="n_nodes"):
+        phase_space_integral(lambda x, ell: 1.0, 1.0, n_nodes=MAX_NODES + 1)
+    with pytest.raises(ValueError, match="n_nodes"):
+        wigner_normalization(QuantumNumbers(0, 0), 1.0, n_nodes=MAX_NODES + 1)
+
+
+def test_quadrature_rejects_bad_decay():
+    for decay in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="decay"):
+            phase_space_integral(lambda x, ell: 1.0, 1.0, n_nodes=11, decay=decay)
+
+
 # ---------------------------------------------------------------------------
-# bit-exact pins of the blocked quadrature and the eigenfunction
+# the four-dimensional Gauss-Hermite rule (the oracle) and the first
+# form of the eigenfunction
 
 
 def reference_integral(func, dc, hbar, n_nodes, decay):
-    """The quadrature evaluated one whole (Q2, P1, P2) slice per Q1 node."""
+    """Gauss-Hermite integral of func(Q1, Q2, P1, P2) over the four phase-space
+    axes, one whole (Q2, P1, P2) slice per Q1 node; the nodes are scaled by
+    the Gaussian widths over sqrt(decay)."""
     nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
     wfac = weights * np.exp(nodes**2)
     w_q = np.sqrt(hbar * dc.beta / dc.alpha / decay)
@@ -303,127 +335,6 @@ def reference_eigenfunction(pt, qn, dc, hbar):
     )
 
 
-PIN_PAIRS = [(0, 0), (3, 0), (2, 2), (1, 3)]
-
-
-def pin_integrands(qn, hbar, dc):
-    """The normalization integrand (decay 1) and the overlap with the ground state (decay 2)."""
-    ground = QuantumNumbers(0, 0)
-
-    def rho(q1, q2, p1, p2):
-        return wigner_eigenfunction(PhaseState(q1, q2, p1, p2), qn, dc, hbar)
-
-    def overlap(q1, q2, p1, p2):
-        pt = PhaseState(q1, q2, p1, p2)
-        return wigner_eigenfunction(pt, qn, dc, hbar) * wigner_eigenfunction(
-            pt, ground, dc, hbar
-        )
-
-    return rho, overlap
-
-
-@pytest.mark.parametrize("pair", PIN_PAIRS, ids=str)
-def test_blocked_quadrature_bits_match_slice_loop(pair):
-    # 30, 31, 40 and 50 nodes all end on a short block at the default size;
-    # odd counts have a middle Q1 node with no mirror.
-    p, gauge, dc = physics(-0.7, 0.4, ratio=1.7, m=1.3, omega=0.8, hbar=1.1)
-    rho, overlap = pin_integrands(QuantumNumbers(*pair), p.hbar, dc)
-    cases = [(rho, 1.0, n) for n in (1, 11, 30, 31, 40, 50)]
-    cases += [(overlap, 2.0, 31), (overlap, 2.0, 40)]
-    for func, decay, n in cases:
-        want = reference_integral(func, dc, p.hbar, n, decay)
-        got = phase_space_integral(func, dc, p.hbar, n_nodes=n, decay=decay)
-        assert got == want, (decay, n)
-
-
-@pytest.mark.parametrize("rows", [1, 7], ids=["one_row", "seven_rows"])
-def test_quadrature_bits_independent_of_block_size(monkeypatch, rows):
-    # Blocks of one Q2 row, and of seven, which divides no node count.
-    p, gauge, dc = physics(0.3, -0.5, ratio=0.6, hbar=0.9)
-    for n in (1, 11, 12, 30, 31):
-        monkeypatch.setattr(nclab.wigner, "QUAD_BLOCK_POINTS", rows * n * n)
-        for pair in PIN_PAIRS:
-            rho, overlap = pin_integrands(QuantumNumbers(*pair), p.hbar, dc)
-            for func, decay in ((rho, 1.0), (overlap, 2.0)):
-                want = reference_integral(func, dc, p.hbar, n, decay)
-                got = phase_space_integral(func, dc, p.hbar, n_nodes=n, decay=decay)
-                assert got == want, (pair, decay, n)
-
-
-def test_quadrature_rejects_no_nodes():
-    p, gauge, dc = physics(0.0, 0.0)
-    for n in (0, -1, 40.0, True, False):
-        with pytest.raises(ValueError, match="n_nodes"):
-            phase_space_integral(lambda *z: 1.0, dc, 1.0, n_nodes=n)
-    with pytest.raises(ValueError, match="n_nodes"):
-        wigner_normalization(QuantumNumbers(0, 0), dc, 1.0, n_nodes=40.0)
-    assert wigner_normalization(QuantumNumbers(0, 0), dc, 1.0, n_nodes=np.int64(11)) == (
-        wigner_normalization(QuantumNumbers(0, 0), dc, 1.0, n_nodes=11)
-    )
-
-
-def test_quadrature_rejects_bad_decay():
-    p, gauge, dc = physics(0.0, 0.0)
-    rho, overlap = pin_integrands(QuantumNumbers(0, 0), p.hbar, dc)
-    for decay in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(ValueError, match="decay"):
-            phase_space_integral(rho, dc, p.hbar, n_nodes=11, decay=decay)
-
-
-@pytest.mark.parametrize(
-    "tilt",
-    [(1, 0, 0, 0), (0, 0, 0, 1), (1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 1)],
-    ids=["Q1", "P2", "Q1+Q2", "Q1-Q2", "P1+P2"],
-)
-@pytest.mark.parametrize("n", [2, 3, 11, 40])
-def test_quadrature_rejects_integrand_that_is_not_even(tilt, n):
-    # A term linear in z breaks z -> -z symmetry; reusing the mirrored
-    # slices would silently drop it, so the quadrature must refuse.  Q1+Q2
-    # vanishes wherever Q1 = -Q2, so it needs a probe off that line.
-    p, gauge, dc = physics(0.3, -0.5, ratio=0.6, hbar=0.9)
-    rho, overlap = pin_integrands(QuantumNumbers(1, 2), p.hbar, dc)
-
-    def tilted(*z):
-        return rho(*z) * (1.0 + 0.1 * sum(c * x for c, x in zip(tilt, z)))
-
-    with pytest.raises(ValueError, match="not even"):
-        phase_space_integral(tilted, dc, p.hbar, n_nodes=n)
-
-
-@pytest.mark.parametrize(
-    "pair", [(0, 1), (0, 2), (1, 3), (2, 3)], ids=["Q1*Q2", "Q1*P1", "Q2*P2", "P1*P2"]
-)
-@pytest.mark.parametrize("n", [2, 3, 11, 40])
-def test_quadrature_rejects_integrand_that_is_not_even_under_t(pair, n):
-    # Each product is even under z -> -z but odd under (Q1, Q2, P1, P2) ->
-    # (Q1, -Q2, -P1, P2); filling rows by that reflection would silently
-    # give a wrong number, so the quadrature must refuse.
-    p, gauge, dc = physics(0.3, -0.5, ratio=0.6, hbar=0.9)
-    rho, overlap = pin_integrands(QuantumNumbers(1, 2), p.hbar, dc)
-
-    def tilted(*z):
-        return rho(*z) * (1.0 + 0.1 * z[pair[0]] * z[pair[1]])
-
-    with pytest.raises(ValueError, match="not even"):
-        phase_space_integral(tilted, dc, p.hbar, n_nodes=n)
-
-
-@pytest.mark.parametrize("n", [3, 11, 41])
-def test_quadrature_checks_t_on_the_unmirrored_middle_slice(n):
-    # The z -> -z probe also compares against T-filled rows, but the middle
-    # Q1 node of an odd count (Q1 = 0 exactly) has no mirror.  A term odd
-    # under T that lives on that slice alone is seen only by the probe of
-    # its reflected Q2 row.
-    p, gauge, dc = physics(0.3, -0.5, ratio=0.6, hbar=0.9)
-    rho, overlap = pin_integrands(QuantumNumbers(1, 2), p.hbar, dc)
-
-    def tilted(q1, q2, p1, p2):
-        return rho(q1, q2, p1, p2) * (1.0 + 0.1 * np.where(q1 == 0.0, p1 * p2, 0.0))
-
-    with pytest.raises(ValueError, match="not even"):
-        phase_space_integral(tilted, dc, p.hbar, n_nodes=n)
-
-
 def test_eigenfunction_bits_match_first_form():
     rng = np.random.default_rng(44)
     p, gauge, dc = physics(0.6, -0.8, ratio=2.5, m=0.7, omega=1.4, hbar=1.2)
@@ -441,7 +352,7 @@ def test_eigenfunction_bits_match_first_form():
 
 
 # ---------------------------------------------------------------------------
-# exact reflections, on which the quartered quadrature rests
+# properties over the admissible domain
 
 
 @st.composite
@@ -502,3 +413,27 @@ def test_eigenfunction_is_even_under_t_bit_for_bit(phys, n1, n2, seed):
     plus = wigner_eigenfunction(PhaseState(*z), qn, dc, p.hbar)
     reflected = wigner_eigenfunction(PhaseState(z[0], -z[1], -z[2], z[3]), qn, dc, p.hbar)
     assert reflected.tobytes() == plus.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(admissible_physics(), st.integers(0, 6), st.integers(0, 6))
+def test_action_rule_matches_four_dimensional_oracle(phys, n1, n2):
+    # The normalization (decay 1) and the overlap with the ground state
+    # (decay 2, scaled by (2 pi hbar)**2 to order one), by the n**2 rule
+    # over the two mode actions and by the n**4 Gauss-Hermite rule over
+    # phase space, which is exact for them at 24 nodes.
+    p, gauge, dc = phys
+    qn, ground = QuantumNumbers(n1, n2), QuantumNumbers(0, 0)
+
+    def rho(x, ell):
+        return wigner_from_invariants(x, ell, qn, p.hbar)
+
+    def overlap(x, ell):
+        return rho(x, ell) * wigner_from_invariants(x, ell, ground, p.hbar)
+
+    for func, decay, scale in ((rho, 1.0, 1.0), (overlap, 2.0, (2.0 * math.pi * p.hbar) ** 2)):
+        want = reference_integral(
+            lambda *z: func(*invariant_pair(PhaseState(*z), dc)), dc, p.hbar, 24, decay
+        )
+        got = phase_space_integral(func, p.hbar, decay=decay)
+        assert abs(scale * (got - want)) <= 1e-11, (decay, got, want)
