@@ -335,6 +335,84 @@ def reference_eigenfunction(pt, qn, dc, hbar):
     )
 
 
+def neg(z):
+    return [-x for x in z]
+
+
+def t_reflect(z):
+    """T: (Q1, Q2, P1, P2) -> (Q1, -Q2, -P1, P2), which keeps X and L sign-exact."""
+    return [z[0], -z[1], -z[2], z[3]]
+
+
+def assert_odd_term_refused_and_null(term, reflect, n):
+    # rho of (1, 2) times 1 + 0.1 * term, with term odd under reflect.
+    p, gauge, dc = physics(0.3, -0.5, ratio=0.6, hbar=0.9)
+    qn = QuantumNumbers(1, 2)
+
+    def rho(q1, q2, p1, p2):
+        return wigner_eigenfunction(PhaseState(q1, q2, p1, p2), qn, dc, p.hbar)
+
+    def tilted(q1, q2, p1, p2):
+        return rho(q1, q2, p1, p2) * (1.0 + 0.1 * term(q1, q2, p1, p2))
+
+    # reflect keeps (X, L) bit for bit and flips the term, so no function of
+    # (X, L) is tilted; half the points lie on the Q1 = 0 slice.
+    z = np.random.default_rng(n).normal(0.0, 1.0, (4, 64))
+    z[0, :32] = 0.0
+    here = invariant_pair(PhaseState(*z), dc)
+    there = invariant_pair(PhaseState(*reflect(z)), dc)
+    for u, v in zip(here, there):
+        assert u.tobytes() == v.tobytes()
+    assert np.any(term(*z) != 0.0)
+    assert np.array_equal(term(*reflect(z)), -term(*z))
+    # The rule hands its integrand (X, L) alone: a phase-space integrand is refused.
+    with pytest.raises(TypeError, match="required positional"):
+        phase_space_integral(tilted, p.hbar, n_nodes=n)
+    # The term integrates to zero over phase space (the 4-D oracle at n
+    # nodes), so what the rule leaves out is worth nothing; from 11 nodes the
+    # oracle is exact for (1, 2) and equals the rule's normalization.
+    got = reference_integral(tilted, dc, p.hbar, n, 1.0)
+    assert abs(got - reference_integral(rho, dc, p.hbar, n, 1.0)) <= 1e-13
+    if n >= 11:
+        assert abs(got - wigner_normalization(qn, p.hbar, n_nodes=n)) <= 1e-11
+
+
+@pytest.mark.parametrize(
+    "tilt",
+    [(1, 0, 0, 0), (0, 0, 0, 1), (1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 1)],
+    ids=["Q1", "P2", "Q1+Q2", "Q1-Q2", "P1+P2"],
+)
+@pytest.mark.parametrize("n", [2, 3, 11, 40])
+def test_quadrature_rejects_integrand_that_is_not_even(tilt, n):
+    # A term linear in z is odd under z -> -z.
+    def term(*z):
+        return sum(c * x for c, x in zip(tilt, z))
+
+    assert_odd_term_refused_and_null(term, neg, n)
+
+
+@pytest.mark.parametrize(
+    "pair", [(0, 1), (0, 2), (1, 3), (2, 3)], ids=["Q1*Q2", "Q1*P1", "Q2*P2", "P1*P2"]
+)
+@pytest.mark.parametrize("n", [2, 3, 11, 40])
+def test_quadrature_rejects_integrand_that_is_not_even_under_t(pair, n):
+    # Each product is even under z -> -z but odd under T.
+    def term(*z):
+        return z[pair[0]] * z[pair[1]]
+
+    assert_odd_term_refused_and_null(term, t_reflect, n)
+
+
+@pytest.mark.parametrize("n", [3, 11, 41])
+def test_quadrature_checks_t_on_the_unmirrored_middle_slice(n):
+    # A term odd under T that lives on the Q1 = 0 slice alone, which is the
+    # middle slice of the oracle at an odd node count.
+    def term(q1, q2, p1, p2):
+        return np.where(q1 == 0.0, p1 * p2, 0.0)
+
+    assert_odd_term_refused_and_null(term, t_reflect, n)
+
+
 def test_eigenfunction_bits_match_first_form():
     rng = np.random.default_rng(44)
     p, gauge, dc = physics(0.6, -0.8, ratio=2.5, m=0.7, omega=1.4, hbar=1.2)
