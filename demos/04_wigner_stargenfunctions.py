@@ -48,18 +48,15 @@ energy = energy_level(qn, dc, params.hbar)
 w_q = math.sqrt(params.hbar * dc.beta / dc.alpha)
 w_p = math.sqrt(params.hbar * dc.alpha / dc.beta)
 print("stargenvalue residual for (1,0), energy %.9f:" % energy)
-for _ in range(4):
-    pt = PhaseState(
-        rng.uniform(-1.5, 1.5) * w_q,
-        rng.uniform(-1.5, 1.5) * w_q,
-        rng.uniform(-1.5, 1.5) * w_p,
-        rng.uniform(-1.5, 1.5) * w_p,
-    )
-    rho = wigner_eigenfunction(pt, qn, dc, params.hbar)
-    res = stargen_residual(pt, qn, dc, params.hbar)
+# One call evaluates the residuals of all four points.
+z = rng.uniform(-1.5, 1.5, (4, 4)) * np.array([w_q, w_q, w_p, w_p])
+pts = PhaseState(*z.T)
+rhos = wigner_eigenfunction(pts, qn, dc, params.hbar)
+residuals = stargen_residual(pts, qn, dc, params.hbar)
+for point, rho, res in zip(z, rhos, residuals):
     print(
         "  point (%+.3f,%+.3f,%+.3f,%+.3f): |Re|=%.1e |Im|=%.1e  (bound %.1e)"
-        % (pt.Q1, pt.Q2, pt.P1, pt.P2, abs(res.real), abs(res.imag), 1e-6 * energy * abs(rho))
+        % (*point, abs(res.real), abs(res.imag), 1e-6 * energy * abs(rho))
     )
 
 # Quadrature over the two mode actions: the integrands are functions of the

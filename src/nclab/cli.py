@@ -478,17 +478,19 @@ def cmd_wigner(args) -> int:
     print("wrote", slice_path)
 
     energy = energy_level(qn, dc, hb)
-    rng = np.random.default_rng(int(s["seed"]))
+    u = np.random.default_rng(int(s["seed"])).uniform(-2.0, 2.0, (n_points, 4))
+    z = u * np.array([w_q, w_q, w_p, w_p])
+    pts = PhaseState(*z.T)
+    residuals = np.broadcast_to(
+        stargen_residual(pts, qn, dc, hb, base_step_scale=fd_scale), n_points
+    )
+    rhos = wigner_eigenfunction(pts, qn, dc, hb)
     records = []
-    for _ in range(n_points):
-        u = rng.uniform(-2.0, 2.0, 4)
-        pt = PhaseState(u[0] * w_q, u[1] * w_q, u[2] * w_p, u[3] * w_p)
-        res = stargen_residual(pt, qn, dc, hb, base_step_scale=fd_scale)
-        rho0 = float(wigner_eigenfunction(pt, qn, dc, hb))
+    for point, res, rho0 in zip(z.tolist(), residuals.tolist(), rhos.tolist()):
         rel = max(abs(res.real), abs(res.imag)) / abs(energy * rho0)
         records.append(
             {
-                "point": [float(v) for v in (pt.Q1, pt.Q2, pt.P1, pt.P2)],
+                "point": point,
                 "n1": qn.n1,
                 "n2": qn.n2,
                 "rho": rho0,

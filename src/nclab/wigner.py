@@ -7,8 +7,9 @@ coordinates the two actions are (X -+ 2 L)/4 with X the width-scaled
 quadratic form and L the angular momentum.  The functions solve the
 star-product eigen-equation H * rho = E rho, where the Moyal series of a
 quadratic Hamiltonian terminates at second order; the residual of that
-equation, evaluated with Richardson-extrapolated central differences, is
-the module's self-test.  Points are PhaseState values of the commutative
+equation is the module's self-test, by Richardson-extrapolated central
+differences on a 33-point stencil per point, every point of a batch in
+one eigenfunction call.  Points are PhaseState values of the commutative
 frame, with scalar or array fields.
 
 Every stationary function depends on the point only through X and L
@@ -164,49 +165,13 @@ def hamiltonian_weyl(pt: PhaseState, dc: DerivedConstants):
     return np.einsum("...i,ij,...j->...", z, dc.K, z)
 
 
-def _richardson_first(f, z, axis, h):
-    def central(step):
-        zp = z.copy()
-        zp[axis] += step
-        zm = z.copy()
-        zm[axis] -= step
-        return (f(zp) - f(zm)) / (2.0 * step)
-
-    return (4.0 * central(0.5 * h) - central(h)) / 3.0
-
-
-def _richardson_second(f, z, axis, h, f0):
-    def central(step):
-        zp = z.copy()
-        zp[axis] += step
-        zm = z.copy()
-        zm[axis] -= step
-        return (f(zp) - 2.0 * f0 + f(zm)) / step**2
-
-    return (4.0 * central(0.5 * h) - central(h)) / 3.0
-
-
-def _richardson_cross(f, z, ax1, ax2, h1, h2):
-    def central(s1, s2):
-        out = 0.0
-        for sig1 in (+1.0, -1.0):
-            for sig2 in (+1.0, -1.0):
-                zz = z.copy()
-                zz[ax1] += sig1 * s1
-                zz[ax2] += sig2 * s2
-                out += sig1 * sig2 * f(zz)
-        return out / (4.0 * s1 * s2)
-
-    return (4.0 * central(0.5 * h1, 0.5 * h2) - central(h1, h2)) / 3.0
-
-
 def stargen_residual(
     pt: PhaseState,
     qn: QuantumNumbers,
     dc: DerivedConstants,
     hbar: float,
     base_step_scale: float = 1e-3,
-) -> complex:
+):
     """Residual H * rho - E rho of the star-product eigen-equation.
 
     For a quadratic Hamiltonian the Moyal series terminates exactly:
@@ -219,8 +184,16 @@ def stargen_residual(
     differences with Richardson extrapolation (steps h and h/2), h being
     base_step_scale times the Gaussian width of each direction.  The
     imaginary part isolates the bracket term, which must vanish for a
-    stationary function.  Raises ValueError if the step scale is not
-    finite, and StepUnderflow if it drops below 1e-10 of the width.
+    stationary function.
+
+    Vectorised over points: a PhaseState with array fields of shape (N,)
+    gives a complex array of shape (N,), a scalar one a Python complex.
+    One wigner_eigenfunction call evaluates the 33-point stencils of all
+    points: the point, +-h/2 and +-h on each axis, and the four corners
+    at both steps for each coupled pair (Q1-P2, Q2-P1).  A point's residual
+    does not depend on the batch, bit for bit.  Raises ValueError if the
+    step scale is not finite, and StepUnderflow if it drops below 1e-10 of
+    the width.
     """
     _check_hbar(hbar)
     if not math.isfinite(base_step_scale):
@@ -234,16 +207,7 @@ def stargen_residual(
         )
     w_q = np.sqrt(hbar * dc.beta / dc.alpha)
     w_p = np.sqrt(hbar * dc.alpha / dc.beta)
-    steps = np.array([w_q, w_q, w_p, w_p]) * base_step_scale
-
-    def rho(z):
-        return wigner_eigenfunction(PhaseState(*z), qn, dc, hbar)
-
-    z0 = pt.as_array()
-    rho0 = rho(z0)
-    grad = np.array(
-        [_richardson_first(rho, z0, a, steps[a]) for a in range(4)]
-    )
+    hs = np.array([w_q, w_q, w_p, w_p]) * base_step_scale * np.array([[0.5], [1.0]])
     # H = z^T K z has gradient 2 K z and Hessian 2 K.  The bracket term is
     # grad H . J grad rho; the second-order term contracts the Hessian of
     # rho with J^T (2 K) J, so only the rho entries under a nonzero weight
@@ -251,22 +215,55 @@ def stargen_residual(
     # einsum rather than BLAS: these 4x4 products are too small to gain,
     # and a first BLAS call costs the process about 0.4 MiB of memory.
     hess = 2.0 * dc.K
-    bracket = np.einsum("ij,j,ik,k->", hess, z0, J, grad)
     weight = np.einsum("ji,jk,kl->il", J, hess, J)
+    pairs = [(a, b) for a in range(4) for b in range(a + 1, 4) if weight[a, b]]
+    signs = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
+    # The stencil, at the steps hs[0] = h/2 and hs[1] = h: the point itself,
+    # then +-h/2 and +-h along each axis, then the corners of each pair.
+    eye = np.eye(4)
+    offsets = [0.0 * eye[0]]
+    offsets += [
+        sig * h[a] * eye[a] for a in range(4) for h in hs for sig in (1.0, -1.0)
+    ]
+    offsets += [
+        s1 * h[a] * eye[a] + s2 * h[b] * eye[b]
+        for a, b in pairs for h in hs for s1, s2 in signs
+    ]
+    z0 = pt.as_array()
+    zs = np.moveaxis(z0[..., None, :] + np.array(offsets), -1, 0)
+    vals = wigner_eigenfunction(PhaseState(*zs), qn, dc, hbar)
+    rho0 = vals[..., 0]
+    # Last axes [axis, step, sign] and [pair, step, signs].
+    axial = vals[..., 1:17].reshape(rho0.shape + (4, 2, 2))
+    corner = vals[..., 17:].reshape(rho0.shape + (len(pairs), 2, 4))
+
+    def richardson(central):
+        # (4 c(h/2) - c(h)) / 3 for the central difference c(k, hs[k]).
+        return (4.0 * central(0, hs[0]) - central(1, hs[1])) / 3.0
+
+    def cross(p, a, b):
+        def central(k, h):
+            out = 0.0
+            for i, (sig1, sig2) in enumerate(signs):
+                out += sig1 * sig2 * corner[..., p, k, i]
+            return out / (4.0 * h[a] * h[b])
+
+        return richardson(central)
+
+    grad = richardson(lambda k, h: (axial[..., k, 0] - axial[..., k, 1]) / (2.0 * h))
+    bracket = np.einsum("ij,...j,ik,...k->...", hess, z0, J, grad)
     quad = 0.0
     for a in range(4):
-        quad += weight[a, a] * _richardson_second(rho, z0, a, steps[a], rho0)
-        for b in range(a + 1, 4):
-            if weight[a, b]:
-                quad += 2.0 * weight[a, b] * _richardson_cross(
-                    rho, z0, a, b, steps[a], steps[b]
-                )
-    star = (
-        hamiltonian_weyl(pt, dc) * rho0
-        - hbar**2 / 8.0 * quad
-        + 1j * (hbar / 2.0) * bracket
-    )
-    return complex(star - energy_level(qn, dc, hbar) * rho0)
+        quad += weight[a, a] * richardson(
+            lambda k, h: (axial[..., a, k, 0] - 2.0 * rho0 + axial[..., a, k, 1])
+            / h[a] ** 2
+        )
+        for p, (a1, b) in enumerate(pairs):
+            if a1 == a:
+                quad += 2.0 * weight[a, b] * cross(p, a, b)
+    star = hamiltonian_weyl(pt, dc) * rho0 - hbar**2 / 8.0 * quad
+    res = star + 1j * (hbar / 2.0) * bracket - energy_level(qn, dc, hbar) * rho0
+    return complex(res) if res.ndim == 0 else res
 
 
 def phase_space_integral(

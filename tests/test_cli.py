@@ -7,17 +7,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nclab
 from nclab import (
     TOOL_VERSION,
+    PhysicalParams,
+    QuantumNumbers,
     RatioSpec,
     UnreachableRatio,
+    derived_constants,
     file_sha256,
+    make_gauge,
     params_from_ratio,
+    stargen_residual,
 )
 from nclab.cli import main
+from nclab.states import PhaseState
 
 
 def read_manifest(path):
@@ -249,6 +256,28 @@ def test_wigner_command(tmp_path):
     with open(tmp_path / "wigner_slice.csv") as fh:
         header = fh.readline().strip().split(",")
     assert header == ["Q1", "Q2", "P1", "P2", "rho"]
+
+
+def test_wigner_records_hold_each_point_residual_alone(tmp_path):
+    # The residual points are the seeded stream drawn four values at a time,
+    # and each record holds the residual of its point evaluated on its own.
+    argv = ["wigner", "--theta", "0.05", "--eta", "-0.02", "--hbar", "1.3",
+            "--gauge-ratio", "2.0", "--n1", "2", "--n2", "1", "--grid-points", "5",
+            "--residual-points", "7", "--nodes", "20", "--seed", "9"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    records = read_manifest(tmp_path / "wigner_residuals.json")["records"]
+    params = PhysicalParams(1.0, 1.0, 1.3, 0.05, -0.02)
+    dc = derived_constants(params, make_gauge(params, 2.0))
+    w_q = math.sqrt(params.hbar * dc.beta / dc.alpha)
+    w_p = math.sqrt(params.hbar * dc.alpha / dc.beta)
+    rng = np.random.default_rng(9)
+    assert len(records) == 7
+    for rec in records:
+        u = rng.uniform(-2.0, 2.0, 4)
+        pt = PhaseState(u[0] * w_q, u[1] * w_q, u[2] * w_p, u[3] * w_p)
+        assert rec["point"] == [float(v) for v in (pt.Q1, pt.Q2, pt.P1, pt.P2)]
+        res = stargen_residual(pt, QuantumNumbers(2, 1), dc, params.hbar)
+        assert (rec["residual_re"], rec["residual_im"]) == (res.real, res.imag)
 
 
 def test_normalization_unit_catches_wrong_prefactor(tmp_path, monkeypatch):

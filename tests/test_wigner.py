@@ -24,7 +24,7 @@ from nclab import (
     wigner_from_invariants,
     wigner_normalization,
 )
-from nclab.algebra import invariant_pair
+from nclab.algebra import J, invariant_pair
 from nclab.states import PhaseState
 from nclab.wigner import MAX_NODES
 
@@ -335,6 +335,77 @@ def reference_eigenfunction(pt, qn, dc, hbar):
     )
 
 
+def _richardson_first(f, z, axis, h):
+    def central(step):
+        zp = z.copy()
+        zp[axis] += step
+        zm = z.copy()
+        zm[axis] -= step
+        return (f(zp) - f(zm)) / (2.0 * step)
+
+    return (4.0 * central(0.5 * h) - central(h)) / 3.0
+
+
+def _richardson_second(f, z, axis, h, f0):
+    def central(step):
+        zp = z.copy()
+        zp[axis] += step
+        zm = z.copy()
+        zm[axis] -= step
+        return (f(zp) - 2.0 * f0 + f(zm)) / step**2
+
+    return (4.0 * central(0.5 * h) - central(h)) / 3.0
+
+
+def _richardson_cross(f, z, ax1, ax2, h1, h2):
+    def central(s1, s2):
+        out = 0.0
+        for sig1 in (+1.0, -1.0):
+            for sig2 in (+1.0, -1.0):
+                zz = z.copy()
+                zz[ax1] += sig1 * s1
+                zz[ax2] += sig2 * s2
+                out += sig1 * sig2 * f(zz)
+        return out / (4.0 * s1 * s2)
+
+    return (4.0 * central(0.5 * h1, 0.5 * h2) - central(h1, h2)) / 3.0
+
+
+def reference_residual(pt, qn, dc, hbar, base_step_scale=1e-3):
+    """The stargen residual at one scalar point as first written: one
+    eigenfunction call per Richardson stencil point (49 in all), each on the
+    point as a one-element array."""
+    w_q = np.sqrt(hbar * dc.beta / dc.alpha)
+    w_p = np.sqrt(hbar * dc.alpha / dc.beta)
+    steps = np.array([w_q, w_q, w_p, w_p]) * base_step_scale
+
+    def rho(z):
+        return wigner_eigenfunction(PhaseState(*z[:, None]), qn, dc, hbar)[0]
+
+    z0 = pt.as_array()
+    rho0 = rho(z0)
+    grad = np.array(
+        [_richardson_first(rho, z0, a, steps[a]) for a in range(4)]
+    )
+    hess = 2.0 * dc.K
+    bracket = np.einsum("ij,j,ik,k->", hess, z0, J, grad)
+    weight = np.einsum("ji,jk,kl->il", J, hess, J)
+    quad = 0.0
+    for a in range(4):
+        quad += weight[a, a] * _richardson_second(rho, z0, a, steps[a], rho0)
+        for b in range(a + 1, 4):
+            if weight[a, b]:
+                quad += 2.0 * weight[a, b] * _richardson_cross(
+                    rho, z0, a, b, steps[a], steps[b]
+                )
+    star = (
+        hamiltonian_weyl(pt, dc) * rho0
+        - hbar**2 / 8.0 * quad
+        + 1j * (hbar / 2.0) * bracket
+    )
+    return complex(star - energy_level(qn, dc, hbar) * rho0)
+
+
 def neg(z):
     return [-x for x in z]
 
@@ -515,3 +586,50 @@ def test_action_rule_matches_four_dimensional_oracle(phys, n1, n2):
         )
         got = phase_space_integral(func, p.hbar, decay=decay)
         assert abs(scale * (got - want)) <= 1e-11, (decay, got, want)
+
+
+def residual_points(dc, hbar, seed, n):
+    """n points out to two Gaussian widths per axis, as the wigner command draws them."""
+    w_q = math.sqrt(hbar * dc.beta / dc.alpha)
+    w_p = math.sqrt(hbar * dc.alpha / dc.beta)
+    return np.random.default_rng(seed).uniform(-2.0, 2.0, (n, 4)) * np.array(
+        [w_q, w_q, w_p, w_p]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    admissible_physics(),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_stargen_residual_matches_per_point_oracle_bit_for_bit(phys, n1, n2, seed):
+    p, gauge, dc = phys
+    qn = QuantumNumbers(n1, n2)
+    z = residual_points(dc, p.hbar, seed, 5)
+    got = stargen_residual(PhaseState(*z.T), qn, dc, p.hbar)
+    want = [reference_residual(PhaseState(*row), qn, dc, p.hbar) for row in z]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    admissible_physics(),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 9),
+)
+def test_stargen_residual_does_not_depend_on_the_batch(phys, n1, n2, seed, n):
+    p, gauge, dc = phys
+    qn = QuantumNumbers(n1, n2)
+    z = residual_points(dc, p.hbar, seed, n)
+    batch = stargen_residual(PhaseState(*z.T), qn, dc, p.hbar)
+    assert batch.shape == (n,) and batch.dtype == complex
+    reversed_batch = stargen_residual(PhaseState(*z[::-1].T), qn, dc, p.hbar)
+    assert reversed_batch[::-1].tobytes() == batch.tobytes()
+    for k, row in enumerate(z):
+        alone = stargen_residual(PhaseState(*row.tolist()), qn, dc, p.hbar)
+        assert type(alone) is complex
+        assert np.complex128(alone).tobytes() == batch[k].tobytes()
