@@ -16,12 +16,13 @@ from nclab import (
     derived_constants,
     ground_mode_ic,
     make_gauge,
+    paper_coefficients,
     params_from_ratio,
     sector_energy_series,
+    signed_coefficients,
     xi_closed,
     xi_first_order,
     xi_trajectory,
-    xi_trajectory_closed,
 )
 
 # Momentum-dominant deformation: trajectory and closed form agree.
@@ -50,8 +51,8 @@ for ratio in (0.5, 1.0, 2.0):
     ic = ground_mode_ic(d, params.hbar)
     scale = params.hbar * d.omega_big
     traj = np.asarray(xi_trajectory(ic, d, params, g, ts, 1)) / scale
-    unsigned = np.asarray(xi_closed(d, params, ts, 1)) / scale
-    signed = np.asarray(xi_trajectory_closed(d, params, ts, 1)) / scale
+    unsigned = np.asarray(xi_closed(d, paper_coefficients(d, params), ts, 1, params.hbar)) / scale
+    signed = np.asarray(xi_closed(d, signed_coefficients(d, params), ts, 1, params.hbar)) / scale
     print(
         "  ratio %.1f: gap to unsigned form %.6f, gap to signed form %.2e"
         % (ratio, np.max(np.abs(traj - unsigned)), np.max(np.abs(traj - signed)))
@@ -64,7 +65,7 @@ for r in (0.004, 0.002, 0.001):
     d = derived_constants(p)
     tw = np.linspace(0.0, 40.0 / d.omega_big, 2001)
     scale = p.hbar * d.omega_big
-    exact = np.asarray(xi_closed(d, p, tw, 1)) / scale
+    exact = np.asarray(xi_closed(d, paper_coefficients(d, p), tw, 1, p.hbar)) / scale
     approx = np.asarray(xi_first_order(d, tw, 1, p.hbar)) / scale
     dev = np.max(np.abs(exact - 0.5))
     print("  ratio %.3f: first-order error / beat deviation = %.5f" % (r, np.max(np.abs(approx - exact)) / dev))

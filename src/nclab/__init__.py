@@ -40,17 +40,18 @@ from .errors import (
 from .manifest import TOOL_VERSION, RunManifest, file_sha256
 from .observables import (
     SectorEnergySeries,
+    degenerate_coefficients,
     ground_mode_ic,
     mode_energy,
+    paper_coefficients,
     sector_energy,
     sector_energy_series,
+    signed_coefficients,
     xi_closed,
-    xi_closed_degenerate,
     xi_closed_rate,
     xi_dot_first_order,
     xi_first_order,
     xi_trajectory,
-    xi_trajectory_closed,
 )
 from .states import InitialConditions, NCState, PhaseState
 from .wigner import (

@@ -326,6 +326,9 @@ def invariant_pair(state: PhaseState, dc: DerivedConstants):
     functions and of the simulate command's drift checks.
     """
     r = dc.alpha / dc.beta
-    i1 = r * (state.Q1**2 + state.Q2**2) + (state.P1**2 + state.P2**2) / r
-    i2 = state.Q1 * state.P2 - state.Q2 * state.P1
+    # x * x, not x**2: on a scalar, ** is libm pow, which is not correctly
+    # rounded, so a scalar point would differ in the last bit from an array.
+    q1, q2, p1, p2 = state.Q1, state.Q2, state.P1, state.P2
+    i1 = r * (q1 * q1 + q2 * q2) + (p1 * p1 + p2 * p2) / r
+    i2 = q1 * p2 - q2 * p1
     return i1, i2

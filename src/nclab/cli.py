@@ -45,9 +45,11 @@ from .manifest import TOOL_VERSION, RunManifest, write_csv
 from .observables import (
     SOURCES,
     ground_mode_ic,
+    paper_coefficients,
     sector_energy_series,
+    signed_coefficients,
+    xi_closed,
     xi_closed_rate,
-    xi_trajectory_closed,
 )
 from .states import InitialConditions, PhaseState
 from .wigner import (
@@ -208,8 +210,8 @@ def _grid_points(settings, default=None) -> int:
     return n
 
 
-def _print_checks(man: RunManifest) -> None:
-    for c in man.checks:
+def _print_checks(checks) -> None:
+    for c in checks:
         status = "pass" if c["passed"] else "FAIL"
         print("check %s: %s (%.6g)" % (c["name"], status, c["value"]))
 
@@ -274,7 +276,7 @@ def cmd_constants(args) -> int:
     width = max(len(name) for name, _ in rows)
     for name, val in rows:
         print("%-*s  %.6g" % (width, name, val))
-    _print_checks(man)
+    _print_checks(man.checks)
     return _finish(man, outdir / "constants_manifest.json")
 
 
@@ -353,7 +355,7 @@ def cmd_simulate(args) -> int:
             sup = float(np.max(np.abs(traj_n.states - ref)))
             man.add_check("rk4_matches_analytic", sup <= 1e-8, sup)
 
-    _print_checks(man)
+    _print_checks(man.checks)
     return _finish(man, outdir / "simulate_manifest.json")
 
 
@@ -361,6 +363,12 @@ def _series_pair_gap(a, b) -> float:
     return float(
         max(np.max(np.abs(a.xi1 - b.xi1)), np.max(np.abs(a.xi2 - b.xi2)))
     )
+
+
+def _first_order_rel_err(first, closed) -> float:
+    """Gap of the first-order series to the closed one, over its beat deviation."""
+    dev = float(np.max(np.abs(closed.xi1 - 0.5)))
+    return _series_pair_gap(first, closed) / dev if dev > 0.0 else 0.0
 
 
 def cmd_xi(args) -> int:
@@ -374,10 +382,11 @@ def cmd_xi(args) -> int:
         )
     n = _grid_points(s)
     params, gauge, dc = _physics(s)
+    omega_t = np.linspace(0.0, float(s["t_max"]), n)
+    # Before the output directory: the degenerate form refuses theta*eta != 0.
+    series = sector_energy_series(params, gauge, omega_t, source)
     outdir = _out_dir(s)
     man = RunManifest("xi", _manifest_args(s), params, gauge, dc)
-    omega_t = np.linspace(0.0, float(s["t_max"]), n)
-    series = sector_energy_series(params, gauge, omega_t, source)
     path = outdir / ("xi_%s.csv" % source)
     series.write_csv(path)
     man.add_output(path)
@@ -388,42 +397,23 @@ def cmd_xi(args) -> int:
 
     if source == "trajectory":
         closed = sector_energy_series(params, gauge, omega_t, "closed_form")
-        gap = _series_pair_gap(series, closed)
-        man.add_measured("trajectory_closed_gap", gap)
+        man.add_measured("trajectory_closed_gap", _series_pair_gap(series, closed))
+        coeffs = signed_coefficients(dc, params)
         t = omega_t / dc.omega_big
         scale = params.hbar * dc.omega_big
-        signed_gap = float(
+        gap = float(
             max(
-                np.max(np.abs(series.xi1 - xi_trajectory_closed(dc, params, t, 1) / scale)),
-                np.max(np.abs(series.xi2 - xi_trajectory_closed(dc, params, t, 2) / scale)),
+                np.max(np.abs(series.xi1 - xi_closed(dc, coeffs, t, 1, params.hbar) / scale)),
+                np.max(np.abs(series.xi2 - xi_closed(dc, coeffs, t, 2, params.hbar) / scale)),
             )
         )
-        man.add_measured("trajectory_signed_form_gap", signed_gap)
-        if gap <= 1e-9:
-            man.add_check("trajectory_matches_closed", True, gap)
-        else:
-            # Documented-discrepancy clause: a real deviation must be a
-            # property of the physical parameters, identical in every
-            # gauge frame, or it is a bug.
-            gaps = []
-            for ratio in (0.5, 1.0, 2.0):
-                g2 = make_gauge(params, ratio)
-                tr2 = sector_energy_series(params, g2, omega_t, "trajectory")
-                cl2 = sector_energy_series(params, g2, omega_t, "closed_form")
-                gaps.append(_series_pair_gap(tr2, cl2))
-            spread = max(gaps) - min(gaps)
-            man.add_measured("trajectory_closed_gap_gauge_spread", spread)
-            man.add_check("trajectory_gap_documented", spread <= 1e-9, gap)
+        man.add_check("trajectory_matches_closed", gap <= 1e-9, gap)
 
     if source == "first_order":
         closed = sector_energy_series(params, gauge, omega_t, "closed_form")
-        dev = float(np.max(np.abs(closed.xi1 - 0.5)))
-        err = _series_pair_gap(series, closed)
-        man.add_measured(
-            "first_order_rel_err", err / dev if dev > 0.0 else 0.0
-        )
+        man.add_measured("first_order_rel_err", _first_order_rel_err(series, closed))
 
-    _print_checks(man)
+    _print_checks(man.checks)
     return _finish(man, outdir / "xi_manifest.json")
 
 
@@ -539,15 +529,8 @@ def cmd_wigner(args) -> int:
     unit_gap = abs(norms[1] - 1.0)
     man.add_check("normalization_unit", unit_gap <= 1e-9, unit_gap)
 
-    _print_checks(man)
+    _print_checks(man.checks)
     return _finish(man, outdir / "wigner_manifest.json")
-
-
-def _first_order_rel_err(params, gauge, omega_t) -> float:
-    closed = sector_energy_series(params, gauge, omega_t, "closed_form")
-    first = sector_energy_series(params, gauge, omega_t, "first_order")
-    dev = float(np.max(np.abs(closed.xi1 - 0.5)))
-    return _series_pair_gap(first, closed) / dev
 
 
 def cmd_figure(args) -> int:
@@ -603,7 +586,8 @@ def cmd_figure(args) -> int:
         omega_t = np.linspace(0.0, span, n)
         t = omega_t / dc.omega_big
         rate = np.asarray(
-            xi_closed_rate(dc, params, t, 1) / (params.hbar * dc.omega_big**2)
+            xi_closed_rate(dc, paper_coefficients(dc, params), t, 1, params.hbar)
+            / (params.hbar * dc.omega_big**2)
         )
         target = dc.gamma / dc.omega_big
         path = outdir / "figure2.csv"
@@ -619,19 +603,20 @@ def cmd_figure(args) -> int:
 
         if params.nc_product == 0.0:
             window = np.linspace(0.0, 40.0, 4001)
-            err_full = _first_order_rel_err(params, gauge, window)
             half = PhysicalParams(
                 params.m, params.omega, params.hbar, params.theta / 2.0,
                 params.eta / 2.0,
             )
-            err_half = _first_order_rel_err(
-                half, make_gauge(half, gauge.ratio), window
-            )
-            man.add_measured("first_order_rel_err", err_full)
-            ratio = err_full / err_half
+            errs = []
+            for p, g in ((params, gauge), (half, make_gauge(half, gauge.ratio))):
+                first = sector_energy_series(p, g, window, "first_order")
+                closed = sector_energy_series(p, g, window, "closed_form")
+                errs.append(_first_order_rel_err(first, closed))
+            man.add_measured("first_order_rel_err", errs[0])
+            ratio = errs[0] / errs[1]
             man.add_check("first_order_truncation_ratio", 3.2 <= ratio <= 4.8, ratio)
 
-    _print_checks(man)
+    _print_checks(man.checks)
     return _finish(man, outdir / ("figure%d_manifest.json" % which))
 
 
@@ -646,22 +631,12 @@ def cmd_sweep(args) -> int:
     ratios = sorted(float(r) for r in raw)
     if not ratios:
         raise ValueError("empty ratio grid")
-    specs = [RatioSpec(ratio=r, mode=s["mode"]) for r in ratios]
+    physics = [_physics(dict(s, ratio=r)) for r in ratios]
     if ratios[0] == 0.0:
         # Each cell's error is relative to the beat amplitude, zero at ratio 0.
         raise ValueError("sweep ratios must be positive, got 0")
     s["ratios"] = ratios
     n = _grid_points(s)
-    physics = []
-    for spec in specs:
-        params = params_from_ratio(
-            spec,
-            m=float(s["m"]),
-            omega=float(s["omega"]),
-            hbar=float(s["hbar"]),
-        )
-        gauge = make_gauge(params, float(s["gauge_ratio"]))
-        physics.append((params, gauge, derived_constants(params, gauge)))
     outdir = _out_dir(s)
     omega_t = np.linspace(0.0, float(s["t_max"]), n)
 
@@ -685,8 +660,7 @@ def cmd_sweep(args) -> int:
 
         part = float(np.max(np.abs(closed.xi1 + closed.xi2 - 1.0)))
         cman.add_check("energy_partition", part <= 1e-12, part)
-        dev = float(np.max(np.abs(closed.xi1 - 0.5)))
-        err = _series_pair_gap(first, closed) / dev
+        err = _first_order_rel_err(first, closed)
         cman.add_measured("first_order_rel_err", err)
         cman.add_measured("gamma_over_omega_big", dc.gamma / dc.omega_big)
         cman.write(cell_dir / "manifest.json")
@@ -729,11 +703,7 @@ def cmd_sweep(args) -> int:
         fh.write(json.dumps(index, indent=2, sort_keys=True))
         fh.write("\n")
     print("wrote", index_path)
-    for c in index_checks:
-        print(
-            "check %s: %s (%.6g)"
-            % (c["name"], "pass" if c["passed"] else "FAIL", c["value"])
-        )
+    _print_checks(index_checks)
     if not all_ok:
         print("one or more checks failed", file=sys.stderr)
         return CHECKS_FAILED_EXIT

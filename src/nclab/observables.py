@@ -3,10 +3,14 @@
 Two families live here.  Mode energies are quadratic forms of the
 commutative frame and beat exactly at twice the slow frequency.  Sector
 energies xi_i are the physical per-axis oscillator energies of the
-deformed variables; they are obtained either by composing the exact flow
-with the frame map (the oracle route) or from closed-form expressions,
-including a degenerate form for theta*eta = 0 and a first-order form whose
-linear-in-t growth is the time-crystal signature.
+deformed variables.  The oracle route, xi_trajectory, composes the exact
+flow with the frame map.  The closed forms are one kernel, xi_closed, and
+its exact time derivative, xi_closed_rate, whose bracket takes a (fast,
+slow) coefficient pair: the paper's (paper_coefficients), the signed pair
+that the trajectory reproduces (signed_coefficients), or the pair of the
+degenerate surface theta*eta = 0 (degenerate_coefficients).  A first-order
+form, whose linear-in-t growth is the time-crystal signature, completes the
+set.
 
 All energies are gauge-ratio invariant even though the intermediate
 quantities (alpha/beta, the frame coordinates) are not.
@@ -36,12 +40,13 @@ __all__ = [
     "ground_mode_ic",
     "mode_energy",
     "sector_energy",
+    "paper_coefficients",
+    "signed_coefficients",
+    "degenerate_coefficients",
     "xi_closed",
-    "xi_trajectory_closed",
-    "xi_closed_degenerate",
+    "xi_closed_rate",
     "xi_first_order",
     "xi_dot_first_order",
-    "xi_closed_rate",
     "xi_trajectory",
     "sector_energy_series",
 ]
@@ -91,9 +96,11 @@ def sector_energy(nc: NCState, params: PhysicalParams, i: int):
     return p**2 / (2.0 * params.m) + 0.5 * params.m * params.omega**2 * q**2
 
 
-def _stable_roots(dc: DerivedConstants, params: PhysicalParams):
-    """Radicands of the closed forms, evaluated without cancellation.
+def paper_coefficients(dc: DerivedConstants, params: PhysicalParams):
+    """(fast, slow) of the paper's form: sqrt(1 - omega**2/Omega**2) and
+    (omega/Omega) sqrt(1 - gamma**2/Omega**2).
 
+    The radicands are evaluated without cancellation:
     sqrt(1 - omega**2/Omega**2) equals |g_theta - g_eta|/Omega and
     sqrt(1 - gamma**2/Omega**2) equals omega*(2*lambda*mu - 1)/Omega;
     both identities avoid subtracting nearly equal squares.  Genuinely
@@ -108,70 +115,72 @@ def _stable_roots(dc: DerivedConstants, params: PhysicalParams):
     s_omega = abs(g_theta - g_eta) / W
     root_lm = 2.0 * dc.product_lm - 1.0  # = sqrt(1 - theta*eta/hbar**2)
     s_gamma = params.omega * root_lm / W
-    return s_omega, s_gamma
+    return s_omega, (params.omega / W) * s_gamma
 
 
-def xi_closed(dc: DerivedConstants, params: PhysicalParams, t, i: int):
-    """Closed-form sector energy for ground-mode initial conditions.
+def signed_coefficients(dc: DerivedConstants, params: PhysicalParams):
+    """(fast, slow) of the map-composed trajectory energy.
 
-    (hbar*Omega/2) * (1 - (-1)**i * [sqrt(1 - omega**2/Omega**2) *
-    (cos 2 gamma t cos 2 Omega t - (gamma/Omega) sin 2 gamma t sin 2 Omega t)
-    + (omega/Omega) sqrt(1 - gamma**2/Omega**2) sin 2 gamma t]).
+    The paper's slow coefficient, but the fast one carries the sign of
+    (g_eta - g_theta)/Omega rather than the positive root: composing the
+    exact flow with the frame map flips the Omega-frequency terms whenever
+    the position deformation dominates the momentum one.  With these,
+    xi_closed matches xi_trajectory from ground-mode initial conditions to
+    roundoff in every regime.
     """
-    _check_mode(i)
-    W, g = dc.omega_big, dc.gamma
-    s_omega, s_gamma = _stable_roots(dc, params)
-    cs, ss = np.cos(2.0 * g * t), np.sin(2.0 * g * t)
-    cf, sf = np.cos(2.0 * W * t), np.sin(2.0 * W * t)
-    bracket = s_omega * (cs * cf - (g / W) * ss * sf) + (
-        params.omega / W
-    ) * s_gamma * ss
-    return 0.5 * params.hbar * W * (1.0 - (-1) ** i * bracket)
-
-
-def xi_trajectory_closed(dc: DerivedConstants, params: PhysicalParams, t, i: int):
-    """Closed form of the map-composed trajectory energy.
-
-    Identical to xi_closed except that the fast-oscillation coefficient
-    carries the sign of (g_eta - g_theta)/Omega rather than the positive
-    root: composing the exact flow with the frame map flips the
-    Omega-frequency terms whenever the position deformation dominates the
-    momentum one.  Matches xi_trajectory with ground-mode initial
-    conditions to roundoff in every regime.
-    """
-    _check_mode(i)
-    W, g = dc.omega_big, dc.gamma
-    _, s_gamma = _stable_roots(dc, params)
+    _, slow = paper_coefficients(dc, params)
     g_theta, g_eta = gamma_components(params)
-    coeff = (g_eta - g_theta) / W
-    cs, ss = np.cos(2.0 * g * t), np.sin(2.0 * g * t)
-    cf, sf = np.cos(2.0 * W * t), np.sin(2.0 * W * t)
-    bracket = coeff * (cs * cf - (g / W) * ss * sf) + (
-        params.omega / W
-    ) * s_gamma * ss
-    return 0.5 * params.hbar * W * (1.0 - (-1) ** i * bracket)
+    return (g_eta - g_theta) / dc.omega_big, slow
 
 
-def xi_closed_degenerate(dc: DerivedConstants, t, i: int, hbar: float):
-    """Sector energy closed form on the degenerate surface theta*eta = 0.
+def degenerate_coefficients(dc: DerivedConstants):
+    """(fast, slow) on the degenerate surface theta*eta = 0.
 
     There sqrt(1 - omega**2/Omega**2) collapses to gamma/Omega and the slow
     coefficient to 1 - gamma**2/Omega**2.  Calling it off the surface is an
     error (DegenerateFormMisuse), detected through the gauge product, which
     equals 1 exactly when theta*eta = 0.
     """
-    _check_mode(i)
     if abs(dc.product_lm - 1.0) > 1e-12:
         raise DegenerateFormMisuse(
             "degenerate closed form requires theta*eta = 0 "
             "(gauge product %.17g != 1)" % dc.product_lm
         )
+    e = dc.gamma / dc.omega_big
+    return e, 1.0 - e**2
+
+
+def xi_closed(dc: DerivedConstants, coeffs, t, i: int, hbar: float):
+    """Closed-form sector energy for ground-mode initial conditions.
+
+    (hbar*Omega/2) * (1 - (-1)**i * B) with the bracket
+    B = fast * (cos 2 gamma t cos 2 Omega t - (gamma/Omega) sin 2 gamma t
+    sin 2 Omega t) + slow * sin 2 gamma t, where ``coeffs`` = (fast, slow)
+    comes from paper_coefficients, signed_coefficients or
+    degenerate_coefficients.
+    """
+    _check_mode(i)
+    fast, slow = coeffs
     W, g = dc.omega_big, dc.gamma
-    e = g / W
     cs, ss = np.cos(2.0 * g * t), np.sin(2.0 * g * t)
     cf, sf = np.cos(2.0 * W * t), np.sin(2.0 * W * t)
-    bracket = e * (cs * cf - e * ss * sf) + (1.0 - e**2) * ss
+    bracket = fast * (cs * cf - (g / W) * ss * sf) + slow * ss
     return 0.5 * hbar * W * (1.0 - (-1) ** i * bracket)
+
+
+def xi_closed_rate(dc: DerivedConstants, coeffs, t, i: int, hbar: float):
+    """Exact time derivative of xi_closed with the same coefficients."""
+    _check_mode(i)
+    fast, slow = coeffs
+    W, g = dc.omega_big, dc.gamma
+    cs, ss = np.cos(2.0 * g * t), np.sin(2.0 * g * t)
+    cf, sf = np.cos(2.0 * W * t), np.sin(2.0 * W * t)
+    dbracket = fast * (
+        -2.0 * g * ss * cf
+        - 2.0 * W * cs * sf
+        - (g / W) * (2.0 * g * cs * sf + 2.0 * W * ss * cf)
+    ) + slow * 2.0 * g * cs
+    return -0.5 * hbar * W * (-1) ** i * dbracket
 
 
 def xi_first_order(dc: DerivedConstants, t, i: int, hbar: float):
@@ -195,21 +204,6 @@ def xi_dot_first_order(dc: DerivedConstants, t, i: int, hbar: float):
     _check_mode(i)
     W, g = dc.omega_big, dc.gamma
     return (-1) ** (i + 1) * hbar * g * W * (1.0 - np.sin(2.0 * W * t))
-
-
-def xi_closed_rate(dc: DerivedConstants, params: PhysicalParams, t, i: int):
-    """Exact time derivative of xi_closed (plumbing for rate reports)."""
-    _check_mode(i)
-    W, g = dc.omega_big, dc.gamma
-    s_omega, s_gamma = _stable_roots(dc, params)
-    cs, ss = np.cos(2.0 * g * t), np.sin(2.0 * g * t)
-    cf, sf = np.cos(2.0 * W * t), np.sin(2.0 * W * t)
-    dbracket = s_omega * (
-        -2.0 * g * ss * cf
-        - 2.0 * W * cs * sf
-        - (g / W) * (2.0 * g * cs * sf + 2.0 * W * ss * cf)
-    ) + (params.omega / W) * s_gamma * 2.0 * g * cs
-    return -0.5 * params.hbar * W * (-1) ** i * dbracket
 
 
 def xi_trajectory(
@@ -265,17 +259,19 @@ def sector_energy_series(
     omega_t = np.asarray(omega_t, dtype=float)
     t = omega_t / dc.omega_big
     scale = params.hbar * dc.omega_big
-    if source == "closed_form":
-        xi = [xi_closed(dc, params, t, i) for i in (1, 2)]
-    elif source == "degenerate_form":
-        xi = [xi_closed_degenerate(dc, t, i, params.hbar) for i in (1, 2)]
-    elif source == "first_order":
+    if source == "first_order":
         xi = [xi_first_order(dc, t, i, params.hbar) for i in (1, 2)]
-    else:
+    elif source == "trajectory":
         # One flow and one frame map serve both sectors.
         state = propagate_analytic(ground_mode_ic(dc, params.hbar), dc, t)
         nc = sw_to_nc(state, params, gauge)
         xi = [sector_energy(nc, params, i) for i in (1, 2)]
+    else:
+        if source == "closed_form":
+            coeffs = paper_coefficients(dc, params)
+        else:
+            coeffs = degenerate_coefficients(dc)
+        xi = [xi_closed(dc, coeffs, t, i, params.hbar) for i in (1, 2)]
     return SectorEnergySeries(
         times=omega_t, xi1=xi[0] / scale, xi2=xi[1] / scale, source=source
     )

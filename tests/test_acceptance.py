@@ -24,20 +24,20 @@ from nclab import (
     integrate_numeric,
     make_gauge,
     mode_energy,
+    paper_coefficients,
     params_from_ratio,
     propagate_analytic,
     invariant_pair,
     sector_energy_series,
+    signed_coefficients,
     solve_gauge_product,
     stargen_residual,
     wigner_eigenfunction,
     wigner_normalization,
     xi_closed,
-    xi_closed_degenerate,
     xi_dot_first_order,
     xi_first_order,
     xi_trajectory,
-    xi_trajectory_closed,
 )
 from nclab.cli import main
 from nclab.states import PhaseState
@@ -252,7 +252,7 @@ def test_criterion_07_time_crystal_law(tmp_path):
             d = derived_constants(p, g)
             icr = ground_mode_ic(d, p.hbar)
             got = np.asarray(xi_trajectory(icr, d, p, g, ts, 1))
-            ref = np.asarray(xi_closed(d, p, ts, 1))
+            ref = np.asarray(xi_closed(d, paper_coefficients(d, p), ts, 1, p.hbar))
             return float(np.max(np.abs(got - ref))) / scale
 
         gap = gap_for(gauge.ratio)
@@ -265,7 +265,7 @@ def test_criterion_07_time_crystal_law(tmp_path):
         gaps = [gap_for(r) for r in (0.5, 1.0, 2.0)]
         spread = max(gaps) - min(gaps)
         got = np.asarray(xi_trajectory(ic, dc, p, gauge, ts, 1))
-        signed = np.asarray(xi_trajectory_closed(dc, p, ts, 1))
+        signed = np.asarray(xi_closed(dc, signed_coefficients(dc, p), ts, 1, p.hbar))
         signed_gap = float(np.max(np.abs(got - signed))) / scale
         ok = spread <= tol and signed_gap <= 1e-12
         if ok:

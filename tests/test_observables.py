@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from nclab import (
     DegenerateFormMisuse,
@@ -10,24 +11,27 @@ from nclab import (
     InitialConditions,
     PhaseState,
     PhysicalParams,
+    degenerate_coefficients,
     derived_constants,
     gamma_components,
     ground_mode_ic,
     make_gauge,
     mode_energy,
+    paper_coefficients,
     propagate_analytic,
     sector_energy,
     sector_energy_series,
+    signed_coefficients,
     xi_closed,
-    xi_closed_degenerate,
     xi_closed_rate,
     xi_dot_first_order,
     xi_first_order,
     xi_trajectory,
-    xi_trajectory_closed,
 )
 from nclab.observables import CSV_HEADER, SOURCES
 from nclab.states import NCState
+
+from conftest import admissible_physics
 
 
 def params_for(g_theta, g_eta, m=1.0, omega=1.0, hbar=1.0):
@@ -40,6 +44,45 @@ def physics(g_theta, g_eta, ratio=1.0, **kw):
     p = params_for(g_theta, g_eta, **kw)
     gauge = make_gauge(p, ratio=ratio)
     return p, gauge, derived_constants(p, gauge)
+
+
+def paper_xi(dc, p, t, i):
+    return xi_closed(dc, paper_coefficients(dc, p), t, i, p.hbar)
+
+
+def signed_xi(dc, p, t, i):
+    return xi_closed(dc, signed_coefficients(dc, p), t, i, p.hbar)
+
+
+def degenerate_xi(dc, p, t, i):
+    return xi_closed(dc, degenerate_coefficients(dc), t, i, p.hbar)
+
+
+def on_degenerate_surface(phys):
+    """The drawn parameters moved onto theta*eta = 0 with gamma >= 0, twice:
+    the position deformation alone, and the momentum deformation alone."""
+    p, gauge, _ = phys
+    for theta, eta in ((abs(p.theta), 0.0), (0.0, abs(p.eta))):
+        q = PhysicalParams(p.m, p.omega, p.hbar, theta, eta)
+        g = make_gauge(q, ratio=gauge.ratio)
+        yield q, derived_constants(q, g)
+
+
+# The hand-picked cases of the tests that now take the whole domain.
+HAND_PICKED = (
+    physics(0.0, 0.02, ratio=0.5, m=1.1, omega=0.9),
+    physics(0.03, 0.0, ratio=2.0, m=1.1, omega=0.9),
+    physics(0.008, 0.021, m=1.1, omega=0.9),
+    physics(0.019, 0.006, ratio=0.5, m=1.1, omega=0.9),
+    physics(0.009, 0.016, m=0.9, omega=1.2, hbar=0.8),
+    physics(0.006, 0.013, m=1.1, omega=0.7, hbar=1.2),
+)
+
+
+def with_hand_picked(test):
+    for phys in HAND_PICKED:
+        test = example(phys)(test)
+    return test
 
 
 # ---------------------------------------------------------------------------
@@ -146,27 +189,39 @@ def test_xi_closed_initial_values():
     scale = p.hbar * dc.omega_big
     want1 = 0.5 * scale * (1.0 + s_omega)
     want2 = 0.5 * scale * (1.0 - s_omega)
-    assert abs(xi_closed(dc, p, 0.0, 1) - want1) < 1e-13 * scale
-    assert abs(xi_closed(dc, p, 0.0, 2) - want2) < 1e-13 * scale
+    assert abs(paper_xi(dc, p, 0.0, 1) - want1) < 1e-13 * scale
+    assert abs(paper_xi(dc, p, 0.0, 2) - want2) < 1e-13 * scale
 
 
-def test_xi_closed_matches_degenerate_when_one_parameter_vanishes():
-    for g_theta, g_eta in ((0.02, 0.0), (0.0, 0.017)):
-        p, gauge, dc = physics(g_theta, g_eta, m=1.1, omega=0.8, hbar=1.3)
+@settings(max_examples=150, deadline=None)
+@given(admissible_physics())
+@example(physics(0.02, 0.0, m=1.1, omega=0.8, hbar=1.3))
+@example(physics(0.0, 0.017, m=1.1, omega=0.8, hbar=1.3))
+def test_xi_closed_matches_degenerate_when_one_parameter_vanishes(phys):
+    # On theta*eta = 0 with gamma >= 0 the two coefficient pairs agree; the
+    # paper's fast coefficient is |gamma|/Omega there, so gamma < 0 is excluded.
+    for p, dc in on_degenerate_surface(phys):
+        fast_p, slow_p = paper_coefficients(dc, p)
+        fast_d, slow_d = degenerate_coefficients(dc)
+        assert abs(fast_p - fast_d) <= 1e-15 and abs(slow_p - slow_d) <= 1e-14
         ts = np.linspace(0.0, 30.0 / dc.omega_big, 400)
         scale = p.hbar * dc.omega_big
         for i in (1, 2):
-            a = np.asarray(xi_closed(dc, p, ts, i))
-            b = np.asarray(xi_closed_degenerate(dc, ts, i, p.hbar))
+            a = np.asarray(paper_xi(dc, p, ts, i))
+            b = np.asarray(degenerate_xi(dc, p, ts, i))
             assert np.max(np.abs(a - b)) < 1e-12 * scale
 
 
-def test_xi_closed_partition():
-    p, gauge, dc = physics(0.009, 0.016, m=0.9, omega=1.2, hbar=0.8)
+@settings(max_examples=150, deadline=None)
+@given(admissible_physics())
+@with_hand_picked
+def test_xi_closed_partition(phys):
+    p, gauge, dc = phys
     ts = np.linspace(0.0, 50.0 / dc.omega_big, 500)
     scale = p.hbar * dc.omega_big
-    total = np.asarray(xi_closed(dc, p, ts, 1)) + np.asarray(xi_closed(dc, p, ts, 2))
-    assert np.max(np.abs(total - scale)) < 1e-12 * scale
+    for form in (paper_xi, signed_xi):
+        total = np.asarray(form(dc, p, ts, 1)) + np.asarray(form(dc, p, ts, 2))
+        assert np.max(np.abs(total - scale)) < 1e-12 * scale
 
 
 def test_xi_closed_commutative_is_constant_half():
@@ -174,7 +229,7 @@ def test_xi_closed_commutative_is_constant_half():
     ts = np.linspace(0.0, 40.0, 300)
     half = 0.5 * p.hbar * p.omega
     for i in (1, 2):
-        vals = np.asarray(xi_closed(dc, p, ts, i))
+        vals = np.asarray(paper_xi(dc, p, ts, i))
         assert np.max(np.abs(vals - half)) < 1e-12 * half
 
 
@@ -183,24 +238,24 @@ def test_xi_degenerate_frozen_start():
     g = 0.002 / math.sqrt(1.0 - 0.002**2)
     p, gauge, dc = physics(g, 0.0)
     scale = p.hbar * dc.omega_big
-    assert abs(xi_closed_degenerate(dc, 0.0, 1, p.hbar) / scale - 0.501) < 1e-12
-    assert abs(xi_closed_degenerate(dc, 0.0, 2, p.hbar) / scale - 0.499) < 1e-12
+    assert abs(degenerate_xi(dc, p, 0.0, 1) / scale - 0.501) < 1e-12
+    assert abs(degenerate_xi(dc, p, 0.0, 2) / scale - 0.499) < 1e-12
 
 
 def test_xi_degenerate_commutative_constant():
     p, gauge, dc = physics(0.0, 0.0)
     ts = np.linspace(0.0, 20.0, 50)
-    vals = np.asarray(xi_closed_degenerate(dc, ts, 1, p.hbar))
+    vals = np.asarray(degenerate_xi(dc, p, ts, 1))
     assert np.max(np.abs(vals - 0.5)) < 1e-14
 
 
 def test_xi_degenerate_rejects_doubly_deformed_algebra():
     p, gauge, dc = physics(0.01, 0.02)
     with pytest.raises(DegenerateFormMisuse):
-        xi_closed_degenerate(dc, 0.0, 1, p.hbar)
+        degenerate_coefficients(dc)
 
 
-def test_stable_roots_guard_domain():
+def test_paper_coefficients_guard_domain():
     p, gauge, dc = physics(0.01, 0.003)
 
     class BadDC:
@@ -210,28 +265,29 @@ def test_stable_roots_guard_domain():
         omega_big = 0.5 * dc.gamma  # impossible: Omega >= |gamma| always
         product_lm = dc.product_lm
 
-    with pytest.raises(DomainError):
-        xi_closed(BadDC, p, 0.0, 1)
+    for coefficients in (paper_coefficients, signed_coefficients):
+        with pytest.raises(DomainError):
+            coefficients(BadDC, p)
 
 
 # ---------------------------------------------------------------------------
 # trajectory composition of the sector energies
 
 
-def test_xi_trajectory_matches_signed_closed_form():
+@settings(max_examples=150, deadline=None)
+@given(admissible_physics())
+@with_hand_picked
+def test_xi_trajectory_matches_signed_closed_form(phys):
     # Sector energies along the flow follow the closed form whose fast
     # coefficient carries the sign of gamma_eta - gamma_theta.
-    cases = ((0.0, 0.02), (0.03, 0.0), (0.008, 0.021), (0.019, 0.006))
-    for g_theta, g_eta in cases:
-        for ratio in (0.5, 1.0, 2.0):
-            p, gauge, dc = physics(g_theta, g_eta, ratio=ratio, m=1.1, omega=0.9)
-            ic = ground_mode_ic(dc, p.hbar)
-            ts = np.linspace(0.0, 40.0 / dc.omega_big, 200)
-            scale = p.hbar * dc.omega_big
-            for i in (1, 2):
-                got = np.asarray(xi_trajectory(ic, dc, p, gauge, ts, i))
-                want = np.asarray(xi_trajectory_closed(dc, p, ts, i))
-                assert np.max(np.abs(got - want)) < 1e-12 * scale
+    p, gauge, dc = phys
+    ic = ground_mode_ic(dc, p.hbar)
+    ts = np.linspace(0.0, 40.0 / dc.omega_big, 200)
+    scale = p.hbar * dc.omega_big
+    for i in (1, 2):
+        got = np.asarray(xi_trajectory(ic, dc, p, gauge, ts, i))
+        want = np.asarray(signed_xi(dc, p, ts, i))
+        assert np.max(np.abs(got - want)) < 1e-12 * scale
 
 
 def test_xi_trajectory_matches_xi_closed_when_eta_dominates():
@@ -241,7 +297,7 @@ def test_xi_trajectory_matches_xi_closed_when_eta_dominates():
     scale = p.hbar * dc.omega_big
     for i in (1, 2):
         got = np.asarray(xi_trajectory(ic, dc, p, gauge, ts, i))
-        want = np.asarray(xi_closed(dc, p, ts, i))
+        want = np.asarray(paper_xi(dc, p, ts, i))
         assert np.max(np.abs(got - want)) < 1e-9 * scale
 
 
@@ -256,7 +312,7 @@ def test_xi_trajectory_gap_for_position_deformation():
         scale = p.hbar * dc.omega_big
         gap = abs(
             float(xi_trajectory(ic, dc, p, gauge, 0.0, 1))
-            - float(xi_closed(dc, p, 0.0, 1))
+            - float(paper_xi(dc, p, 0.0, 1))
         ) / scale
         gaps.append(gap)
     for gap in gaps:
@@ -297,7 +353,7 @@ def test_first_order_starts_at_degenerate_value():
     scale = p.hbar * dc.omega_big
     for i in (1, 2):
         a = xi_first_order(dc, 0.0, i, p.hbar)
-        b = xi_closed_degenerate(dc, 0.0, i, p.hbar)
+        b = degenerate_xi(dc, p, 0.0, i)
         assert abs(a - b) < 1e-13 * scale
 
 
@@ -308,7 +364,7 @@ def test_first_order_error_scaling():
         p, gauge, dc = physics(g, 0.0)
         ts = np.linspace(0.0, 40.0 / dc.omega_big, 4001)
         scale = p.hbar * dc.omega_big
-        exact = np.asarray(xi_closed_degenerate(dc, ts, 1, p.hbar))
+        exact = np.asarray(degenerate_xi(dc, p, ts, 1))
         approx = np.asarray(xi_first_order(dc, ts, 1, p.hbar))
         dev = np.max(np.abs(exact - 0.5 * scale))
         err = np.max(np.abs(approx - exact))
@@ -348,14 +404,23 @@ def test_first_order_rate_is_derivative():
         assert abs(fd - xi_dot_first_order(dc, t, 1, p.hbar)) < 1e-6 * amp
 
 
-def test_closed_rate_is_derivative_of_closed_form():
-    p, gauge, dc = physics(0.006, 0.013, m=1.1, omega=0.7, hbar=1.2)
+@settings(max_examples=150, deadline=None)
+@given(admissible_physics())
+@with_hand_picked
+def test_closed_rate_is_derivative_of_closed_form(phys):
+    p, gauge, dc = phys
     h = 1e-6 / dc.omega_big
     scale = p.hbar * dc.omega_big**2
-    for t in (0.0, 0.4, 1.9, 6.3):
-        for i in (1, 2):
-            fd = (xi_closed(dc, p, t + h, i) - xi_closed(dc, p, t - h, i)) / (2.0 * h)
-            assert abs(fd - xi_closed_rate(dc, p, t, i)) < 1e-7 * scale
+    for coeffs in (paper_coefficients(dc, p), signed_coefficients(dc, p)):
+        for omega_t in (0.0, 0.4, 1.9, 6.3):
+            t = omega_t / dc.omega_big
+            for i in (1, 2):
+                fd = (
+                    xi_closed(dc, coeffs, t + h, i, p.hbar)
+                    - xi_closed(dc, coeffs, t - h, i, p.hbar)
+                ) / (2.0 * h)
+                rate = xi_closed_rate(dc, coeffs, t, i, p.hbar)
+                assert abs(fd - rate) < 1e-7 * scale
 
 
 # ---------------------------------------------------------------------------

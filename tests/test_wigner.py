@@ -28,6 +28,8 @@ from nclab.algebra import J, invariant_pair
 from nclab.states import PhaseState
 from nclab.wigner import MAX_NODES
 
+from conftest import admissible_physics
+
 
 def physics(theta, eta, ratio=1.0, m=1.0, omega=1.0, hbar=1.0):
     p = PhysicalParams(m, omega, hbar, theta, eta)
@@ -504,26 +506,6 @@ def test_eigenfunction_bits_match_first_form():
 # properties over the admissible domain
 
 
-@st.composite
-def admissible_physics(draw):
-    """Parameters over the admissible domain: either sign of theta and eta,
-    theta*eta up to just below hbar**2, gauge ratios 1e-3 to 1e3."""
-    hbar = draw(st.floats(0.2, 3.0))
-    theta = draw(st.floats(1e-4, 5.0)) * draw(st.sampled_from([1.0, -1.0]))
-    # Fraction of hbar**2 reached by |theta*eta|, including 1 - 1e-12.
-    frac = draw(
-        st.one_of(
-            st.floats(0.0, 0.999),
-            st.integers(3, 12).map(lambda k: 1.0 - 10.0**-k),
-        )
-    )
-    eta = frac * hbar**2 / theta * draw(st.sampled_from([1.0, -1.0]))
-    ratio = 10.0 ** draw(st.floats(-3.0, 3.0))
-    m = draw(st.floats(0.2, 5.0))
-    omega = draw(st.floats(0.2, 5.0))
-    return physics(theta, eta, ratio=ratio, m=m, omega=omega, hbar=hbar)
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     admissible_physics(),
@@ -595,6 +577,26 @@ def residual_points(dc, hbar, seed, n):
     return np.random.default_rng(seed).uniform(-2.0, 2.0, (n, 4)) * np.array(
         [w_q, w_q, w_p, w_p]
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    admissible_physics(),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_eigenfunction_at_a_scalar_point_matches_the_array_bit_for_bit(phys, n1, n2, seed):
+    # Python and NumPy scalar fields alike: a scalar square must not go
+    # through pow, which rounds differently from the array square.
+    p, gauge, dc = phys
+    qn = QuantumNumbers(n1, n2)
+    z = residual_points(dc, p.hbar, seed, 64)
+    batch = wigner_eigenfunction(PhaseState(*z.T), qn, dc, p.hbar)
+    for k, row in enumerate(z):
+        for fields in (row.tolist(), list(row)):
+            alone = wigner_eigenfunction(PhaseState(*fields), qn, dc, p.hbar)
+            assert np.float64(alone).tobytes() == batch[k].tobytes(), (k, fields)
 
 
 @settings(max_examples=150, deadline=None)
