@@ -5,8 +5,8 @@ isotropic Gaussian with Laguerre polynomials in two rotation-invariant
 combinations.  They solve a stargenvalue problem, i.e. the star product
 of the Hamiltonian with the state reproduces the state times its energy.
 The star product truncates after the second derivative order for a
-quadratic Hamiltonian, so the residual can be measured with Richardson
-finite differences.  The two-frequency spectrum splits each level n1+n2
+quadratic Hamiltonian, and each state depends on the point only through
+two quadratic forms, so the residual is measured with exact derivatives.  The two-frequency spectrum splits each level n1+n2
 by the slow frequency gamma.
 """
 import math

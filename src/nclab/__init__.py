@@ -34,7 +34,6 @@ from .errors import (
     MapNotInvertible,
     NCLabError,
     NonFiniteState,
-    StepUnderflow,
     UnreachableRatio,
 )
 from .manifest import TOOL_VERSION, RunManifest, file_sha256

@@ -426,7 +426,6 @@ def cmd_wigner(args) -> int:
             "grid_points": 81,
             "extent": 3.0,
             "residual_points": 20,
-            "fd_scale": 1e-3,
             "nodes": 40,
         },
     )
@@ -443,9 +442,6 @@ def cmd_wigner(args) -> int:
     extent = float(s["extent"])
     if not 0.0 < extent < math.inf:
         raise ValueError("extent must be positive and finite, got %r" % (s["extent"],))
-    fd_scale = float(s["fd_scale"])
-    if not math.isfinite(fd_scale):
-        raise ValueError("fd_scale must be finite, got %r" % (s["fd_scale"],))
     qn = QuantumNumbers(int(s["n1"]), int(s["n2"]))
     params, gauge, dc = _physics(s)
     outdir = _out_dir(s)
@@ -471,9 +467,7 @@ def cmd_wigner(args) -> int:
     u = np.random.default_rng(int(s["seed"])).uniform(-2.0, 2.0, (n_points, 4))
     z = u * np.array([w_q, w_q, w_p, w_p])
     pts = PhaseState(*z.T)
-    residuals = np.broadcast_to(
-        stargen_residual(pts, qn, dc, hb, base_step_scale=fd_scale), n_points
-    )
+    residuals = np.broadcast_to(stargen_residual(pts, qn, dc, hb), n_points)
     rhos = wigner_eigenfunction(pts, qn, dc, hb)
     records = []
     for point, res, rho0 in zip(z.tolist(), residuals.tolist(), rhos.tolist()):
@@ -773,12 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         dest="residual_points",
         help="number of sampled residual points",
-    )
-    p.add_argument(
-        "--fd-scale",
-        type=float,
-        dest="fd_scale",
-        help="finite-difference step, in Gaussian widths",
     )
     p.add_argument("--nodes", type=int, help="Gauss-Laguerre nodes per mode action")
     p.set_defaults(func=cmd_wigner)

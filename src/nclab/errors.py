@@ -29,10 +29,6 @@ class DegenerateFormMisuse(NCLabError):
     """The degenerate (theta*eta = 0) closed form was called off-domain."""
 
 
-class StepUnderflow(NCLabError):
-    """A finite-difference step collapsed below a useful width."""
-
-
 class UnreachableRatio(NCLabError):
     """A requested beat-to-rotation frequency ratio is not realisable."""
 
@@ -46,7 +42,6 @@ EXIT_CODES = {
     DomainError: 6,
     DegenerateFormMisuse: 7,
     NonFiniteState: 8,
-    StepUnderflow: 9,
 }
 
 CHECKS_FAILED_EXIT = 1

@@ -160,12 +160,21 @@ def xi_closed(dc: DerivedConstants, coeffs, t, i: int, hbar: float):
     degenerate_coefficients.
     """
     _check_mode(i)
+    return _from_bracket(dc, _closed_bracket(dc, coeffs, t), i, hbar)
+
+
+def _closed_bracket(dc: DerivedConstants, coeffs, t):
+    """The bracket B of xi_closed, which both sectors share."""
     fast, slow = coeffs
     W, g = dc.omega_big, dc.gamma
     cs, ss = np.cos(2.0 * g * t), np.sin(2.0 * g * t)
     cf, sf = np.cos(2.0 * W * t), np.sin(2.0 * W * t)
-    bracket = fast * (cs * cf - (g / W) * ss * sf) + slow * ss
-    return 0.5 * hbar * W * (1.0 - (-1) ** i * bracket)
+    return fast * (cs * cf - (g / W) * ss * sf) + slow * ss
+
+
+def _from_bracket(dc: DerivedConstants, bracket, i: int, hbar: float):
+    """Sector i's energy (hbar*Omega/2) * (1 - (-1)**i * bracket)."""
+    return 0.5 * hbar * dc.omega_big * (1.0 - (-1) ** i * bracket)
 
 
 def xi_closed_rate(dc: DerivedConstants, coeffs, t, i: int, hbar: float):
@@ -192,7 +201,7 @@ def xi_first_order(dc: DerivedConstants, t, i: int, hbar: float):
     _check_mode(i)
     W, g = dc.omega_big, dc.gamma
     bracket = (g / W) * (2.0 * W * t + np.cos(2.0 * W * t))
-    return 0.5 * hbar * W * (1.0 - (-1) ** i * bracket)
+    return _from_bracket(dc, bracket, i, hbar)
 
 
 def xi_dot_first_order(dc: DerivedConstants, t, i: int, hbar: float):
@@ -271,7 +280,8 @@ def sector_energy_series(
             coeffs = paper_coefficients(dc, params)
         else:
             coeffs = degenerate_coefficients(dc)
-        xi = [xi_closed(dc, coeffs, t, i, params.hbar) for i in (1, 2)]
+        bracket = _closed_bracket(dc, coeffs, t)
+        xi = [_from_bracket(dc, bracket, i, params.hbar) for i in (1, 2)]
     return SectorEnergySeries(
         times=omega_t, xi1=xi[0] / scale, xi2=xi[1] / scale, source=source
     )

@@ -7,10 +7,11 @@ coordinates the two actions are (X -+ 2 L)/4 with X the width-scaled
 quadratic form and L the angular momentum.  The functions solve the
 star-product eigen-equation H * rho = E rho, where the Moyal series of a
 quadratic Hamiltonian terminates at second order; the residual of that
-equation is the module's self-test, by Richardson-extrapolated central
-differences on a 33-point stencil per point, every point of a batch in
-one eigenfunction call.  Points are PhaseState values of the commutative
-frame, with scalar or array fields.
+equation is the module's self-test.  It takes the exact gradient and
+Hessian of rho, which depends on the point only through the two quadratic
+forms Omega_pm, so both follow by the chain rule from derivatives of the
+Laguerre factors.  Points are PhaseState values of the commutative frame,
+with scalar or array fields.
 
 Every stationary function depends on the point only through X and L
 (invariant_pair): wigner_eigenfunction is invariant_pair followed by
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import DerivedConstants, J, invariant_pair
-from .errors import StepUnderflow
 from .states import PhaseState
 
 __all__ = [
@@ -75,6 +75,22 @@ class QuantumNumbers:
                 )
 
 
+def _laguerre(n: int, k: int, x):
+    """Generalised Laguerre polynomial L_n^(k)(x); zero for n < 0.
+
+    (j+1) L_{j+1}(x) = (2j+1+k-x) L_j(x) - (j+k) L_{j-1}(x), which is stable
+    in the forward direction for the arguments used here.  Vectorised in x.
+    """
+    x = np.asarray(x, dtype=float)
+    prev = np.ones_like(x) if n >= 0 else np.zeros_like(x)
+    if n <= 0:
+        return prev if prev.ndim else float(prev)
+    cur = 1.0 + k - x
+    for j in range(1, n):
+        prev, cur = cur, ((2.0 * j + 1.0 + k - x) * cur - (j + k) * prev) / (j + 1.0)
+    return cur if cur.ndim else float(cur)
+
+
 def laguerre0(n: int, x):
     """Laguerre polynomial L_n(x), computed by the three-term recurrence.
 
@@ -83,14 +99,7 @@ def laguerre0(n: int, x):
     """
     if not _is_count(n) or n < 0:
         raise ValueError("degree must be a nonnegative integer")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if n == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 1.0 - x
-    for k in range(1, n):
-        prev, cur = cur, ((2.0 * k + 1.0 - x) * cur - k * prev) / (k + 1.0)
-    return cur if cur.ndim else float(cur)
+    return _laguerre(n, 0, x)
 
 
 def _check_hbar(hbar) -> None:
@@ -122,6 +131,12 @@ def wigner_eigenfunction(
     return wigner_from_invariants(x, ell, qn, hbar)
 
 
+def _gaussian(x, qn: QuantumNumbers, hbar: float):
+    """rho without its Laguerre factors: (-1)**(n1+n2) exp(-X/hbar) / (pi hbar)**2."""
+    sign = -1.0 if (qn.n1 + qn.n2) % 2 else 1.0
+    return sign / (np.pi**2 * hbar**2) * np.exp(-x / hbar)
+
+
 def wigner_from_invariants(x, ell, qn: QuantumNumbers, hbar: float):
     """Stationary eigenfunction as a function of the invariants X and L.
 
@@ -132,8 +147,7 @@ def wigner_from_invariants(x, ell, qn: QuantumNumbers, hbar: float):
     phase-space integral is 1 (for every n1, n2).  Vectorised in x and ell.
     """
     _check_hbar(hbar)
-    sign = -1.0 if (qn.n1 + qn.n2) % 2 else 1.0
-    rho = sign / (np.pi**2 * hbar**2) * np.exp(-x / hbar)
+    rho = _gaussian(x, qn, hbar)
     # L_0 = 1, so a zero quantum number skips an exact multiply by one.
     if qn.n1:
         rho = rho * laguerre0(qn.n1, (x - 2.0 * ell) / hbar)
@@ -165,12 +179,19 @@ def hamiltonian_weyl(pt: PhaseState, dc: DerivedConstants):
     return np.einsum("...i,ij,...j->...", z, dc.K, z)
 
 
+def _mode_factor(n: int, u):
+    """One mode factor exp(-Omega/(2 hbar)) L_n(Omega/hbar) at u = Omega/hbar.
+
+    Returns the factor, hbar times its first and hbar**2 times its second
+    derivative in Omega, each divided by exp(-Omega/(2 hbar)), from
+    L_n' = -L_{n-1}^(1) and L_n'' = L_{n-2}^(2).
+    """
+    f, d1, d2 = _laguerre(n, 0, u), _laguerre(n - 1, 1, u), _laguerre(n - 2, 2, u)
+    return f, -0.5 * f - d1, 0.25 * f + d1 + d2
+
+
 def stargen_residual(
-    pt: PhaseState,
-    qn: QuantumNumbers,
-    dc: DerivedConstants,
-    hbar: float,
-    base_step_scale: float = 1e-3,
+    pt: PhaseState, qn: QuantumNumbers, dc: DerivedConstants, hbar: float
 ):
     """Residual H * rho - E rho of the star-product eigen-equation.
 
@@ -180,87 +201,56 @@ def stargen_residual(
                   - (hbar**2 / 8)(H_QQ : rho_PP - 2 H_QP : rho_PQ
                                   + H_PP : rho_QQ)
 
-    The Hamiltonian derivatives are exact; the rho derivatives use central
-    differences with Richardson extrapolation (steps h and h/2), h being
-    base_step_scale times the Gaussian width of each direction.  The
-    imaginary part isolates the bracket term, which must vanish for a
-    stationary function.
+    Both sets of derivatives are exact.  rho = c f1(Omega_plus) f2(Omega_minus)
+    (omega_pm) with Omega_pm = z^T M_pm z, so grad Omega_pm = 2 M_pm z and the
+    gradient and Hessian of rho follow by the chain rule from the mode
+    factors' derivatives.  The imaginary part isolates the bracket term,
+    which must vanish for a stationary function.
 
     Vectorised over points: a PhaseState with array fields of shape (N,)
-    gives a complex array of shape (N,), a scalar one a Python complex.
-    One wigner_eigenfunction call evaluates the 33-point stencils of all
-    points: the point, +-h/2 and +-h on each axis, and the four corners
-    at both steps for each coupled pair (Q1-P2, Q2-P1).  A point's residual
-    does not depend on the batch, bit for bit.  Raises ValueError if the
-    step scale is not finite, and StepUnderflow if it drops below 1e-10 of
-    the width.
+    gives a complex array of shape (N,), a scalar one a Python complex.  A
+    point's residual does not depend on the batch, bit for bit.
     """
     _check_hbar(hbar)
-    if not math.isfinite(base_step_scale):
-        raise ValueError(
-            "finite-difference step scale must be finite, got %r" % (base_step_scale,)
-        )
-    if base_step_scale < 1e-10:
-        raise StepUnderflow(
-            "finite-difference step %g of the Gaussian width is below 1e-10"
-            % base_step_scale
-        )
-    w_q = np.sqrt(hbar * dc.beta / dc.alpha)
-    w_p = np.sqrt(hbar * dc.alpha / dc.beta)
-    hs = np.array([w_q, w_q, w_p, w_p]) * base_step_scale * np.array([[0.5], [1.0]])
+    x, ell = invariant_pair(pt, dc)
+    f1, d1, dd1 = _mode_factor(qn.n1, (x - 2.0 * ell) / hbar)
+    f2, d2, dd2 = _mode_factor(qn.n2, (x + 2.0 * ell) / hbar)
+    pre = _gaussian(x, qn, hbar)
+    rho0 = pre * f1 * f2
+    # X = z^T diag(r, r, 1/r, 1/r) z and L = z^T S z / 2, Omega_pm = X -+ 2 L.
+    r = dc.alpha / dc.beta
+    diag = np.diag([r, r, 1.0 / r, 1.0 / r])
+    s = np.array(
+        [[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0],
+         [0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
+    )
+    m_plus, m_minus = diag - s, diag + s
+    z0 = pt.as_array()
+    g_plus = 2.0 * np.einsum("ij,...j->...i", m_plus, z0)
+    g_minus = 2.0 * np.einsum("ij,...j->...i", m_minus, z0)
     # H = z^T K z has gradient 2 K z and Hessian 2 K.  The bracket term is
     # grad H . J grad rho; the second-order term contracts the Hessian of
-    # rho with J^T (2 K) J, so only the rho entries under a nonzero weight
-    # are differenced (here the diagonal and the pairs Q1-P2, Q2-P1).
-    # einsum rather than BLAS: these 4x4 products are too small to gain,
-    # and a first BLAS call costs the process about 0.4 MiB of memory.
+    # rho with J^T (2 K) J.  einsum rather than BLAS: these 4x4 products are
+    # too small to gain, and a first BLAS call costs the process about
+    # 0.4 MiB of memory.
     hess = 2.0 * dc.K
     weight = np.einsum("ji,jk,kl->il", J, hess, J)
-    pairs = [(a, b) for a in range(4) for b in range(a + 1, 4) if weight[a, b]]
-    signs = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
-    # The stencil, at the steps hs[0] = h/2 and hs[1] = h: the point itself,
-    # then +-h/2 and +-h along each axis, then the corners of each pair.
-    eye = np.eye(4)
-    offsets = [0.0 * eye[0]]
-    offsets += [
-        sig * h[a] * eye[a] for a in range(4) for h in hs for sig in (1.0, -1.0)
-    ]
-    offsets += [
-        s1 * h[a] * eye[a] + s2 * h[b] * eye[b]
-        for a, b in pairs for h in hs for s1, s2 in signs
-    ]
-    z0 = pt.as_array()
-    zs = np.moveaxis(z0[..., None, :] + np.array(offsets), -1, 0)
-    vals = wigner_eigenfunction(PhaseState(*zs), qn, dc, hbar)
-    rho0 = vals[..., 0]
-    # Last axes [axis, step, sign] and [pair, step, signs].
-    axial = vals[..., 1:17].reshape(rho0.shape + (4, 2, 2))
-    corner = vals[..., 17:].reshape(rho0.shape + (len(pairs), 2, 4))
 
-    def richardson(central):
-        # (4 c(h/2) - c(h)) / 3 for the central difference c(k, hs[k]).
-        return (4.0 * central(0, hs[0]) - central(1, hs[1])) / 3.0
+    def form(u, v):
+        return np.einsum("...i,ij,...j->...", u, weight, v)
 
-    def cross(p, a, b):
-        def central(k, h):
-            out = 0.0
-            for i, (sig1, sig2) in enumerate(signs):
-                out += sig1 * sig2 * corner[..., p, k, i]
-            return out / (4.0 * h[a] * h[b])
-
-        return richardson(central)
-
-    grad = richardson(lambda k, h: (axial[..., k, 0] - axial[..., k, 1]) / (2.0 * h))
+    # d rho / d Omega_plus and d rho / d Omega_minus.
+    dp, dm = pre / hbar * d1 * f2, pre / hbar * f1 * d2
+    grad = dp[..., None] * g_plus + dm[..., None] * g_minus
     bracket = np.einsum("ij,...j,ik,...k->...", hess, z0, J, grad)
-    quad = 0.0
-    for a in range(4):
-        quad += weight[a, a] * richardson(
-            lambda k, h: (axial[..., a, k, 0] - 2.0 * rho0 + axial[..., a, k, 1])
-            / h[a] ** 2
-        )
-        for p, (a1, b) in enumerate(pairs):
-            if a1 == a:
-                quad += 2.0 * weight[a, b] * cross(p, a, b)
+    # The Hessian's cross term, d1 d2 (g_plus g_minus^T + transpose), drops
+    # out: M_plus J^T K J M_minus = 0, because H does not couple the modes.
+    quad = pre / hbar**2 * (
+        dd1 * f2 * form(g_plus, g_plus) + f1 * dd2 * form(g_minus, g_minus)
+    ) + 2.0 * (
+        dp * np.einsum("ij,ij->", weight, m_plus)
+        + dm * np.einsum("ij,ij->", weight, m_minus)
+    )
     star = hamiltonian_weyl(pt, dc) * rho0 - hbar**2 / 8.0 * quad
     res = star + 1j * (hbar / 2.0) * bracket - energy_level(qn, dc, hbar) * rho0
     return complex(res) if res.ndim == 0 else res

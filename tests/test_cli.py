@@ -456,13 +456,12 @@ def test_exit_codes(tmp_path):
     argv = ["xi", "--theta", "0.02", "--eta", "0.01", "--source", "degenerate_form"]
     assert main(argv + ["--out", str(degenerate_out)]) == 7
     assert not degenerate_out.exists()
-    assert (
-        main(
-            ["wigner", "--fd-scale", "1e-11", "--residual-points", "1", "--grid-points", "5", "--nodes", "20"]
-            + out
-        )
-        == 9
-    )
+    # fd_scale is no setting of any command: an unknown config key.
+    fd_cfg = tmp_path / "fd.json"
+    fd_cfg.write_text(json.dumps({"fd_scale": 1e-3}))
+    fd_out = tmp_path / "fd_out"
+    assert main(["wigner", "--config", str(fd_cfg), "--out", str(fd_out)]) == 2
+    assert not fd_out.exists()
     assert main(["constants", "--config", str(tmp_path / "missing.json")] + out) == 2
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"tmax": 5.0}))
@@ -550,8 +549,6 @@ def test_simulate_rejects_nonpositive_step_or_span(tmp_path, capsys, flag, value
         ("--extent", "0"),
         ("--extent", "nan"),
         ("--extent", "inf"),
-        ("--fd-scale", "nan"),
-        ("--fd-scale", "inf"),
     ],
 )
 def test_wigner_rejects_bad_sizes(tmp_path, capsys, flag, value):

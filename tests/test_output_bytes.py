@@ -52,7 +52,7 @@ GOLDEN = {
             "--grid-points", "11", "--residual-points", "2", "--nodes", "20",
         ],
         {
-            "wigner_residuals.json": "81ac4e6998e1c8b1664cc41bb7fa32bfc67b8b3231c6fc7cd5124119ae05da2a",
+            "wigner_residuals.json": "522adc3f9e694c6ab4eb1e65363bfe4daf43b54f7cec170527aabd6ef2a45148",
             "wigner_slice.csv": "27581d5b2b4a67d8bb0872aa6c84f53eb99ea31f7e764fa4be6ecd6d98d06f23",
         },
     ),
