@@ -24,7 +24,7 @@ from nclab import (
 from nclab.states import NCState
 
 params = PhysicalParams(m=1.0, omega=1.0, hbar=1.0, theta=0.05, eta=0.02)
-print("deformation product theta*eta/hbar^2 =", params.nc_product / params.hbar**2)
+print("deformation product theta*eta/hbar^2 =", params.nc_product)
 
 # The constraint lambda*mu*(1 - lambda*mu) = theta*eta/(4*hbar^2) has two
 # roots; the branch >= 1/2 is the one that reaches the commutative limit.
@@ -40,9 +40,10 @@ for ratio in (0.5, 1.0, 2.0):
         % (ratio, gauge.lam, gauge.mu, dc.omega_big, res)
     )
 
-# Omega and gamma are gauge invariants; alpha and beta are not.
-gauge = make_gauge(params, ratio=1.0)
-dc = derived_constants(params, gauge)
+# Omega and gamma are gauge invariants; alpha and beta are not.  The
+# DerivedConstants carries params and gauge, and the frame maps take it alone.
+dc = derived_constants(params, make_gauge(params, ratio=1.0))
+print("forward frame matrix M:\n", dc.M)
 g_theta, g_eta = gamma_components(params)
 print("gamma components: from theta %.6f, from eta %.6f" % (g_theta, g_eta))
 print("effective frequency Omega =", dc.omega_big, " slow frequency gamma =", dc.gamma)
@@ -50,8 +51,8 @@ print("effective frequency Omega =", dc.omega_big, " slow frequency gamma =", dc
 # Round trip: deformed -> canonical -> deformed reproduces the input.
 rng = np.random.default_rng(0)
 nc_in = NCState(*rng.normal(0.0, 1.0, 4))
-canonical = sw_to_commutative(nc_in, params, gauge)
-nc_back = sw_to_nc(canonical, params, gauge)
+canonical = sw_to_commutative(nc_in, dc)
+nc_back = sw_to_nc(canonical, dc)
 err = max(
     abs(nc_back.q1 - nc_in.q1),
     abs(nc_back.q2 - nc_in.q2),

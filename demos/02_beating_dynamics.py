@@ -23,7 +23,7 @@ from nclab import (
 
 params = PhysicalParams(m=1.0, omega=1.0, hbar=1.0, theta=0.0, eta=0.04)
 dc = derived_constants(params)
-ic = ground_mode_ic(dc, params.hbar)
+ic = ground_mode_ic(dc)
 print("Omega = %.9f, gamma = %.9f, beat period = %.3f" % (dc.omega_big, dc.gamma, math.pi / dc.gamma))
 
 # One beat period on a dense grid, exactly.

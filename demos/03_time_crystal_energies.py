@@ -26,12 +26,10 @@ from nclab import (
 )
 
 # Momentum-dominant deformation: trajectory and closed form agree.
-params = params_from_ratio(RatioSpec(0.01, "symmetric"))
-gauge = make_gauge(params)
-dc = derived_constants(params, gauge)
+dc = derived_constants(params_from_ratio(RatioSpec(0.01, "symmetric")))
 omega_t = np.linspace(0.0, 60.0, 1200)
-series = sector_energy_series(params, gauge, omega_t, "trajectory")
-closed = sector_energy_series(params, gauge, omega_t, "closed_form")
+series = sector_energy_series(dc, omega_t, "trajectory")
+closed = sector_energy_series(dc, omega_t, "closed_form")
 print("symmetric deformation, gamma/Omega =", dc.gamma / dc.omega_big)
 print("  max |trajectory - closed| / (hbar*Omega):", np.max(np.abs(series.xi1 - closed.xi1)))
 print("  partition drift:", np.max(np.abs(series.xi1 + series.xi2 - 1.0)))
@@ -46,13 +44,11 @@ dc0 = derived_constants(params)
 ts = np.linspace(0.0, 40.0 / dc0.omega_big, 400)
 print("single_theta deformation, gamma/Omega =", dc0.gamma / dc0.omega_big)
 for ratio in (0.5, 1.0, 2.0):
-    g = make_gauge(params, ratio=ratio)
-    d = derived_constants(params, g)
-    ic = ground_mode_ic(d, params.hbar)
-    scale = params.hbar * d.omega_big
-    traj = np.asarray(xi_trajectory(ic, d, params, g, ts, 1)) / scale
-    unsigned = np.asarray(xi_closed(d, paper_coefficients(d, params), ts, 1, params.hbar)) / scale
-    signed = np.asarray(xi_closed(d, signed_coefficients(d, params), ts, 1, params.hbar)) / scale
+    d = derived_constants(params, make_gauge(params, ratio=ratio))
+    scale = d.hbar * d.omega_big
+    traj = np.asarray(xi_trajectory(ground_mode_ic(d), d, ts, 1)) / scale
+    unsigned = np.asarray(xi_closed(d, paper_coefficients(d), ts, 1)) / scale
+    signed = np.asarray(xi_closed(d, signed_coefficients(d), ts, 1)) / scale
     print(
         "  ratio %.1f: gap to unsigned form %.6f, gap to signed form %.2e"
         % (ratio, np.max(np.abs(traj - unsigned)), np.max(np.abs(traj - signed)))
@@ -61,11 +57,10 @@ for ratio in (0.5, 1.0, 2.0):
 # Near the commutative point the first-order window is accurate until
 # the secular term grows; its error scales like (gamma/Omega)^2.
 for r in (0.004, 0.002, 0.001):
-    p = params_from_ratio(RatioSpec(r, "single_theta"))
-    d = derived_constants(p)
+    d = derived_constants(params_from_ratio(RatioSpec(r, "single_theta")))
     tw = np.linspace(0.0, 40.0 / d.omega_big, 2001)
-    scale = p.hbar * d.omega_big
-    exact = np.asarray(xi_closed(d, paper_coefficients(d, p), tw, 1, p.hbar)) / scale
-    approx = np.asarray(xi_first_order(d, tw, 1, p.hbar)) / scale
+    scale = d.hbar * d.omega_big
+    exact = np.asarray(xi_closed(d, paper_coefficients(d), tw, 1)) / scale
+    approx = np.asarray(xi_first_order(d, tw, 1)) / scale
     dev = np.max(np.abs(exact - 0.5))
     print("  ratio %.3f: first-order error / beat deviation = %.5f" % (r, np.max(np.abs(approx - exact)) / dev))

@@ -31,28 +31,28 @@ dc = derived_constants(params)
 
 print("spectrum hbar*(Omega*(n1+n2+1) + gamma*(n1-n2)):")
 for n1 in range(3):
-    row = [energy_level(QuantumNumbers(n1, n2), dc, params.hbar) for n2 in range(3)]
+    row = [energy_level(QuantumNumbers(n1, n2), dc) for n2 in range(3)]
     print("  n1=%d:" % n1, "  ".join("%.9f" % e for e in row))
 
 # Ground state peaks at 1/(pi*hbar)^2 at the origin; excited states
 # alternate sign there.
 origin = PhaseState(0.0, 0.0, 0.0, 0.0)
 for qn in (QuantumNumbers(0, 0), QuantumNumbers(1, 0), QuantumNumbers(1, 1)):
-    rho = wigner_eigenfunction(origin, qn, dc, params.hbar)
+    rho = wigner_eigenfunction(origin, qn, dc)
     print("rho(origin) for (%d,%d) = %.9f" % (qn.n1, qn.n2, rho))
 
 # Stargenvalue residual at a few generic points.
 rng = np.random.default_rng(7)
 qn = QuantumNumbers(1, 0)
-energy = energy_level(qn, dc, params.hbar)
-w_q = math.sqrt(params.hbar * dc.beta / dc.alpha)
-w_p = math.sqrt(params.hbar * dc.alpha / dc.beta)
+energy = energy_level(qn, dc)
+w_q = math.sqrt(dc.hbar * dc.beta / dc.alpha)
+w_p = math.sqrt(dc.hbar * dc.alpha / dc.beta)
 print("stargenvalue residual for (1,0), energy %.9f:" % energy)
 # One call evaluates the residuals of all four points.
 z = rng.uniform(-1.5, 1.5, (4, 4)) * np.array([w_q, w_q, w_p, w_p])
 pts = PhaseState(*z.T)
-rhos = wigner_eigenfunction(pts, qn, dc, params.hbar)
-residuals = stargen_residual(pts, qn, dc, params.hbar)
+rhos = wigner_eigenfunction(pts, qn, dc)
+residuals = stargen_residual(pts, qn, dc)
 for point, rho, res in zip(z, rhos, residuals):
     print(
         "  point (%+.3f,%+.3f,%+.3f,%+.3f): |Re|=%.1e |Im|=%.1e  (bound %.1e)"
@@ -61,22 +61,22 @@ for point, rho, res in zip(z, rhos, residuals):
 
 # Quadrature over the two mode actions: the integrands are functions of the
 # invariants X and L.  Unit normalization, pure-state purity, orthogonality.
-norm = wigner_normalization(QuantumNumbers(0, 0), params.hbar)
+norm = wigner_normalization(QuantumNumbers(0, 0), dc)
 print("normalization integral of the ground state:", norm)
 
 
 def square(x, ell):
-    return wigner_from_invariants(x, ell, QuantumNumbers(0, 0), params.hbar) ** 2
+    return wigner_from_invariants(x, ell, QuantumNumbers(0, 0), dc) ** 2
 
 
-purity = phase_space_integral(square, params.hbar, decay=2.0)
-print("purity integral:", purity, " expected:", 1.0 / (2.0 * math.pi * params.hbar) ** 2)
+purity = phase_space_integral(square, dc, decay=2.0)
+print("purity integral:", purity, " expected:", 1.0 / (2.0 * math.pi * dc.hbar) ** 2)
 
 
 def overlap(x, ell):
-    a = wigner_from_invariants(x, ell, QuantumNumbers(0, 0), params.hbar)
-    b = wigner_from_invariants(x, ell, QuantumNumbers(0, 1), params.hbar)
+    a = wigner_from_invariants(x, ell, QuantumNumbers(0, 0), dc)
+    b = wigner_from_invariants(x, ell, QuantumNumbers(0, 1), dc)
     return a * b
 
 
-print("overlap of distinct levels:", phase_space_integral(overlap, params.hbar, decay=2.0))
+print("overlap of distinct levels:", phase_space_integral(overlap, dc, decay=2.0))

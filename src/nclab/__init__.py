@@ -1,6 +1,7 @@
 """nclab: phase-space toolkit for the noncommutative 2-D harmonic oscillator.
 
-Layers, bottom up: ``algebra`` (deformed brackets, gauge, frame maps),
+Layers, bottom up: ``algebra`` (deformed brackets, gauge, frame maps, and
+``DerivedConstants``, the one model object the other layers take),
 ``dynamics`` (exact and Runge-Kutta evolution), ``observables`` (beating
 mode and sector energies), ``wigner`` (stationary phase-space
 eigenfunctions and the star-product eigen-equation), ``cli`` (reporting
@@ -43,7 +44,6 @@ from .observables import (
     ground_mode_ic,
     mode_energy,
     paper_coefficients,
-    sector_energy,
     sector_energy_series,
     signed_coefficients,
     xi_closed,

@@ -8,6 +8,10 @@ an auxiliary commutative frame (Q1, Q2, P1, P2).  The map carries a gauge
 pair (lambda, mu) whose product is pinned by the algebra; the ratio is free
 and must drop out of every physical statement.
 
+derived_constants validates a gauge against a parameter set and returns
+the one model object, DerivedConstants, that the other layers take: it
+holds the inputs, hbar, the Hamiltonian form K and the frame matrix M.
+
 Sign conventions: the antisymmetric symbol is fixed to eps_12 = +1
 throughout the package, and the gauge product takes the branch that joins
 continuously to the commutative limit theta = eta = 0.
@@ -15,7 +19,7 @@ continuously to the commutative limit theta = eta = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,6 +38,7 @@ __all__ = [
     "sw_to_commutative",
     "algebra_residual",
     "invariant_pair",
+    "quadratic_form",
     "J",
 ]
 
@@ -112,13 +117,16 @@ class GaugeChoice:
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    """Constants of the commutative-frame Hamiltonian.
+    """The model: constants of the commutative-frame Hamiltonian and the
+    validated inputs they came from.
 
     alpha**2 and beta**2 weight the squared positions and momenta, gamma is
     the rotational (beat) frequency, omega_big = 2*alpha*beta the fast
     rotation frequency, and product_lm the gauge product lambda*mu actually
     used.  gamma is nonnegative whenever theta, eta >= 0 but may involve
-    cancellation for mixed signs.
+    cancellation for mixed signs.  ``params`` and ``gauge`` are the inputs,
+    so hbar, the frame matrix M and the Hamiltonian form K all come from
+    this one object.
     """
 
     alpha: float
@@ -126,6 +134,12 @@ class DerivedConstants:
     gamma: float
     omega_big: float
     product_lm: float
+    params: PhysicalParams
+    gauge: GaugeChoice
+
+    @property
+    def hbar(self) -> float:
+        return self.params.hbar
 
     @property
     def K(self) -> np.ndarray:
@@ -149,6 +163,25 @@ class DerivedConstants:
     def A(self) -> np.ndarray:
         """Generator of the flow: Hamilton's equations read dz/dt = A z, A = 2 J K."""
         return (2.0 * J) @ self.K
+
+    @property
+    def M(self) -> np.ndarray:
+        """Forward frame matrix: (q1, q2, p1, p2) = M (Q1, Q2, P1, P2).
+
+        Positions mix with the opposite momentum through theta, momenta with
+        the opposite position through eta; eps_12 = +1.
+        """
+        p, lam, mu = self.params, self.gauge.lam, self.gauge.mu
+        c = p.theta / (2.0 * lam * p.hbar)
+        d = p.eta / (2.0 * mu * p.hbar)
+        return np.array(
+            [
+                [lam, 0.0, 0.0, -c],
+                [0.0, lam, c, 0.0],
+                [0.0, d, mu, 0.0],
+                [-d, 0.0, 0.0, mu],
+            ]
+        )
 
 
 def gamma_components(params: PhysicalParams) -> tuple[float, float]:
@@ -233,65 +266,46 @@ def derived_constants(
         gamma=g_theta + g_eta,
         omega_big=2.0 * alpha * beta,
         product_lm=product,
+        params=params,
+        gauge=gauge,
     )
 
 
-def _forward_matrix(params: PhysicalParams, gauge: GaugeChoice) -> np.ndarray:
-    lam, mu = gauge.lam, gauge.mu
-    # Off-diagonal weights of the forward map; eps_12 = +1.
-    c = params.theta / (2.0 * lam * params.hbar)
-    d = params.eta / (2.0 * mu * params.hbar)
-    # Rows: (q1, q2, p1, p2) in the ordered basis (Q1, Q2, P1, P2).
-    return np.array(
-        [
-            [lam, 0.0, 0.0, -c],
-            [0.0, lam, c, 0.0],
-            [0.0, d, mu, 0.0],
-            [-d, 0.0, 0.0, mu],
-        ]
-    )
+def sw_to_nc(state: PhaseState, dc: DerivedConstants) -> NCState:
+    """Forward frame map: commutative state -> deformed variables, M z.
 
-
-def sw_to_nc(state: PhaseState, params: PhysicalParams, gauge: GaugeChoice) -> NCState:
-    """Forward frame map: commutative state -> deformed variables.
-
-    Positions mix with the opposite momentum through theta, momenta with
-    the opposite position through eta.  Works elementwise on array fields.
-    Every output is summed over all four inputs, zero weights included, so
-    one non-finite component makes the whole mapped point non-finite
-    (0 * inf is NaN).
+    Works elementwise on array fields.  Every output is summed over all four
+    inputs, zero weights included, so one non-finite component makes the
+    whole mapped point non-finite (0 * inf is NaN).
     """
     # einsum sums each row in column order, so the result has the bits of
     # the written-out products; BLAS (z @ M.T) would not.
-    z = np.einsum("ij,...j->i...", _forward_matrix(params, gauge), state.as_array())
-    return NCState(*z)
+    return NCState(*np.einsum("ij,...j->i...", dc.M, state.as_array()))
 
 
-def sw_to_commutative(
-    nc: NCState, params: PhysicalParams, gauge: GaugeChoice
-) -> PhaseState:
-    """Inverse frame map: deformed variables -> commutative state.
+def sw_to_commutative(nc: NCState, dc: DerivedConstants) -> PhaseState:
+    """Inverse frame map: deformed variables -> commutative state, M**-1 z.
 
-    The overall prefactor (1 - theta*eta/hbar**2)**(-1/2) diverges as the
-    deformation product approaches hbar**2; the map raises
+    M is block diagonal on (Q1, P2) and (Q2, P1), and each 2x2 block has
+    determinant lambda*mu - theta*eta/(4 lambda mu hbar**2) = 2 lambda mu - 1
+    = sqrt(1 - theta*eta/hbar**2).  So M**-1 is M with its diagonal
+    entries swapped within each block and its off-diagonal ones negated,
+    over that determinant.  The prefactor (1 - theta*eta/hbar**2)**(-1/2)
+    diverges as the deformation product approaches hbar**2; the map raises
     MapNotInvertible at and beyond that point but stays finite anywhere
-    inside the domain (even at theta*eta/hbar**2 = 0.99).
+    inside the domain (even at theta*eta/hbar**2 = 0.99).  As in sw_to_nc,
+    one non-finite component makes the whole mapped point non-finite.
     """
-    x = params.theta * params.eta / params.hbar**2
+    x = dc.params.nc_product
     if x >= 1.0:
         raise MapNotInvertible(
             "theta*eta/hbar**2 = %g >= 1: inverse map undefined" % x
         )
-    pref = 1.0 / math.sqrt(1.0 - x)
-    lam, mu = gauge.lam, gauge.mu
-    a = params.theta / (2.0 * lam * mu * params.hbar)
-    b = params.eta / (2.0 * lam * mu * params.hbar)
-    return PhaseState(
-        Q1=mu * pref * (nc.q1 + a * nc.p2),
-        Q2=mu * pref * (nc.q2 - a * nc.p1),
-        P1=lam * pref * (nc.p1 - b * nc.q2),
-        P2=lam * pref * (nc.p2 + b * nc.q1),
-    )
+    lam, mu = dc.gauge.lam, dc.gauge.mu
+    inverse = -dc.M
+    inverse[np.diag_indices(4)] = (mu, mu, lam, lam)
+    nc_z = np.array(np.broadcast_arrays(nc.q1, nc.q2, nc.p1, nc.p2), dtype=float)
+    return PhaseState(*np.einsum("ij,j...->i...", inverse / math.sqrt(1.0 - x), nc_z))
 
 
 def algebra_residual(params: PhysicalParams, gauge: GaugeChoice) -> float:
@@ -303,7 +317,9 @@ def algebra_residual(params: PhysicalParams, gauge: GaugeChoice) -> float:
     perturbed product shows up as a strictly positive residual, so this
     function deliberately accepts off-shell gauges.
     """
-    M = _forward_matrix(params, gauge)
+    # derived_constants refuses an off-shell gauge, so swap it in afterwards;
+    # M depends on nothing else.
+    M = replace(derived_constants(params), gauge=gauge).M
     hb, th, et = params.hbar, params.theta, params.eta
     target = np.array(
         [
@@ -332,3 +348,8 @@ def invariant_pair(state: PhaseState, dc: DerivedConstants):
     i1 = r * (q1 * q1 + q2 * q2) + (p1 * p1 + p2 * p2) / r
     i2 = q1 * p2 - q2 * p1
     return i1, i2
+
+
+def quadratic_form(z, form: np.ndarray):
+    """z^T G z for a 4x4 form G, at each point of an (..., 4) array z."""
+    return np.einsum("...i,ij,...j->...", z, form, z)

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DerivedConstants, GaugeChoice, PhysicalParams
+from .algebra import DerivedConstants
 
-__all__ = ["TOOL_VERSION", "RunManifest", "file_sha256", "write_csv"]
+__all__ = ["TOOL_VERSION", "RunManifest", "file_sha256", "write_csv", "write_json"]
 
 TOOL_VERSION = "0.1.0"
 
@@ -77,6 +77,12 @@ def write_csv(path, header, columns) -> None:
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
+def write_json(path, obj) -> None:
+    """Write a JSON report: sorted keys, two-space indent, a final newline."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def file_sha256(path) -> str:
     """Hex SHA-256 of a file's content, streamed in 64 KiB chunks."""
     digest = hashlib.sha256()
@@ -93,14 +99,13 @@ class RunManifest:
     ``arguments`` holds the fully resolved settings (defaults, config file
     and flags already merged) so the manifest alone reproduces the run.
     Output paths are recorded by basename: manifests must not depend on
-    where the output directory happened to live.
+    where the output directory happened to live.  ``dc`` supplies the
+    params, gauge and derived_constants blocks.
     """
 
     command: str
     arguments: dict
-    params: PhysicalParams | None = None
-    gauge: GaugeChoice | None = None
-    derived: DerivedConstants | None = None
+    dc: DerivedConstants | None = None
     tool_version: str = TOOL_VERSION
     measured_constants: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
@@ -126,16 +131,17 @@ class RunManifest:
         return all(c["passed"] for c in self.checks)
 
     def to_dict(self) -> dict:
-        def maybe(obj):
-            return None if obj is None else dataclasses.asdict(obj)
-
+        derived = params = gauge = None
+        if self.dc is not None:
+            derived = dataclasses.asdict(self.dc)
+            params, gauge = derived.pop("params"), derived.pop("gauge")
         return {
             "command": self.command,
             "arguments": self.arguments,
             "tool_version": self.tool_version,
-            "params": maybe(self.params),
-            "gauge": maybe(self.gauge),
-            "derived_constants": maybe(self.derived),
+            "params": params,
+            "gauge": gauge,
+            "derived_constants": derived,
             "measured_constants": self.measured_constants,
             "checks": self.checks,
             "outputs": self.outputs,
@@ -143,6 +149,4 @@ class RunManifest:
         }
 
     def write(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(json.dumps(self.to_dict(), indent=2, sort_keys=True))
-            fh.write("\n")
+        write_json(path, self.to_dict())

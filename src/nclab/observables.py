@@ -1,16 +1,18 @@
 """Energy observables of the beating oscillator.
 
-Two families live here.  Mode energies are quadratic forms of the
-commutative frame and beat exactly at twice the slow frequency.  Sector
-energies xi_i are the physical per-axis oscillator energies of the
-deformed variables.  The oracle route, xi_trajectory, composes the exact
-flow with the frame map.  The closed forms are one kernel, xi_closed, and
-its exact time derivative, xi_closed_rate, whose bracket takes a (fast,
-slow) coefficient pair: the paper's (paper_coefficients), the signed pair
-that the trajectory reproduces (signed_coefficients), or the pair of the
-degenerate surface theta*eta = 0 (degenerate_coefficients).  A first-order
-form, whose linear-in-t growth is the time-crystal signature, completes the
-set.
+Two families live here, both 4x4 quadratic forms of the commutative
+state z = (Q1, Q2, P1, P2).  Mode energies beat exactly at twice the slow
+frequency.  Sector energies xi_i are the physical per-axis oscillator
+energies of the deformed variables M z, that is z^T G_i z with
+G_i = M^T S_i M and S_i the sector's form.  The oracle route,
+xi_trajectory, evaluates them along the exact flow.  The closed forms are
+one kernel, xi_closed, and its exact time derivative, xi_closed_rate, whose
+bracket takes a (fast, slow) coefficient pair: the paper's
+(paper_coefficients), the signed pair that the trajectory reproduces
+(signed_coefficients), or the pair of the degenerate surface
+theta*eta = 0 (degenerate_coefficients).  A first-order form, whose
+linear-in-t growth is the time-crystal signature, completes the set.
+Every function takes the model as one DerivedConstants, dc.
 
 All energies are gauge-ratio invariant even though the intermediate
 quantities (alpha/beta, the frame coordinates) are not.
@@ -21,25 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    DerivedConstants,
-    GaugeChoice,
-    PhysicalParams,
-    gamma_components,
-    derived_constants,
-    sw_to_nc,
-)
+from .algebra import DerivedConstants, gamma_components, quadratic_form
 from .dynamics import propagate_analytic
 from .errors import DegenerateFormMisuse, DomainError
 from .manifest import write_csv
-from .states import InitialConditions, NCState, PhaseState
+from .states import InitialConditions, PhaseState
 
 __all__ = [
-    "NCState",
     "SectorEnergySeries",
     "ground_mode_ic",
     "mode_energy",
-    "sector_energy",
     "paper_coefficients",
     "signed_coefficients",
     "degenerate_coefficients",
@@ -61,7 +54,7 @@ def _check_mode(i: int) -> None:
         raise ValueError("mode index must be 1 or 2, got %r" % (i,))
 
 
-def ground_mode_ic(dc: DerivedConstants, hbar: float) -> InitialConditions:
+def ground_mode_ic(dc: DerivedConstants) -> InitialConditions:
     """Initial conditions whose mode energies start at hbar*Omega/2 each.
 
     Positions are set to the width sqrt(beta*hbar/(2*alpha)) and momenta to
@@ -69,34 +62,38 @@ def ground_mode_ic(dc: DerivedConstants, hbar: float) -> InitialConditions:
     equals the ground level hbar*Omega and the beating between the two
     modes is maximal.
     """
-    x = np.sqrt(hbar * dc.beta / (2.0 * dc.alpha))
-    p = np.sqrt(hbar * dc.alpha / (2.0 * dc.beta))
+    x = np.sqrt(dc.hbar * dc.beta / (2.0 * dc.alpha))
+    p = np.sqrt(dc.hbar * dc.alpha / (2.0 * dc.beta))
     return InitialConditions(x=x, y=x, pi_x=p, pi_y=p)
 
 
 def mode_energy(state: PhaseState, dc: DerivedConstants, i: int):
     """Energy stored in commutative-frame mode i (1 or 2).
 
-    E_i = alpha*beta*((alpha/beta) Q_i**2 + (beta/alpha) P_i**2); the two
-    sum to a constant while individually exchanging energy at frequency
-    2*gamma.
+    E_i = alpha**2 Q_i**2 + beta**2 P_i**2, the isotropic part of K in
+    plane i; the two sum to a constant while individually exchanging
+    energy at frequency 2*gamma.
     """
+    return quadratic_form(state.as_array(), _plane_form(i, dc.alpha**2, dc.beta**2))
+
+
+def _plane_form(i: int, q_weight: float, p_weight: float) -> np.ndarray:
+    """Diagonal form q_weight * Q_i**2 + p_weight * P_i**2 of plane i."""
     _check_mode(i)
-    q = state.Q1 if i == 1 else state.Q2
-    p = state.P1 if i == 1 else state.P2
-    r = dc.alpha / dc.beta
-    return dc.alpha * dc.beta * (r * q**2 + p**2 / r)
+    diag = np.zeros(4)
+    diag[[i - 1, i + 1]] = q_weight, p_weight
+    return np.diag(diag)
 
 
-def sector_energy(nc: NCState, params: PhysicalParams, i: int):
-    """Physical oscillator energy of deformed sector i: p**2/2m + m w**2 q**2/2."""
-    _check_mode(i)
-    q = nc.q1 if i == 1 else nc.q2
-    p = nc.p1 if i == 1 else nc.p2
-    return p**2 / (2.0 * params.m) + 0.5 * params.m * params.omega**2 * q**2
+def _sector_form(dc: DerivedConstants, i: int) -> np.ndarray:
+    """G_i = M^T S_i M, with S_i sector i's energy p_i**2/2m + m w**2 q_i**2/2."""
+    p = dc.params
+    s = _plane_form(i, 0.5 * p.m * p.omega**2, 0.5 / p.m)
+    # einsum, not BLAS: a first BLAS call costs the process about 0.4 MiB.
+    return np.einsum("ki,kl,lj->ij", dc.M, s, dc.M)
 
 
-def paper_coefficients(dc: DerivedConstants, params: PhysicalParams):
+def paper_coefficients(dc: DerivedConstants):
     """(fast, slow) of the paper's form: sqrt(1 - omega**2/Omega**2) and
     (omega/Omega) sqrt(1 - gamma**2/Omega**2).
 
@@ -106,7 +103,7 @@ def paper_coefficients(dc: DerivedConstants, params: PhysicalParams):
     both identities avoid subtracting nearly equal squares.  Genuinely
     negative radicands (inconsistent inputs) raise DomainError.
     """
-    W = dc.omega_big
+    params, W = dc.params, dc.omega_big
     if params.omega > W * (1.0 + 1e-12):
         raise DomainError("omega exceeds Omega: 1 - omega**2/Omega**2 < 0")
     if abs(dc.gamma) > W * (1.0 + 1e-12):
@@ -118,7 +115,7 @@ def paper_coefficients(dc: DerivedConstants, params: PhysicalParams):
     return s_omega, (params.omega / W) * s_gamma
 
 
-def signed_coefficients(dc: DerivedConstants, params: PhysicalParams):
+def signed_coefficients(dc: DerivedConstants):
     """(fast, slow) of the map-composed trajectory energy.
 
     The paper's slow coefficient, but the fast one carries the sign of
@@ -128,8 +125,8 @@ def signed_coefficients(dc: DerivedConstants, params: PhysicalParams):
     xi_closed matches xi_trajectory from ground-mode initial conditions to
     roundoff in every regime.
     """
-    _, slow = paper_coefficients(dc, params)
-    g_theta, g_eta = gamma_components(params)
+    _, slow = paper_coefficients(dc)
+    g_theta, g_eta = gamma_components(dc.params)
     return (g_eta - g_theta) / dc.omega_big, slow
 
 
@@ -150,7 +147,7 @@ def degenerate_coefficients(dc: DerivedConstants):
     return e, 1.0 - e**2
 
 
-def xi_closed(dc: DerivedConstants, coeffs, t, i: int, hbar: float):
+def xi_closed(dc: DerivedConstants, coeffs, t, i: int):
     """Closed-form sector energy for ground-mode initial conditions.
 
     (hbar*Omega/2) * (1 - (-1)**i * B) with the bracket
@@ -160,7 +157,7 @@ def xi_closed(dc: DerivedConstants, coeffs, t, i: int, hbar: float):
     degenerate_coefficients.
     """
     _check_mode(i)
-    return _from_bracket(dc, _closed_bracket(dc, coeffs, t), i, hbar)
+    return _from_bracket(dc, _closed_bracket(dc, coeffs, t), i)
 
 
 def _closed_bracket(dc: DerivedConstants, coeffs, t):
@@ -172,12 +169,12 @@ def _closed_bracket(dc: DerivedConstants, coeffs, t):
     return fast * (cs * cf - (g / W) * ss * sf) + slow * ss
 
 
-def _from_bracket(dc: DerivedConstants, bracket, i: int, hbar: float):
+def _from_bracket(dc: DerivedConstants, bracket, i: int):
     """Sector i's energy (hbar*Omega/2) * (1 - (-1)**i * bracket)."""
-    return 0.5 * hbar * dc.omega_big * (1.0 - (-1) ** i * bracket)
+    return 0.5 * dc.hbar * dc.omega_big * (1.0 - (-1) ** i * bracket)
 
 
-def xi_closed_rate(dc: DerivedConstants, coeffs, t, i: int, hbar: float):
+def xi_closed_rate(dc: DerivedConstants, coeffs, t, i: int):
     """Exact time derivative of xi_closed with the same coefficients."""
     _check_mode(i)
     fast, slow = coeffs
@@ -189,10 +186,10 @@ def xi_closed_rate(dc: DerivedConstants, coeffs, t, i: int, hbar: float):
         - 2.0 * W * cs * sf
         - (g / W) * (2.0 * g * cs * sf + 2.0 * W * ss * cf)
     ) + slow * 2.0 * g * cs
-    return -0.5 * hbar * W * (-1) ** i * dbracket
+    return -0.5 * dc.hbar * W * (-1) ** i * dbracket
 
 
-def xi_first_order(dc: DerivedConstants, t, i: int, hbar: float):
+def xi_first_order(dc: DerivedConstants, t, i: int):
     """First order in gamma: (hbar*Omega/2)(1 - (-1)**i (gamma/Omega)(2 Omega t + cos 2 Omega t)).
 
     The secular 2*Omega*t term is the linear energy transfer between the
@@ -201,10 +198,10 @@ def xi_first_order(dc: DerivedConstants, t, i: int, hbar: float):
     _check_mode(i)
     W, g = dc.omega_big, dc.gamma
     bracket = (g / W) * (2.0 * W * t + np.cos(2.0 * W * t))
-    return _from_bracket(dc, bracket, i, hbar)
+    return _from_bracket(dc, bracket, i)
 
 
-def xi_dot_first_order(dc: DerivedConstants, t, i: int, hbar: float):
+def xi_dot_first_order(dc: DerivedConstants, t, i: int):
     """Rate form of xi_first_order: (-1)**(i+1) hbar gamma Omega (1 - sin 2 Omega t).
 
     Oscillates with amplitude exactly hbar*gamma*Omega and never changes
@@ -212,25 +209,18 @@ def xi_dot_first_order(dc: DerivedConstants, t, i: int, hbar: float):
     """
     _check_mode(i)
     W, g = dc.omega_big, dc.gamma
-    return (-1) ** (i + 1) * hbar * g * W * (1.0 - np.sin(2.0 * W * t))
+    return (-1) ** (i + 1) * dc.hbar * g * W * (1.0 - np.sin(2.0 * W * t))
 
 
-def xi_trajectory(
-    ic: InitialConditions,
-    dc: DerivedConstants,
-    params: PhysicalParams,
-    gauge: GaugeChoice,
-    t,
-    i: int,
-):
-    """Sector energy along the exact flow, through the frame map.
+def xi_trajectory(ic: InitialConditions, dc: DerivedConstants, t, i: int):
+    """Sector energy along the exact flow, z^T G_i z.
 
-    This is the oracle route: propagate the commutative state, map it to
-    the deformed frame, and evaluate the physical sector energy there.
+    This is the oracle route: propagate the commutative state and evaluate
+    the physical sector energy of its deformed variables as the quadratic
+    form G_i = M^T S_i M.
     """
-    _check_mode(i)
-    nc = sw_to_nc(propagate_analytic(ic, dc, t), params, gauge)
-    return sector_energy(nc, params, i)
+    form = _sector_form(dc, i)
+    return quadratic_form(propagate_analytic(ic, dc, t).as_array(), form)
 
 
 @dataclass(frozen=True)
@@ -252,8 +242,7 @@ class SectorEnergySeries:
 
 
 def sector_energy_series(
-    params: PhysicalParams,
-    gauge: GaugeChoice,
+    dc: DerivedConstants,
     omega_t: np.ndarray,
     source: str = "closed_form",
 ) -> SectorEnergySeries:
@@ -264,24 +253,22 @@ def sector_energy_series(
     """
     if source not in SOURCES:
         raise ValueError("unknown source %r (choose from %s)" % (source, SOURCES))
-    dc = derived_constants(params, gauge)
     omega_t = np.asarray(omega_t, dtype=float)
     t = omega_t / dc.omega_big
-    scale = params.hbar * dc.omega_big
+    scale = dc.hbar * dc.omega_big
     if source == "first_order":
-        xi = [xi_first_order(dc, t, i, params.hbar) for i in (1, 2)]
+        xi = [xi_first_order(dc, t, i) for i in (1, 2)]
     elif source == "trajectory":
-        # One flow and one frame map serve both sectors.
-        state = propagate_analytic(ground_mode_ic(dc, params.hbar), dc, t)
-        nc = sw_to_nc(state, params, gauge)
-        xi = [sector_energy(nc, params, i) for i in (1, 2)]
+        # One flow serves both sectors.
+        z = propagate_analytic(ground_mode_ic(dc), dc, t).as_array()
+        xi = [quadratic_form(z, _sector_form(dc, i)) for i in (1, 2)]
     else:
         if source == "closed_form":
-            coeffs = paper_coefficients(dc, params)
+            coeffs = paper_coefficients(dc)
         else:
             coeffs = degenerate_coefficients(dc)
         bracket = _closed_bracket(dc, coeffs, t)
-        xi = [_from_bracket(dc, bracket, i, params.hbar) for i in (1, 2)]
+        xi = [_from_bracket(dc, bracket, i) for i in (1, 2)]
     return SectorEnergySeries(
         times=omega_t, xi1=xi[0] / scale, xi2=xi[1] / scale, source=source
     )

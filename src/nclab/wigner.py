@@ -10,8 +10,10 @@ quadratic Hamiltonian terminates at second order; the residual of that
 equation is the module's self-test.  It takes the exact gradient and
 Hessian of rho, which depends on the point only through the two quadratic
 forms Omega_pm, so both follow by the chain rule from derivatives of the
-Laguerre factors.  Points are PhaseState values of the commutative frame,
-with scalar or array fields.
+Laguerre factors.  Only its real part tests rho: the bracket term, its
+imaginary part, vanishes for every function of Omega_pm ({H, Omega_pm} = 0).
+Points are PhaseState values of the commutative frame, with scalar or array
+fields; hbar comes from the DerivedConstants every function takes.
 
 Every stationary function depends on the point only through X and L
 (invariant_pair): wigner_eigenfunction is invariant_pair followed by
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DerivedConstants, J, invariant_pair
+from .algebra import DerivedConstants, J, invariant_pair, quadratic_form
 from .states import PhaseState
 
 __all__ = [
@@ -102,11 +104,6 @@ def laguerre0(n: int, x):
     return _laguerre(n, 0, x)
 
 
-def _check_hbar(hbar) -> None:
-    if not (hbar > 0.0 and math.isfinite(hbar)):
-        raise ValueError("hbar must be positive and finite, got %r" % (hbar,))
-
-
 def omega_pm(pt: PhaseState, dc: DerivedConstants):
     """Quadratic mode arguments (Omega_plus, Omega_minus) at a point.
 
@@ -118,17 +115,13 @@ def omega_pm(pt: PhaseState, dc: DerivedConstants):
     return x - 2.0 * ell, x + 2.0 * ell
 
 
-def wigner_eigenfunction(
-    pt: PhaseState, qn: QuantumNumbers, dc: DerivedConstants, hbar: float
-):
+def wigner_eigenfunction(pt: PhaseState, qn: QuantumNumbers, dc: DerivedConstants):
     """Stationary phase-space eigenfunction at a point (vectorised).
 
-    wigner_from_invariants of the point's invariant_pair.  Raises ValueError
-    unless hbar is positive and finite, as do energy_level, stargen_residual
-    and phase_space_integral.
+    wigner_from_invariants of the point's invariant_pair.
     """
     x, ell = invariant_pair(pt, dc)
-    return wigner_from_invariants(x, ell, qn, hbar)
+    return wigner_from_invariants(x, ell, qn, dc)
 
 
 def _gaussian(x, qn: QuantumNumbers, hbar: float):
@@ -137,7 +130,7 @@ def _gaussian(x, qn: QuantumNumbers, hbar: float):
     return sign / (np.pi**2 * hbar**2) * np.exp(-x / hbar)
 
 
-def wigner_from_invariants(x, ell, qn: QuantumNumbers, hbar: float):
+def wigner_from_invariants(x, ell, qn: QuantumNumbers, dc: DerivedConstants):
     """Stationary eigenfunction as a function of the invariants X and L.
 
     rho = (-1)**(n1+n2) / (pi**2 hbar**2) * exp(-X/hbar)
@@ -145,8 +138,9 @@ def wigner_from_invariants(x, ell, qn: QuantumNumbers, hbar: float):
     with Omega_pm = X -+ 2 L, X the width-scaled quadratic form and L the
     angular momentum.  The prefactor normalises the distribution: its
     phase-space integral is 1 (for every n1, n2).  Vectorised in x and ell.
+    Of ``dc`` only hbar is used, so the value does not depend on the gauge.
     """
-    _check_hbar(hbar)
+    hbar = dc.hbar
     rho = _gaussian(x, qn, hbar)
     # L_0 = 1, so a zero quantum number skips an exact multiply by one.
     if qn.n1:
@@ -156,14 +150,13 @@ def wigner_from_invariants(x, ell, qn: QuantumNumbers, hbar: float):
     return rho
 
 
-def energy_level(qn: QuantumNumbers, dc: DerivedConstants, hbar: float) -> float:
+def energy_level(qn: QuantumNumbers, dc: DerivedConstants) -> float:
     """Spectrum: hbar * (Omega (n1 + n2 + 1) + gamma (n1 - n2)).
 
     Depends only on Omega and gamma, so it is gauge-ratio invariant; the
     gamma term splits the circular modes like a uniform magnetic field.
     """
-    _check_hbar(hbar)
-    return hbar * (
+    return dc.hbar * (
         dc.omega_big * (qn.n1 + qn.n2 + 1) + dc.gamma * (qn.n1 - qn.n2)
     )
 
@@ -175,8 +168,7 @@ def hamiltonian_weyl(pt: PhaseState, dc: DerivedConstants):
     inverse frame map it reproduces the physical two-sector oscillator
     energy, independent of the gauge ratio.
     """
-    z = pt.as_array()
-    return np.einsum("...i,ij,...j->...", z, dc.K, z)
+    return quadratic_form(pt.as_array(), dc.K)
 
 
 def _mode_factor(n: int, u):
@@ -190,9 +182,7 @@ def _mode_factor(n: int, u):
     return f, -0.5 * f - d1, 0.25 * f + d1 + d2
 
 
-def stargen_residual(
-    pt: PhaseState, qn: QuantumNumbers, dc: DerivedConstants, hbar: float
-):
+def stargen_residual(pt: PhaseState, qn: QuantumNumbers, dc: DerivedConstants):
     """Residual H * rho - E rho of the star-product eigen-equation.
 
     For a quadratic Hamiltonian the Moyal series terminates exactly:
@@ -204,14 +194,16 @@ def stargen_residual(
     Both sets of derivatives are exact.  rho = c f1(Omega_plus) f2(Omega_minus)
     (omega_pm) with Omega_pm = z^T M_pm z, so grad Omega_pm = 2 M_pm z and the
     gradient and Hessian of rho follow by the chain rule from the mode
-    factors' derivatives.  The imaginary part isolates the bracket term,
-    which must vanish for a stationary function.
+    factors' derivatives.  The imaginary part is the bracket term
+    grad H . J grad rho.  It vanishes for every function of (X, L), not only
+    for a stationary one, because {H, Omega_pm} = 0; so it checks that K and
+    invariant_pair agree, and only the real part tests rho.
 
     Vectorised over points: a PhaseState with array fields of shape (N,)
     gives a complex array of shape (N,), a scalar one a Python complex.  A
     point's residual does not depend on the batch, bit for bit.
     """
-    _check_hbar(hbar)
+    hbar = dc.hbar
     x, ell = invariant_pair(pt, dc)
     f1, d1, dd1 = _mode_factor(qn.n1, (x - 2.0 * ell) / hbar)
     f2, d2, dd2 = _mode_factor(qn.n2, (x + 2.0 * ell) / hbar)
@@ -252,12 +244,12 @@ def stargen_residual(
         + dm * np.einsum("ij,ij->", weight, m_minus)
     )
     star = hamiltonian_weyl(pt, dc) * rho0 - hbar**2 / 8.0 * quad
-    res = star + 1j * (hbar / 2.0) * bracket - energy_level(qn, dc, hbar) * rho0
+    res = star + 1j * (hbar / 2.0) * bracket - energy_level(qn, dc) * rho0
     return complex(res) if res.ndim == 0 else res
 
 
 def phase_space_integral(
-    func, hbar: float, n_nodes: int = 40, decay: float = 1.0
+    func, dc: DerivedConstants, n_nodes: int = 40, decay: float = 1.0
 ) -> float:
     """Integral over phase space of a function of the two invariants X and L.
 
@@ -281,11 +273,11 @@ def phase_space_integral(
     exact when g exp(decay X / hbar) is a polynomial of degree below
     2 n_nodes in each of a and b: degrees n1 and n2 for the eigenfunction
     of (n1, n2) at decay 1, the sums of two such for a product at decay 2.
-    No node depends on the gauge.  Raises ValueError if ``n_nodes`` is not
-    an integer from 1 to MAX_NODES (a bool is refused), or ``hbar`` or
-    ``decay`` is not a positive finite number.
+    No node depends on the gauge: of ``dc`` only hbar is used.  Raises
+    ValueError if ``n_nodes`` is not an integer from 1 to MAX_NODES (a bool
+    is refused), or ``decay`` is not a positive finite number.
     """
-    _check_hbar(hbar)
+    hbar = dc.hbar
     if not _is_count(n_nodes) or not 1 <= n_nodes <= MAX_NODES:
         raise ValueError(
             "n_nodes must be an integer from 1 to %d, got %r" % (MAX_NODES, n_nodes)
@@ -301,10 +293,12 @@ def phase_space_integral(
     return np.pi**2 * (hbar / decay) ** 2 * total
 
 
-def wigner_normalization(qn: QuantumNumbers, hbar: float, n_nodes: int = 40) -> float:
+def wigner_normalization(
+    qn: QuantumNumbers, dc: DerivedConstants, n_nodes: int = 40
+) -> float:
     """Measured phase-space integral of the eigenfunction (expected: 1)."""
 
     def f(x, ell):
-        return wigner_from_invariants(x, ell, qn, hbar)
+        return wigner_from_invariants(x, ell, qn, dc)
 
-    return phase_space_integral(f, hbar, n_nodes=n_nodes, decay=1.0)
+    return phase_space_integral(f, dc, n_nodes=n_nodes, decay=1.0)

@@ -6,9 +6,9 @@ from nclab import PhysicalParams, derived_constants, make_gauge
 
 @st.composite
 def admissible_physics(draw):
-    """(params, gauge, derived constants) over the admissible domain: either
-    sign of theta and eta, theta*eta up to just below hbar**2, gauge ratios
-    1e-3 to 1e3."""
+    """DerivedConstants (with its params and gauge) over the admissible
+    domain: either sign of theta and eta, theta*eta up to just below
+    hbar**2, gauge ratios 1e-3 to 1e3."""
     hbar = draw(st.floats(0.2, 3.0))
     theta = draw(st.floats(1e-4, 5.0)) * draw(st.sampled_from([1.0, -1.0]))
     # Fraction of hbar**2 reached by |theta*eta|, including 1 - 1e-12.
@@ -23,5 +23,4 @@ def admissible_physics(draw):
     m = draw(st.floats(0.2, 5.0))
     omega = draw(st.floats(0.2, 5.0))
     p = PhysicalParams(m, omega, hbar, theta, eta)
-    gauge = make_gauge(p, ratio=ratio)
-    return p, gauge, derived_constants(p, gauge)
+    return derived_constants(p, make_gauge(p, ratio=ratio))

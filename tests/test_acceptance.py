@@ -195,7 +195,7 @@ def test_criterion_06_beating_law():
         m = rng.uniform(0.5, 2.0)
         p = PhysicalParams(m, 1.0, 1.0, 2.0 * g_theta / m, 2.0 * m * g_eta)
         dc = derived_constants(p)
-        ic = ground_mode_ic(dc, p.hbar)
+        ic = ground_mode_ic(dc)
         ts = np.linspace(0.0, 1.2 * math.pi / dc.gamma, 10000)
         out = propagate_analytic(ic, dc, ts)
         scale = p.hbar * dc.omega_big
@@ -243,16 +243,16 @@ def test_criterion_07_time_crystal_law(tmp_path):
             )
         gauge = make_gauge(p)
         dc = derived_constants(p, gauge)
-        ic = ground_mode_ic(dc, p.hbar)
+        ic = ground_mode_ic(dc)
         ts = np.linspace(0.0, 50.0 / dc.omega_big, 200)
         scale = p.hbar * dc.omega_big
 
         def gap_for(ratio):
             g = make_gauge(p, ratio=ratio)
             d = derived_constants(p, g)
-            icr = ground_mode_ic(d, p.hbar)
-            got = np.asarray(xi_trajectory(icr, d, p, g, ts, 1))
-            ref = np.asarray(xi_closed(d, paper_coefficients(d, p), ts, 1, p.hbar))
+            icr = ground_mode_ic(d)
+            got = np.asarray(xi_trajectory(icr, d, ts, 1))
+            ref = np.asarray(xi_closed(d, paper_coefficients(d), ts, 1))
             return float(np.max(np.abs(got - ref))) / scale
 
         gap = gap_for(gauge.ratio)
@@ -264,8 +264,8 @@ def test_criterion_07_time_crystal_law(tmp_path):
         # agreement with the signed closed form.
         gaps = [gap_for(r) for r in (0.5, 1.0, 2.0)]
         spread = max(gaps) - min(gaps)
-        got = np.asarray(xi_trajectory(ic, dc, p, gauge, ts, 1))
-        signed = np.asarray(xi_closed(dc, signed_coefficients(dc, p), ts, 1, p.hbar))
+        got = np.asarray(xi_trajectory(ic, dc, ts, 1))
+        signed = np.asarray(xi_closed(dc, signed_coefficients(dc), ts, 1))
         signed_gap = float(np.max(np.abs(got - signed))) / scale
         ok = spread <= tol and signed_gap <= 1e-12
         if ok:
@@ -299,20 +299,18 @@ def test_criterion_08_partition_and_limits():
     worst_part = 0.0
     for _ in range(10):
         p = random_params(rng)
-        gauge = make_gauge(p, ratio=rng.uniform(0.5, 2.0))
-        dc = derived_constants(p, gauge)
+        dc = derived_constants(p, make_gauge(p, ratio=rng.uniform(0.5, 2.0)))
         omega_t = np.linspace(0.0, 40.0, 500)
         for source in ("closed_form", "trajectory"):
-            series = sector_energy_series(p, gauge, omega_t, source)
+            series = sector_energy_series(dc, omega_t, source)
             worst_part = max(worst_part, float(np.max(np.abs(series.xi1 + series.xi2 - 1.0))))
     worst_limit = 0.0
     for _ in range(5):
         m, omega, hbar = rng.uniform(0.5, 2.0, 3)
-        p = PhysicalParams(m, omega, hbar)
-        gauge = make_gauge(p)
+        dc = derived_constants(PhysicalParams(m, omega, hbar))
         omega_t = np.linspace(0.0, 40.0, 500)
         for source in ("closed_form", "degenerate_form", "first_order", "trajectory"):
-            series = sector_energy_series(p, gauge, omega_t, source)
+            series = sector_energy_series(dc, omega_t, source)
             worst_limit = max(
                 worst_limit,
                 float(np.max(np.abs(series.xi1 - 0.5))),
@@ -361,7 +359,7 @@ def test_criterion_10_figure2_amplitude(tmp_path):
     p = params_from_ratio(RatioSpec(0.002, "single_theta"))
     dc = derived_constants(p)
     ts = np.linspace(0.0, 4.0 * math.pi / dc.omega_big, 20001)
-    rate = np.asarray(xi_dot_first_order(dc, ts, 1, p.hbar))
+    rate = np.asarray(xi_dot_first_order(dc, ts, 1))
     amp = p.hbar * dc.gamma * dc.omega_big
     lib_rel = abs(0.5 * (rate.max() - rate.min()) - amp) / amp
     passed = amp_ok and 3.2 <= ratio <= 4.8 and lib_rel < 1e-3
@@ -390,7 +388,7 @@ def test_criterion_11_stargen_residual():
         w_q = math.sqrt(p.hbar * dc.beta / dc.alpha)
         w_p = math.sqrt(p.hbar * dc.alpha / dc.beta)
         for qn in states:
-            energy = energy_level(qn, dc, p.hbar)
+            energy = energy_level(qn, dc)
             for _ in range(20):
                 pt = PhaseState(
                     rng.uniform(-2.0, 2.0) * w_q,
@@ -398,8 +396,8 @@ def test_criterion_11_stargen_residual():
                     rng.uniform(-2.0, 2.0) * w_p,
                     rng.uniform(-2.0, 2.0) * w_p,
                 )
-                rho = wigner_eigenfunction(pt, qn, dc, p.hbar)
-                res = stargen_residual(pt, qn, dc, p.hbar)
+                rho = wigner_eigenfunction(pt, qn, dc)
+                res = stargen_residual(pt, qn, dc)
                 rel = max(abs(res.real), abs(res.imag)) / (abs(energy) * abs(rho))
                 worst = max(worst, rel)
     report(
@@ -419,7 +417,7 @@ def test_criterion_12_spectrum_and_normalization():
         grid = []
         for n1 in range(4):
             for n2 in range(4):
-                got = energy_level(QuantumNumbers(n1, n2), dc, p.hbar)
+                got = energy_level(QuantumNumbers(n1, n2), dc)
                 want = p.hbar * (dc.omega_big * (n1 + n2 + 1) + dc.gamma * (n1 - n2))
                 worst_formula = max(worst_formula, abs(got - want) / abs(want))
                 grid.append(got)
@@ -427,7 +425,7 @@ def test_criterion_12_spectrum_and_normalization():
     arr = np.asarray(levels_by_ratio)
     gauge_dev = float(np.max(np.abs(arr - arr[0]))) / float(np.max(np.abs(arr)))
     norms = [
-        wigner_normalization(QuantumNumbers(0, 0), p.hbar, n_nodes=n) for n in (30, 40, 50)
+        wigner_normalization(QuantumNumbers(0, 0), dc, n_nodes=n) for n in (30, 40, 50)
     ]
     spread = max(norms) - min(norms)
     passed = (

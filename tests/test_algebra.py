@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nclab import (
     GaugeChoice,
@@ -19,6 +21,8 @@ from nclab import (
     sw_to_commutative,
     sw_to_nc,
 )
+
+from conftest import admissible_physics
 
 
 def random_params(rng, x_low=-0.9, x_high=0.95):
@@ -179,35 +183,34 @@ def test_alpha_beta_scale_with_ratio():
 
 
 def test_forward_map_identity_at_commutative():
-    p = PhysicalParams(1.0, 1.0, 1.0)
-    g = make_gauge(p)
-    nc = sw_to_nc(PhaseState(Q1=0.3, Q2=-0.4, P1=0.5, P2=-0.6), p, g)
+    dc = derived_constants(PhysicalParams(1.0, 1.0, 1.0))
+    nc = sw_to_nc(PhaseState(Q1=0.3, Q2=-0.4, P1=0.5, P2=-0.6), dc)
     assert (nc.q1, nc.q2, nc.p1, nc.p2) == (0.3, -0.4, 0.5, -0.6)
 
 
 def test_forward_map_frozen_example():
     # theta = 0.004 alone, unit gauge: q1 = Q1 - 0.002*P2 = 0.998.
     p = PhysicalParams(1.0, 1.0, 1.0, 0.004, 0.0)
-    nc = sw_to_nc(PhaseState(Q1=1.0, Q2=0.0, P1=0.0, P2=1.0), p, make_gauge(p))
+    nc = sw_to_nc(PhaseState(Q1=1.0, Q2=0.0, P1=0.0, P2=1.0), derived_constants(p))
     assert nc.q1 == 0.998
     # General gauge: q1 = lam - (theta/2/hbar)/lam.
     g4 = make_gauge(p, ratio=4.0)
-    nc4 = sw_to_nc(PhaseState(Q1=1.0, Q2=0.0, P1=0.0, P2=1.0), p, g4)
+    nc4 = sw_to_nc(PhaseState(Q1=1.0, Q2=0.0, P1=0.0, P2=1.0), derived_constants(p, g4))
     assert abs(nc4.q1 - (g4.lam - 0.002 / g4.lam)) < 1e-15
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_forward_map_non_finite_component_poisons_the_point(bad):
-    # Every output sums all four inputs (zero weights too), so one
-    # non-finite component leaves no mapped coordinate finite; other
+    # Every output of either map sums all four inputs (zero weights too), so
+    # one non-finite component leaves no mapped coordinate finite; other
     # points of an array state are unaffected.
-    p = PhysicalParams(1.0, 1.0, 1.0, 0.2, 0.1)
-    g = make_gauge(p)
+    dc = derived_constants(PhysicalParams(1.0, 1.0, 1.0, 0.2, 0.1))
     for k in range(4):
         fields = [np.array([0.3, -0.4]) for _ in range(4)]
         fields[k] = np.array([bad, -0.4])
-        nc = sw_to_nc(PhaseState(*fields), p, g)
-        for v in (nc.q1, nc.q2, nc.p1, nc.p2):
+        nc = sw_to_nc(PhaseState(*fields), dc)
+        back = sw_to_commutative(NCState(*fields), dc)
+        for v in (nc.q1, nc.q2, nc.p1, nc.p2, back.Q1, back.Q2, back.P1, back.P2):
             assert not np.isfinite(v[0])
             assert np.isfinite(v[1])
 
@@ -216,9 +219,9 @@ def test_round_trip_inverse():
     rng = np.random.default_rng(14)
     for k in range(100):
         p = random_params(rng)
-        g = make_gauge(p, (0.5, 1.0, 2.0)[k % 3])
+        dc = derived_constants(p, make_gauge(p, (0.5, 1.0, 2.0)[k % 3]))
         state = PhaseState(*rng.normal(0.0, 1.0, 4))
-        back = sw_to_commutative(sw_to_nc(state, p, g), p, g)
+        back = sw_to_commutative(sw_to_nc(state, dc), dc)
         scale = max(1.0, *(abs(v) for v in (state.Q1, state.Q2, state.P1, state.P2)))
         for a, b in (
             (back.Q1, state.Q1),
@@ -228,26 +231,52 @@ def test_round_trip_inverse():
         ):
             assert abs(a - b) <= 1e-13 * scale
         nc = NCState(*rng.normal(0.0, 1.0, 4))
-        fwd = sw_to_nc(sw_to_commutative(nc, p, g), p, g)
+        fwd = sw_to_nc(sw_to_commutative(nc, dc), dc)
         for a, b in ((fwd.q1, nc.q1), (fwd.q2, nc.q2), (fwd.p1, nc.p1), (fwd.p2, nc.p2)):
             assert abs(a - b) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(admissible_physics(), st.integers(0, 2**32 - 1))
+def test_round_trip_over_the_admissible_domain(dc, seed):
+    # Points on the frame's own scale, the oscillator widths of the drawn
+    # gauge: M**-1 M z gives z back to roundoff, amplified by the prefactor
+    # (1 - theta*eta/hbar**2)**(-1/2) of M**-1.
+    w_q = math.sqrt(dc.hbar * dc.beta / dc.alpha)
+    w_p = math.sqrt(dc.hbar * dc.alpha / dc.beta)
+    widths = np.array([w_q, w_q, w_p, w_p])
+    z = np.random.default_rng(seed).normal(0.0, 1.0, (16, 4)) * widths
+    back = sw_to_commutative(sw_to_nc(PhaseState(*z.T), dc), dc).as_array()
+    bound = 1e-14 / math.sqrt(1.0 - dc.params.nc_product)
+    assert np.max(np.abs(back - z) / widths) <= bound * np.max(np.abs(z) / widths)
+
+
+def test_derived_constants_carry_their_inputs():
+    p = PhysicalParams(1.1, 0.7, 1.2, 0.4, -0.3)
+    g = make_gauge(p, 2.5)
+    dc = derived_constants(p, g)
+    assert dc.params is p and dc.gauge is g and dc.hbar == 1.2
+    # M z is the deformed point: its (q1, p2) and (q2, p1) blocks.
+    c, d = 0.4 / (2.0 * g.lam * 1.2), -0.3 / (2.0 * g.mu * 1.2)
+    assert np.array_equal(dc.M[np.ix_([0, 3], [0, 3])], [[g.lam, -c], [-d, g.mu]])
+    assert np.array_equal(dc.M[np.ix_([1, 2], [1, 2])], [[g.lam, c], [d, g.mu]])
+    assert not dc.M[np.ix_([0, 3], [1, 2])].any() and not dc.M[np.ix_([1, 2], [0, 3])].any()
 
 
 def test_inverse_map_finite_near_critical():
     p = PhysicalParams(1.0, 1.0, 1.0, 0.99, 1.0)
     assert abs(p.nc_product - 0.99) < 1e-15
-    g = make_gauge(p)
-    out = sw_to_commutative(NCState(1.0, 1.0, 1.0, 1.0), p, g)
+    out = sw_to_commutative(NCState(1.0, 1.0, 1.0, 1.0), derived_constants(p))
     for v in (out.Q1, out.Q2, out.P1, out.P2):
         assert math.isfinite(v)
 
 
 def test_inverse_map_works_elementwise():
     p = PhysicalParams(1.0, 1.0, 1.0, 0.2, 0.1)
-    g = make_gauge(p, 2.0)
+    dc = derived_constants(p, make_gauge(p, 2.0))
     qs = np.linspace(-1.0, 1.0, 7)
-    nc = sw_to_nc(PhaseState(Q1=qs, Q2=0.0 * qs, P1=qs, P2=1.0 + qs), p, g)
-    back = sw_to_commutative(nc, p, g)
+    nc = sw_to_nc(PhaseState(Q1=qs, Q2=0.0 * qs, P1=qs, P2=1.0 + qs), dc)
+    back = sw_to_commutative(nc, dc)
     assert np.max(np.abs(back.Q1 - qs)) < 1e-13
 
 

@@ -1,4 +1,5 @@
 """Command surface: settings, artifacts, manifests and exit codes."""
+import inspect
 import json
 import math
 import os
@@ -87,6 +88,23 @@ def test_constants_command(tmp_path):
     assert {"gauge_product_residual", "omega_identity", "algebra_residual"} <= names
     assert "gamma_theta" in man["measured_constants"]
     assert "gamma_eta" in man["measured_constants"]
+
+
+def test_manifest_physics_blocks_come_from_the_derived_constants(tmp_path):
+    argv = ["constants", "--theta", "0.05", "--eta", "-0.02", "--gauge-ratio", "2"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    man = read_manifest(tmp_path / "constants_manifest.json")
+    params = PhysicalParams(1.0, 1.0, 1.0, 0.05, -0.02)
+    dc = derived_constants(params, make_gauge(params, 2.0))
+    assert man["params"] == {"m": 1.0, "omega": 1.0, "hbar": 1.0, "theta": 0.05, "eta": -0.02}
+    assert man["gauge"] == {"lam": dc.gauge.lam, "mu": dc.gauge.mu}
+    assert man["derived_constants"] == {
+        "alpha": dc.alpha,
+        "beta": dc.beta,
+        "gamma": dc.gamma,
+        "omega_big": dc.omega_big,
+        "product_lm": dc.product_lm,
+    }
 
 
 def test_constants_ratio_match(tmp_path):
@@ -278,7 +296,7 @@ def test_wigner_records_hold_each_point_residual_alone(tmp_path):
         u = rng.uniform(-2.0, 2.0, 4)
         pt = PhaseState(u[0] * w_q, u[1] * w_q, u[2] * w_p, u[3] * w_p)
         assert rec["point"] == [float(v) for v in (pt.Q1, pt.Q2, pt.P1, pt.P2)]
-        res = stargen_residual(pt, QuantumNumbers(2, 1), dc, params.hbar)
+        res = stargen_residual(pt, QuantumNumbers(2, 1), dc)
         assert (rec["residual_re"], rec["residual_im"]) == (res.real, res.imag)
 
 
@@ -530,10 +548,25 @@ def test_grid_points_below_two_rejected(tmp_path, capsys, argv, points):
     assert_rejected_up_front(capsys, tmp_path / "out", argv + ["--grid-points", points])
 
 
-@pytest.mark.parametrize("flag,value", [("--dt", "0"), ("--dt", "-0.1"), ("--dt", "nan"), ("--t-max", "0")])
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--dt", "0"), ("--dt", "-0.1"), ("--dt", "nan"), ("--t-max", "0"), ("--t-max", "inf")],
+)
 def test_simulate_rejects_nonpositive_step_or_span(tmp_path, capsys, flag, value):
     argv = ["simulate", "--method", "both", flag, value]
     assert_rejected_up_front(capsys, tmp_path / "out", argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["xi"], ["figure", "1"], ["figure", "2"], ["sweep"]],
+    ids=["xi", "figure1", "figure2", "sweep"],
+)
+@pytest.mark.parametrize("t_max", ["-5", "0", "nan", "inf"])
+def test_t_max_rejected_up_front(tmp_path, capsys, argv, t_max):
+    # xi once wrote a backward or all-zero grid, xi and figure NaN data, and
+    # sweep its cells followed by a ZeroDivisionError traceback.
+    assert_rejected_up_front(capsys, tmp_path / "out", argv + ["--t-max", t_max])
 
 
 @pytest.mark.parametrize(
@@ -549,6 +582,8 @@ def test_simulate_rejects_nonpositive_step_or_span(tmp_path, capsys, flag, value
         ("--extent", "0"),
         ("--extent", "nan"),
         ("--extent", "inf"),
+        # numpy refuses a negative seed only when it draws the residual points.
+        ("--seed", "-1"),
     ],
 )
 def test_wigner_rejects_bad_sizes(tmp_path, capsys, flag, value):
@@ -591,6 +626,32 @@ def test_sweep_rejects_zero_ratio(tmp_path, capsys):
     assert_rejected_up_front(capsys, tmp_path / "out", ["sweep", "--ratios", "0,0.002"])
 
 
+@pytest.mark.parametrize("ratios", ["0.001,0.001", "0.001,1e-3,0.002", "0.002,0.0020000001"])
+def test_sweep_rejects_ratios_that_share_a_cell(tmp_path, capsys, ratios):
+    # Two ratios with one cell directory would be checked against each other.
+    assert_rejected_up_front(capsys, tmp_path / "out", ["sweep", "--ratios", ratios])
+
+
+def test_sweep_without_first_order_error_fails_its_scaling_check(tmp_path):
+    # So short a span leaves the lower cell no first-order error, and so no
+    # power law: a failed check, not a ZeroDivisionError.
+    out = tmp_path / "out"
+    argv = ["sweep", "--t-max", "1e-9", "--grid-points", "3", "--out", str(out)]
+    assert main(argv) == 1
+    index = read_manifest(out / "index.json")
+    assert index["cells"][0]["first_order_rel_err"] == 0.0
+    assert index["checks"] and not any(c["passed"] for c in index["checks"])
+
+
+@pytest.mark.parametrize("field,value", [("m", "0"), ("hbar", "0"), ("hbar", "-1")])
+@pytest.mark.parametrize("mode", ["single_theta", "symmetric"])
+def test_ratio_with_bad_scales_rejected(tmp_path, capsys, field, value, mode):
+    # m = 0 (single_theta) and hbar = 0 (symmetric) once ended in a bare
+    # ZeroDivisionError from params_from_ratio.
+    argv = ["constants", "--ratio", "0.1", "--mode", mode, "--%s=%s" % (field, value)]
+    assert_rejected_up_front(capsys, tmp_path / "out", argv)
+
+
 def test_sweep_rejects_unreachable_ratio_before_any_cell(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--ratios", "0.002,1.5", "--out", str(out)]) == 5
@@ -615,6 +676,21 @@ def test_module_invocation(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "constants_manifest.json").exists()
     assert "alpha" in proc.stdout
+
+
+def test_no_exported_callable_takes_a_bare_hbar():
+    # hbar enters through PhysicalParams, which validates it, and reaches
+    # every other callable inside a DerivedConstants.
+    exported = {
+        name: obj
+        for name, obj in vars(nclab).items()
+        if callable(obj)
+        and not name.startswith("_")
+        and not (isinstance(obj, type) and issubclass(obj, Exception))
+    }
+    assert {"derived_constants", "wigner_normalization", "main"} <= set(exported)
+    takers = [n for n, obj in exported.items() if "hbar" in inspect.signature(obj).parameters]
+    assert takers == ["PhysicalParams"]
 
 
 def test_version_defined_once():

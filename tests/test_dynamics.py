@@ -128,7 +128,7 @@ def test_step_matrix_is_the_classical_rk4_step():
     # in Omega*t units.
     p = PhysicalParams(1.0, 1.0, 1.0, 0.04, 0.01)
     dc = derived_constants(p)
-    ic = ground_mode_ic(dc, p.hbar)
+    ic = ground_mode_ic(dc)
     dt = math.pi / 1000.0 / dc.omega_big
     traj = integrate_numeric(ic, dc, 4.0 / dc.omega_big, dt)
     assert len(traj.times) == 1274

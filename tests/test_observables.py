@@ -19,8 +19,9 @@ from nclab import (
     mode_energy,
     paper_coefficients,
     propagate_analytic,
-    sector_energy,
     sector_energy_series,
+    sw_to_commutative,
+    sw_to_nc,
     signed_coefficients,
     xi_closed,
     xi_closed_rate,
@@ -42,30 +43,36 @@ def params_for(g_theta, g_eta, m=1.0, omega=1.0, hbar=1.0):
 
 def physics(g_theta, g_eta, ratio=1.0, **kw):
     p = params_for(g_theta, g_eta, **kw)
-    gauge = make_gauge(p, ratio=ratio)
-    return p, gauge, derived_constants(p, gauge)
+    return derived_constants(p, make_gauge(p, ratio=ratio))
 
 
-def paper_xi(dc, p, t, i):
-    return xi_closed(dc, paper_coefficients(dc, p), t, i, p.hbar)
+def paper_xi(dc, t, i):
+    return xi_closed(dc, paper_coefficients(dc), t, i)
 
 
-def signed_xi(dc, p, t, i):
-    return xi_closed(dc, signed_coefficients(dc, p), t, i, p.hbar)
+def signed_xi(dc, t, i):
+    return xi_closed(dc, signed_coefficients(dc), t, i)
 
 
-def degenerate_xi(dc, p, t, i):
-    return xi_closed(dc, degenerate_coefficients(dc), t, i, p.hbar)
+def degenerate_xi(dc, t, i):
+    return xi_closed(dc, degenerate_coefficients(dc), t, i)
 
 
-def on_degenerate_surface(phys):
+def sector_energy(nc, params, i):
+    """The oracle of xi_trajectory: sector i's physical energy
+    p_i**2/2m + m w**2 q_i**2/2, field by field on the deformed variables."""
+    q = nc.q1 if i == 1 else nc.q2
+    p = nc.p1 if i == 1 else nc.p2
+    return p**2 / (2.0 * params.m) + 0.5 * params.m * params.omega**2 * q**2
+
+
+def on_degenerate_surface(dc):
     """The drawn parameters moved onto theta*eta = 0 with gamma >= 0, twice:
     the position deformation alone, and the momentum deformation alone."""
-    p, gauge, _ = phys
+    p = dc.params
     for theta, eta in ((abs(p.theta), 0.0), (0.0, abs(p.eta))):
         q = PhysicalParams(p.m, p.omega, p.hbar, theta, eta)
-        g = make_gauge(q, ratio=gauge.ratio)
-        yield q, derived_constants(q, g)
+        yield derived_constants(q, make_gauge(q, ratio=dc.gauge.ratio))
 
 
 # The hand-picked cases of the tests that now take the whole domain.
@@ -91,7 +98,7 @@ def with_hand_picked(test):
 
 def test_ground_mode_isotropic():
     dc = derived_constants(PhysicalParams(1.0, 1.0, 1.0))
-    ic = ground_mode_ic(dc, 1.0)
+    ic = ground_mode_ic(dc)
     w = math.sqrt(0.5)
     assert abs(ic.x - w) < 1e-15 and abs(ic.y - w) < 1e-15
     assert abs(ic.pi_x - w) < 1e-15 and abs(ic.pi_y - w) < 1e-15
@@ -102,28 +109,29 @@ def test_ground_mode_anisotropic_frozen():
     class DC:
         alpha = 2.0
         beta = 1.0
+        hbar = 1.0
 
-    ic = ground_mode_ic(DC, 1.0)
+    ic = ground_mode_ic(DC)
     assert abs(ic.x - 0.5) < 1e-15 and abs(ic.y - 0.5) < 1e-15
     assert abs(ic.pi_x - 1.0) < 1e-15 and abs(ic.pi_y - 1.0) < 1e-15
 
 
 def test_mode_energy_initial_split():
-    p, gauge, dc = physics(0.004, 0.009)
-    ic = ground_mode_ic(dc, p.hbar)
+    dc = physics(0.004, 0.009)
+    ic = ground_mode_ic(dc)
     st = PhaseState(ic.x, ic.y, ic.pi_x, ic.pi_y)
-    half = 0.5 * p.hbar * dc.omega_big
+    half = 0.5 * dc.hbar * dc.omega_big
     assert abs(mode_energy(st, dc, 1) - half) < 1e-14 * half
     assert abs(mode_energy(st, dc, 2) - half) < 1e-14 * half
 
 
 def test_mode_energy_beating_law():
     # E_i(t) = (hbar Omega / 2)(1 -+ sin 2 gamma t) along the ground-mode orbit.
-    p, gauge, dc = physics(0.012, 0.005, m=1.2, omega=0.9, hbar=1.1)
-    ic = ground_mode_ic(dc, p.hbar)
+    dc = physics(0.012, 0.005, m=1.2, omega=0.9, hbar=1.1)
+    ic = ground_mode_ic(dc)
     ts = np.linspace(0.0, math.pi / dc.gamma, 10000)
     out = propagate_analytic(ic, dc, ts)
-    scale = p.hbar * dc.omega_big
+    scale = dc.hbar * dc.omega_big
     s = np.sin(2.0 * dc.gamma * ts)
     e1 = np.asarray(mode_energy(out, dc, 1))
     e2 = np.asarray(mode_energy(out, dc, 2))
@@ -134,11 +142,11 @@ def test_mode_energy_beating_law():
 
 def test_mode_energy_full_transfer():
     # At 2 gamma t = pi/2 the whole quantum sits in the first mode.
-    p, gauge, dc = physics(0.02, 0.0)
-    ic = ground_mode_ic(dc, p.hbar)
+    dc = physics(0.02, 0.0)
+    ic = ground_mode_ic(dc)
     t = math.pi / (4.0 * dc.gamma)
     out = propagate_analytic(ic, dc, t)
-    scale = p.hbar * dc.omega_big
+    scale = dc.hbar * dc.omega_big
     assert abs(mode_energy(out, dc, 1) - scale) < 1e-12 * scale
     assert abs(mode_energy(out, dc, 2)) < 1e-12 * scale
 
@@ -155,27 +163,33 @@ def test_mode_energy_validates_index():
 
 def test_sector_energy_zero_state():
     p = PhysicalParams(1.0, 1.0, 1.0, 0.01, 0.02)
-    z = NCState(0.0, 0.0, 0.0, 0.0)
-    assert sector_energy(z, p, 1) == 0.0
-    assert sector_energy(z, p, 2) == 0.0
+    dc = derived_constants(p)
+    zero = InitialConditions(0.0, 0.0, 0.0, 0.0)
+    assert xi_trajectory(zero, dc, 0.0, 1) == 0.0
+    assert xi_trajectory(zero, dc, 0.0, 2) == 0.0
 
 
 def test_sector_energy_frozen_unit():
-    p = PhysicalParams(1.0, 1.0, 1.0)
-    st = NCState(1.0, 0.0, 1.0, 0.0)
-    assert abs(sector_energy(st, p, 1) - 1.0) < 1e-15
-    assert abs(sector_energy(st, p, 2)) < 1e-15
+    # Undeformed, the frame map is the identity: (q1, p1) = (1, 1).
+    dc = derived_constants(PhysicalParams(1.0, 1.0, 1.0))
+    ic = InitialConditions(1.0, 0.0, 1.0, 0.0)
+    assert abs(xi_trajectory(ic, dc, 0.0, 1) - 1.0) < 1e-15
+    assert abs(xi_trajectory(ic, dc, 0.0, 2)) < 1e-15
 
 
 def test_sector_energies_sum_to_hamiltonian():
+    # G_1 + G_2 is the physical Hamiltonian of the deformed variables.
     rng = np.random.default_rng(31)
     p = PhysicalParams(1.3, 0.7, 1.2, 0.05, 0.03)
+    dc = derived_constants(p, make_gauge(p, 1.7))
     for _ in range(10):
         st = NCState(*rng.normal(0.0, 1.0, 4))
         h = (st.p1**2 + st.p2**2) / (2.0 * p.m) + 0.5 * p.m * p.omega**2 * (
             st.q1**2 + st.q2**2
         )
-        total = sector_energy(st, p, 1) + sector_energy(st, p, 2)
+        z = sw_to_commutative(st, dc)
+        ic = InitialConditions(z.Q1, z.Q2, z.P1, z.P2)
+        total = xi_trajectory(ic, dc, 0.0, 1) + xi_trajectory(ic, dc, 0.0, 2)
         assert abs(total - h) < 1e-14 * abs(h)
 
 
@@ -184,79 +198,79 @@ def test_sector_energies_sum_to_hamiltonian():
 
 
 def test_xi_closed_initial_values():
-    p, gauge, dc = physics(0.015, 0.004)
-    s_omega = abs(gamma_components(p)[0] - gamma_components(p)[1]) / dc.omega_big
-    scale = p.hbar * dc.omega_big
+    dc = physics(0.015, 0.004)
+    g_theta, g_eta = gamma_components(dc.params)
+    s_omega = abs(g_theta - g_eta) / dc.omega_big
+    scale = dc.hbar * dc.omega_big
     want1 = 0.5 * scale * (1.0 + s_omega)
     want2 = 0.5 * scale * (1.0 - s_omega)
-    assert abs(paper_xi(dc, p, 0.0, 1) - want1) < 1e-13 * scale
-    assert abs(paper_xi(dc, p, 0.0, 2) - want2) < 1e-13 * scale
+    assert abs(paper_xi(dc, 0.0, 1) - want1) < 1e-13 * scale
+    assert abs(paper_xi(dc, 0.0, 2) - want2) < 1e-13 * scale
 
 
 @settings(max_examples=150, deadline=None)
 @given(admissible_physics())
 @example(physics(0.02, 0.0, m=1.1, omega=0.8, hbar=1.3))
 @example(physics(0.0, 0.017, m=1.1, omega=0.8, hbar=1.3))
-def test_xi_closed_matches_degenerate_when_one_parameter_vanishes(phys):
+def test_xi_closed_matches_degenerate_when_one_parameter_vanishes(dc):
     # On theta*eta = 0 with gamma >= 0 the two coefficient pairs agree; the
     # paper's fast coefficient is |gamma|/Omega there, so gamma < 0 is excluded.
-    for p, dc in on_degenerate_surface(phys):
-        fast_p, slow_p = paper_coefficients(dc, p)
+    for dc in on_degenerate_surface(dc):
+        fast_p, slow_p = paper_coefficients(dc)
         fast_d, slow_d = degenerate_coefficients(dc)
         assert abs(fast_p - fast_d) <= 1e-15 and abs(slow_p - slow_d) <= 1e-14
         ts = np.linspace(0.0, 30.0 / dc.omega_big, 400)
-        scale = p.hbar * dc.omega_big
+        scale = dc.hbar * dc.omega_big
         for i in (1, 2):
-            a = np.asarray(paper_xi(dc, p, ts, i))
-            b = np.asarray(degenerate_xi(dc, p, ts, i))
+            a = np.asarray(paper_xi(dc, ts, i))
+            b = np.asarray(degenerate_xi(dc, ts, i))
             assert np.max(np.abs(a - b)) < 1e-12 * scale
 
 
 @settings(max_examples=150, deadline=None)
 @given(admissible_physics())
 @with_hand_picked
-def test_xi_closed_partition(phys):
-    p, gauge, dc = phys
+def test_xi_closed_partition(dc):
     ts = np.linspace(0.0, 50.0 / dc.omega_big, 500)
-    scale = p.hbar * dc.omega_big
+    scale = dc.hbar * dc.omega_big
     for form in (paper_xi, signed_xi):
-        total = np.asarray(form(dc, p, ts, 1)) + np.asarray(form(dc, p, ts, 2))
+        total = np.asarray(form(dc, ts, 1)) + np.asarray(form(dc, ts, 2))
         assert np.max(np.abs(total - scale)) < 1e-12 * scale
 
 
 def test_xi_closed_commutative_is_constant_half():
-    p, gauge, dc = physics(0.0, 0.0, m=1.4, omega=0.6, hbar=1.1)
+    dc = physics(0.0, 0.0, m=1.4, omega=0.6, hbar=1.1)
     ts = np.linspace(0.0, 40.0, 300)
-    half = 0.5 * p.hbar * p.omega
+    half = 0.5 * dc.hbar * dc.params.omega
     for i in (1, 2):
-        vals = np.asarray(paper_xi(dc, p, ts, i))
+        vals = np.asarray(paper_xi(dc, ts, i))
         assert np.max(np.abs(vals - half)) < 1e-12 * half
 
 
 def test_xi_degenerate_frozen_start():
     # gamma/Omega = 0.002 exactly by construction: starts at 0.501 / 0.499.
     g = 0.002 / math.sqrt(1.0 - 0.002**2)
-    p, gauge, dc = physics(g, 0.0)
-    scale = p.hbar * dc.omega_big
-    assert abs(degenerate_xi(dc, p, 0.0, 1) / scale - 0.501) < 1e-12
-    assert abs(degenerate_xi(dc, p, 0.0, 2) / scale - 0.499) < 1e-12
+    dc = physics(g, 0.0)
+    scale = dc.hbar * dc.omega_big
+    assert abs(degenerate_xi(dc, 0.0, 1) / scale - 0.501) < 1e-12
+    assert abs(degenerate_xi(dc, 0.0, 2) / scale - 0.499) < 1e-12
 
 
 def test_xi_degenerate_commutative_constant():
-    p, gauge, dc = physics(0.0, 0.0)
+    dc = physics(0.0, 0.0)
     ts = np.linspace(0.0, 20.0, 50)
-    vals = np.asarray(degenerate_xi(dc, p, ts, 1))
+    vals = np.asarray(degenerate_xi(dc, ts, 1))
     assert np.max(np.abs(vals - 0.5)) < 1e-14
 
 
 def test_xi_degenerate_rejects_doubly_deformed_algebra():
-    p, gauge, dc = physics(0.01, 0.02)
+    dc = physics(0.01, 0.02)
     with pytest.raises(DegenerateFormMisuse):
         degenerate_coefficients(dc)
 
 
 def test_paper_coefficients_guard_domain():
-    p, gauge, dc = physics(0.01, 0.003)
+    dc = physics(0.01, 0.003)
 
     class BadDC:
         alpha = dc.alpha
@@ -264,10 +278,11 @@ def test_paper_coefficients_guard_domain():
         gamma = dc.gamma
         omega_big = 0.5 * dc.gamma  # impossible: Omega >= |gamma| always
         product_lm = dc.product_lm
+        params = dc.params
 
     for coefficients in (paper_coefficients, signed_coefficients):
         with pytest.raises(DomainError):
-            coefficients(BadDC, p)
+            coefficients(BadDC)
 
 
 # ---------------------------------------------------------------------------
@@ -277,27 +292,26 @@ def test_paper_coefficients_guard_domain():
 @settings(max_examples=150, deadline=None)
 @given(admissible_physics())
 @with_hand_picked
-def test_xi_trajectory_matches_signed_closed_form(phys):
+def test_xi_trajectory_matches_signed_closed_form(dc):
     # Sector energies along the flow follow the closed form whose fast
     # coefficient carries the sign of gamma_eta - gamma_theta.
-    p, gauge, dc = phys
-    ic = ground_mode_ic(dc, p.hbar)
+    ic = ground_mode_ic(dc)
     ts = np.linspace(0.0, 40.0 / dc.omega_big, 200)
-    scale = p.hbar * dc.omega_big
+    scale = dc.hbar * dc.omega_big
     for i in (1, 2):
-        got = np.asarray(xi_trajectory(ic, dc, p, gauge, ts, i))
-        want = np.asarray(signed_xi(dc, p, ts, i))
+        got = np.asarray(xi_trajectory(ic, dc, ts, i))
+        want = np.asarray(signed_xi(dc, ts, i))
         assert np.max(np.abs(got - want)) < 1e-12 * scale
 
 
 def test_xi_trajectory_matches_xi_closed_when_eta_dominates():
-    p, gauge, dc = physics(0.004, 0.024)
-    ic = ground_mode_ic(dc, p.hbar)
+    dc = physics(0.004, 0.024)
+    ic = ground_mode_ic(dc)
     ts = np.linspace(0.0, 40.0 / dc.omega_big, 200)
-    scale = p.hbar * dc.omega_big
+    scale = dc.hbar * dc.omega_big
     for i in (1, 2):
-        got = np.asarray(xi_trajectory(ic, dc, p, gauge, ts, i))
-        want = np.asarray(paper_xi(dc, p, ts, i))
+        got = np.asarray(xi_trajectory(ic, dc, ts, i))
+        want = np.asarray(paper_xi(dc, ts, i))
         assert np.max(np.abs(got - want)) < 1e-9 * scale
 
 
@@ -307,12 +321,12 @@ def test_xi_trajectory_gap_for_position_deformation():
     g = 0.002 / math.sqrt(1.0 - 0.002**2)
     gaps = []
     for ratio in (0.5, 1.0, 2.0):
-        p, gauge, dc = physics(g, 0.0, ratio=ratio)
-        ic = ground_mode_ic(dc, p.hbar)
-        scale = p.hbar * dc.omega_big
+        dc = physics(g, 0.0, ratio=ratio)
+        ic = ground_mode_ic(dc)
+        scale = dc.hbar * dc.omega_big
         gap = abs(
-            float(xi_trajectory(ic, dc, p, gauge, 0.0, 1))
-            - float(paper_xi(dc, p, 0.0, 1))
+            float(xi_trajectory(ic, dc, 0.0, 1))
+            - float(paper_xi(dc, 0.0, 1))
         ) / scale
         gaps.append(gap)
     for gap in gaps:
@@ -321,26 +335,62 @@ def test_xi_trajectory_gap_for_position_deformation():
 
 
 def test_xi_trajectory_partition():
-    p, gauge, dc = physics(0.017, 0.003, m=0.8, omega=1.3)
-    ic = ground_mode_ic(dc, p.hbar)
+    dc = physics(0.017, 0.003, m=0.8, omega=1.3)
+    ic = ground_mode_ic(dc)
     ts = np.linspace(0.0, 60.0 / dc.omega_big, 300)
-    scale = p.hbar * dc.omega_big
-    total = np.asarray(xi_trajectory(ic, dc, p, gauge, ts, 1)) + np.asarray(
-        xi_trajectory(ic, dc, p, gauge, ts, 2)
+    scale = dc.hbar * dc.omega_big
+    total = np.asarray(xi_trajectory(ic, dc, ts, 1)) + np.asarray(
+        xi_trajectory(ic, dc, ts, 2)
     )
     assert np.max(np.abs(total - scale)) < 1e-12 * scale
 
 
 def test_xi_trajectory_beating_envelope():
     # Over one beat the first sector sweeps essentially [0, hbar Omega].
-    p, gauge, dc = physics(0.0, 0.01)
-    ic = ground_mode_ic(dc, p.hbar)
+    dc = physics(0.0, 0.01)
+    ic = ground_mode_ic(dc)
     ts = np.linspace(0.0, math.pi / dc.gamma, 100001)
-    scale = p.hbar * dc.omega_big
-    vals = np.asarray(xi_trajectory(ic, dc, p, gauge, ts, 1)) / scale
+    scale = dc.hbar * dc.omega_big
+    vals = np.asarray(xi_trajectory(ic, dc, ts, 1)) / scale
     assert vals.max() > 1.0 - 1e-5
     assert vals.min() < 1e-5
     assert vals.max() < 1.0 + 1e-9 and vals.min() > -1e-9
+
+
+@settings(max_examples=150, deadline=None)
+@given(admissible_physics())
+@with_hand_picked
+def test_sector_forms_match_the_field_by_field_oracle(dc):
+    # z^T G_i z along the ground-mode flow against the physical energy of the
+    # mapped fields; the series' trajectory branch holds the same values.
+    ic = ground_mode_ic(dc)
+    omega_t = np.linspace(0.0, 40.0, 201)
+    ts = omega_t / dc.omega_big
+    scale = dc.hbar * dc.omega_big
+    nc = sw_to_nc(propagate_analytic(ic, dc, ts), dc)
+    series = sector_energy_series(dc, omega_t, "trajectory")
+    for i, xi in ((1, series.xi1), (2, series.xi2)):
+        got = xi_trajectory(ic, dc, ts, i)
+        assert np.max(np.abs(got - sector_energy(nc, dc.params, i))) <= 1e-14 * scale
+        assert np.array_equal(got / scale, xi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(admissible_physics())
+@with_hand_picked
+def test_xi_trajectory_does_not_depend_on_the_gauge_ratio(dc):
+    # The drawn gauge against ratio 1: the frame, K, M and the initial
+    # conditions all change, the sector and mode energies do not.
+    unit = derived_constants(dc.params)
+    ts = np.linspace(0.0, 40.0 / dc.omega_big, 201)
+    scale = dc.hbar * dc.omega_big
+    for i in (1, 2):
+        got = xi_trajectory(ground_mode_ic(dc), dc, ts, i)
+        want = xi_trajectory(ground_mode_ic(unit), unit, ts, i)
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    state = propagate_analytic(ground_mode_ic(dc), dc, ts)
+    total = mode_energy(state, dc, 1) + mode_energy(state, dc, 2)
+    assert np.max(np.abs(total - scale)) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +399,11 @@ def test_xi_trajectory_beating_envelope():
 
 def test_first_order_starts_at_degenerate_value():
     g = 0.002 / math.sqrt(1.0 - 0.002**2)
-    p, gauge, dc = physics(g, 0.0)
-    scale = p.hbar * dc.omega_big
+    dc = physics(g, 0.0)
+    scale = dc.hbar * dc.omega_big
     for i in (1, 2):
-        a = xi_first_order(dc, 0.0, i, p.hbar)
-        b = degenerate_xi(dc, p, 0.0, i)
+        a = xi_first_order(dc, 0.0, i)
+        b = degenerate_xi(dc, 0.0, i)
         assert abs(a - b) < 1e-13 * scale
 
 
@@ -361,11 +411,11 @@ def test_first_order_error_scaling():
     # Relative-to-deviation error drops ~4x when gamma halves; absolute ~8x.
     def rel_and_abs(r):
         g = r / math.sqrt(1.0 - r**2)
-        p, gauge, dc = physics(g, 0.0)
+        dc = physics(g, 0.0)
         ts = np.linspace(0.0, 40.0 / dc.omega_big, 4001)
-        scale = p.hbar * dc.omega_big
-        exact = np.asarray(degenerate_xi(dc, p, ts, 1))
-        approx = np.asarray(xi_first_order(dc, ts, 1, p.hbar))
+        scale = dc.hbar * dc.omega_big
+        exact = np.asarray(degenerate_xi(dc, ts, 1))
+        approx = np.asarray(xi_first_order(dc, ts, 1))
         dev = np.max(np.abs(exact - 0.5 * scale))
         err = np.max(np.abs(approx - exact))
         return err / dev, err
@@ -377,49 +427,48 @@ def test_first_order_error_scaling():
 
 
 def test_first_order_rate_frozen_points():
-    p, gauge, dc = physics(0.003, 0.0, m=1.2, omega=0.8, hbar=1.1)
-    amp = p.hbar * dc.gamma * dc.omega_big
-    assert abs(xi_dot_first_order(dc, 0.0, 1, p.hbar) - amp) < 1e-15 * amp
+    dc = physics(0.003, 0.0, m=1.2, omega=0.8, hbar=1.1)
+    amp = dc.hbar * dc.gamma * dc.omega_big
+    assert abs(xi_dot_first_order(dc, 0.0, 1) - amp) < 1e-15 * amp
     t_quarter = math.pi / (4.0 * dc.omega_big)
-    assert abs(xi_dot_first_order(dc, t_quarter, 1, p.hbar)) < 1e-12 * amp
-    assert abs(xi_dot_first_order(dc, 0.0, 2, p.hbar) + amp) < 1e-15 * amp
+    assert abs(xi_dot_first_order(dc, t_quarter, 1)) < 1e-12 * amp
+    assert abs(xi_dot_first_order(dc, 0.0, 2) + amp) < 1e-15 * amp
 
 
 def test_first_order_rate_amplitude_exact():
-    p, gauge, dc = physics(0.0, 0.005)
+    dc = physics(0.0, 0.005)
     ts = np.linspace(0.0, 4.0 * math.pi / dc.omega_big, 20001)
-    rate = np.asarray(xi_dot_first_order(dc, ts, 1, p.hbar))
-    amp = p.hbar * dc.gamma * dc.omega_big
+    rate = np.asarray(xi_dot_first_order(dc, ts, 1))
+    amp = dc.hbar * dc.gamma * dc.omega_big
     assert abs(0.5 * (rate.max() - rate.min()) - amp) < 1e-6 * amp
 
 
 def test_first_order_rate_is_derivative():
-    p, gauge, dc = physics(0.004, 0.0)
+    dc = physics(0.004, 0.0)
     h = 1e-5 / dc.omega_big
-    amp = p.hbar * dc.gamma * dc.omega_big
+    amp = dc.hbar * dc.gamma * dc.omega_big
     for t in (0.1, 0.9, 2.7):
         fd = (
-            xi_first_order(dc, t + h, 1, p.hbar) - xi_first_order(dc, t - h, 1, p.hbar)
+            xi_first_order(dc, t + h, 1) - xi_first_order(dc, t - h, 1)
         ) / (2.0 * h)
-        assert abs(fd - xi_dot_first_order(dc, t, 1, p.hbar)) < 1e-6 * amp
+        assert abs(fd - xi_dot_first_order(dc, t, 1)) < 1e-6 * amp
 
 
 @settings(max_examples=150, deadline=None)
 @given(admissible_physics())
 @with_hand_picked
-def test_closed_rate_is_derivative_of_closed_form(phys):
-    p, gauge, dc = phys
+def test_closed_rate_is_derivative_of_closed_form(dc):
     h = 1e-6 / dc.omega_big
-    scale = p.hbar * dc.omega_big**2
-    for coeffs in (paper_coefficients(dc, p), signed_coefficients(dc, p)):
+    scale = dc.hbar * dc.omega_big**2
+    for coeffs in (paper_coefficients(dc), signed_coefficients(dc)):
         for omega_t in (0.0, 0.4, 1.9, 6.3):
             t = omega_t / dc.omega_big
             for i in (1, 2):
                 fd = (
-                    xi_closed(dc, coeffs, t + h, i, p.hbar)
-                    - xi_closed(dc, coeffs, t - h, i, p.hbar)
+                    xi_closed(dc, coeffs, t + h, i)
+                    - xi_closed(dc, coeffs, t - h, i)
                 ) / (2.0 * h)
-                rate = xi_closed_rate(dc, coeffs, t, i, p.hbar)
+                rate = xi_closed_rate(dc, coeffs, t, i)
                 assert abs(fd - rate) < 1e-7 * scale
 
 
@@ -428,34 +477,34 @@ def test_closed_rate_is_derivative_of_closed_form(phys):
 
 
 def test_series_sources_and_partition():
-    p, gauge, dc = physics(0.005, 0.012)
+    dc = physics(0.005, 0.012)
     omega_t = np.linspace(0.0, 40.0, 101)
     for source in SOURCES:
         if source == "degenerate_form":
             continue
-        series = sector_energy_series(p, gauge, omega_t, source)
+        series = sector_energy_series(dc, omega_t, source)
         assert series.source == source
         total = series.xi1 + series.xi2
         assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
 def test_series_degenerate_source():
-    p, gauge, dc = physics(0.01, 0.0)
-    series = sector_energy_series(p, gauge, np.linspace(0.0, 10.0, 11), "degenerate_form")
+    dc = physics(0.01, 0.0)
+    series = sector_energy_series(dc, np.linspace(0.0, 10.0, 11), "degenerate_form")
     assert np.max(np.abs(series.xi1 + series.xi2 - 1.0)) < 1e-12
 
 
 def test_series_rejects_unknown_source():
-    p, gauge, dc = physics(0.01, 0.0)
+    dc = physics(0.01, 0.0)
     with pytest.raises(ValueError):
-        sector_energy_series(p, gauge, np.linspace(0.0, 1.0, 5), "splines")
+        sector_energy_series(dc, np.linspace(0.0, 1.0, 5), "splines")
 
 
 def test_series_csv(tmp_path):
     import csv as csv_mod
 
-    p, gauge, dc = physics(0.0, 0.008)
-    series = sector_energy_series(p, gauge, np.linspace(0.0, 5.0, 6), "closed_form")
+    dc = physics(0.0, 0.008)
+    series = sector_energy_series(dc, np.linspace(0.0, 5.0, 6), "closed_form")
     path = tmp_path / "xi.csv"
     series.write_csv(path)
     with open(path, newline="") as fh:

@@ -44,7 +44,7 @@ GOLDEN = {
     ),
     "xi_trajectory": (
         RATIO_XI + ["--source", "trajectory"],
-        {"xi_trajectory.csv": "702594d903dc02800a199153d3503a578b075c11d858613a64fe462127069633"},
+        {"xi_trajectory.csv": "cbe6832e6ec40724dc51e44469e1ac23c430bf6cf499a714d159944585c79004"},
     ),
     "wigner_excited": (
         [

@@ -1,5 +1,7 @@
 """Stargenfunctions: closed forms, spectra, residuals and quadrature."""
+import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nclab
 from nclab import (
     PhysicalParams,
     QuantumNumbers,
@@ -32,8 +35,7 @@ from conftest import admissible_physics
 
 def physics(theta, eta, ratio=1.0, m=1.0, omega=1.0, hbar=1.0):
     p = PhysicalParams(m, omega, hbar, theta, eta)
-    gauge = make_gauge(p, ratio=ratio)
-    return p, gauge, derived_constants(p, gauge)
+    return derived_constants(p, make_gauge(p, ratio=ratio))
 
 
 def test_laguerre_low_orders_exact():
@@ -64,7 +66,7 @@ def test_quantum_numbers_validate():
 
 
 def test_omega_pm_origin_and_frozen():
-    p, gauge, dc = physics(0.0, 0.0)
+    dc = physics(0.0, 0.0)
     assert omega_pm(PhaseState(0.0, 0.0, 0.0, 0.0), dc) == (0.0, 0.0)
     # alpha = beta: X = |Q|^2 + |P|^2 = 2, L = Q1 P2 - Q2 P1 = 1.
     lo, hi = omega_pm(PhaseState(1.0, 0.0, 0.0, 1.0), dc)
@@ -73,7 +75,7 @@ def test_omega_pm_origin_and_frozen():
 
 def test_omega_pm_sum_and_difference():
     rng = np.random.default_rng(41)
-    p, gauge, dc = physics(0.07, 0.02, m=1.2, omega=0.8, hbar=1.1)
+    dc = physics(0.07, 0.02, m=1.2, omega=0.8, hbar=1.1)
     for _ in range(20):
         pt = PhaseState(*rng.normal(0.0, 1.0, 4))
         lo, hi = omega_pm(pt, dc)
@@ -86,45 +88,45 @@ def test_omega_pm_sum_and_difference():
 
 
 def test_ground_state_peak_value():
-    p, gauge, dc = physics(0.0, 0.0)
-    rho = wigner_eigenfunction(PhaseState(0.0, 0.0, 0.0, 0.0), QuantumNumbers(0, 0), dc, 1.0)
+    dc = physics(0.0, 0.0)
+    rho = wigner_eigenfunction(PhaseState(0.0, 0.0, 0.0, 0.0), QuantumNumbers(0, 0), dc)
     assert abs(rho - 1.0 / math.pi**2) < 1e-15
 
 
 def test_origin_parity():
-    p, gauge, dc = physics(0.04, 0.01, hbar=1.3)
+    dc = physics(0.04, 0.01, hbar=1.3)
     origin = PhaseState(0.0, 0.0, 0.0, 0.0)
     for n1 in range(3):
         for n2 in range(3):
-            rho = wigner_eigenfunction(origin, QuantumNumbers(n1, n2), dc, p.hbar)
-            want = (-1.0) ** (n1 + n2) / (math.pi**2 * p.hbar**2)
+            rho = wigner_eigenfunction(origin, QuantumNumbers(n1, n2), dc)
+            want = (-1.0) ** (n1 + n2) / (math.pi**2 * dc.hbar**2)
             assert abs(rho - want) < 1e-14 * abs(want)
 
 
 def test_energy_levels_frozen():
-    p, gauge, dc = physics(0.05, 0.02)
+    dc = physics(0.05, 0.02)
     g, w = dc.gamma, dc.omega_big
-    assert abs(energy_level(QuantumNumbers(0, 0), dc, 1.0) - w) < 1e-15 * w
-    assert abs(energy_level(QuantumNumbers(1, 0), dc, 1.0) - (2.0 * w + g)) < 1e-14 * w
-    assert abs(energy_level(QuantumNumbers(0, 1), dc, 1.0) - (2.0 * w - g)) < 1e-14 * w
+    assert abs(energy_level(QuantumNumbers(0, 0), dc) - w) < 1e-15 * w
+    assert abs(energy_level(QuantumNumbers(1, 0), dc) - (2.0 * w + g)) < 1e-14 * w
+    assert abs(energy_level(QuantumNumbers(0, 1), dc) - (2.0 * w - g)) < 1e-14 * w
 
 
 def test_energy_levels_commutative():
-    p, gauge, dc = physics(0.0, 0.0, omega=0.7, hbar=1.2)
+    dc = physics(0.0, 0.0, omega=0.7, hbar=1.2)
     for n1 in range(3):
         for n2 in range(3):
-            want = p.hbar * p.omega * (n1 + n2 + 1)
-            got = energy_level(QuantumNumbers(n1, n2), dc, p.hbar)
+            want = dc.hbar * dc.params.omega * (n1 + n2 + 1)
+            got = energy_level(QuantumNumbers(n1, n2), dc)
             assert abs(got - want) < 1e-13 * want
 
 
 def test_energy_level_swap_additivity():
-    p, gauge, dc = physics(0.06, 0.03, m=1.1, omega=1.3, hbar=0.9)
+    dc = physics(0.06, 0.03, m=1.1, omega=1.3, hbar=0.9)
     for n1, n2 in ((0, 0), (2, 1), (3, 0)):
-        total = energy_level(QuantumNumbers(n1, n2), dc, p.hbar) + energy_level(
-            QuantumNumbers(n2, n1), dc, p.hbar
+        total = energy_level(QuantumNumbers(n1, n2), dc) + energy_level(
+            QuantumNumbers(n2, n1), dc
         )
-        want = 2.0 * p.hbar * dc.omega_big * (n1 + n2 + 1)
+        want = 2.0 * dc.hbar * dc.omega_big * (n1 + n2 + 1)
         assert abs(total - want) < 1e-14 * want
 
 
@@ -134,14 +136,14 @@ def test_energy_levels_gauge_invariant():
     for ratio in (0.5, 1.0, 2.0):
         dc = derived_constants(p, make_gauge(p, ratio=ratio))
         levels.append(
-            [energy_level(QuantumNumbers(n1, n2), dc, p.hbar) for n1 in range(3) for n2 in range(3)]
+            [energy_level(QuantumNumbers(n1, n2), dc) for n1 in range(3) for n2 in range(3)]
         )
     a = np.asarray(levels)
     assert np.max(np.abs(a - a[0])) < 1e-12 * np.max(np.abs(a))
 
 
 def test_hamiltonian_weyl_frozen():
-    p, gauge, dc = physics(0.0, 0.0)
+    dc = physics(0.0, 0.0)
     assert hamiltonian_weyl(PhaseState(0.0, 0.0, 0.0, 0.0), dc) == 0.0
     got = hamiltonian_weyl(PhaseState(1.0, 0.0, 1.0, 0.0), dc)
     assert abs(got - 1.0) < 1e-14
@@ -153,11 +155,10 @@ def test_hamiltonian_weyl_is_physical_energy():
     rng = np.random.default_rng(42)
     p = PhysicalParams(1.3, 0.8, 1.1, 0.06, 0.02)
     for ratio in (0.5, 1.0, 2.0):
-        gauge = make_gauge(p, ratio=ratio)
-        dc = derived_constants(p, gauge)
+        dc = derived_constants(p, make_gauge(p, ratio=ratio))
         for _ in range(10):
             pt = PhaseState(*rng.normal(0.0, 1.0, 4))
-            nc = sw_to_nc(pt, p, gauge)
+            nc = sw_to_nc(pt, dc)
             want = (nc.p1**2 + nc.p2**2) / (2.0 * p.m) + 0.5 * p.m * p.omega**2 * (
                 nc.q1**2 + nc.q2**2
             )
@@ -167,13 +168,13 @@ def test_hamiltonian_weyl_is_physical_energy():
 
 def test_stargen_residual_small():
     rng = np.random.default_rng(43)
-    p, gauge, dc = physics(0.05, 0.03, m=1.1, omega=0.9, hbar=1.2)
+    dc = physics(0.05, 0.03, m=1.1, omega=0.9, hbar=1.2)
     widths = (
-        math.sqrt(p.hbar * dc.beta / dc.alpha),
-        math.sqrt(p.hbar * dc.alpha / dc.beta),
+        math.sqrt(dc.hbar * dc.beta / dc.alpha),
+        math.sqrt(dc.hbar * dc.alpha / dc.beta),
     )
     for qn in (QuantumNumbers(0, 0), QuantumNumbers(1, 0), QuantumNumbers(1, 2)):
-        energy = energy_level(qn, dc, p.hbar)
+        energy = energy_level(qn, dc)
         for _ in range(6):
             pt = PhaseState(
                 rng.uniform(-1.5, 1.5) * widths[0],
@@ -181,84 +182,90 @@ def test_stargen_residual_small():
                 rng.uniform(-1.5, 1.5) * widths[1],
                 rng.uniform(-1.5, 1.5) * widths[1],
             )
-            rho = wigner_eigenfunction(pt, qn, dc, p.hbar)
-            res = stargen_residual(pt, qn, dc, p.hbar)
-            bound = 1e-6 * abs(energy) * max(abs(rho), 1e-3 / p.hbar**2)
+            rho = wigner_eigenfunction(pt, qn, dc)
+            res = stargen_residual(pt, qn, dc)
+            bound = 1e-6 * abs(energy) * max(abs(rho), 1e-3 / dc.hbar**2)
             assert abs(res.real) < bound
             assert abs(res.imag) < bound
 
 
 def test_stargen_residual_commutative():
-    p, gauge, dc = physics(0.0, 0.0)
+    dc = physics(0.0, 0.0)
     qn = QuantumNumbers(0, 1)
     pt = PhaseState(0.4, -0.3, 0.8, 0.2)
-    rho = wigner_eigenfunction(pt, qn, dc, 1.0)
-    res = stargen_residual(pt, qn, dc, 1.0)
-    bound = 1e-6 * energy_level(qn, dc, 1.0) * max(abs(rho), 1e-3)
+    rho = wigner_eigenfunction(pt, qn, dc)
+    res = stargen_residual(pt, qn, dc)
+    bound = 1e-6 * energy_level(qn, dc) * max(abs(rho), 1e-3)
     assert abs(res.real) < bound and abs(res.imag) < bound
 
 
 HBAR_ENTRY_POINTS = {
-    "wigner_eigenfunction": lambda pt, qn, dc, hb: wigner_eigenfunction(pt, qn, dc, hb),
-    "wigner_from_invariants": lambda pt, qn, dc, hb: wigner_from_invariants(
-        *invariant_pair(pt, dc), qn, hb
-    ),
-    "energy_level": lambda pt, qn, dc, hb: energy_level(qn, dc, hb),
-    "stargen_residual": lambda pt, qn, dc, hb: stargen_residual(pt, qn, dc, hb),
-    "phase_space_integral": lambda pt, qn, dc, hb: phase_space_integral(
-        lambda x, ell: wigner_from_invariants(x, ell, qn, 1.0), hb, n_nodes=4
-    ),
+    name: getattr(nclab, name)
+    for name in (
+        "wigner_eigenfunction",
+        "wigner_from_invariants",
+        "energy_level",
+        "stargen_residual",
+        "phase_space_integral",
+    )
 }
 
 
 @pytest.mark.parametrize("hbar", [-1.0, 0.0, math.nan, math.inf])
 @pytest.mark.parametrize("entry", sorted(HBAR_ENTRY_POINTS))
 def test_wigner_entry_points_reject_bad_hbar(entry, hbar):
-    # -1 gave a value (and a nan norm), 0 a bare ZeroDivisionError, nan a nan.
-    p, gauge, dc = physics(0.02, 0.01)
-    pt, qn = PhaseState(0.1, 0.2, -0.3, 0.4), QuantumNumbers(1, 0)
+    # When these took hbar, -1 gave a value (and a nan norm), 0 a bare
+    # ZeroDivisionError and nan a nan.  Now hbar reaches them only through a
+    # DerivedConstants, and a bad one cannot get into its params.
+    parameters = inspect.signature(HBAR_ENTRY_POINTS[entry]).parameters
+    assert "dc" in parameters and "hbar" not in parameters
+    dc = physics(0.02, 0.01)
     with pytest.raises(ValueError, match="hbar"):
-        HBAR_ENTRY_POINTS[entry](pt, qn, dc, hbar)
+        replace(dc.params, hbar=hbar)
+    with pytest.raises(ValueError, match="hbar"):
+        physics(0.02, 0.01, hbar=hbar)
 
 
 def test_normalization_unit_and_stable():
-    norms = [wigner_normalization(QuantumNumbers(1, 1), 1.1, n_nodes=n) for n in (30, 40, 50)]
+    dc = physics(0.0, 0.0, hbar=1.1)
+    norms = [wigner_normalization(QuantumNumbers(1, 1), dc, n_nodes=n) for n in (30, 40, 50)]
     for norm in norms:
         assert abs(norm - 1.0) < 1e-12
     assert max(norms) - min(norms) < 1e-6
 
 
 def test_orthogonality_of_distinct_levels():
-    hbar = 1.0
+    dc = physics(0.0, 0.0)
 
     def overlap(x, ell):
-        return wigner_from_invariants(x, ell, QuantumNumbers(0, 0), hbar) * (
-            wigner_from_invariants(x, ell, QuantumNumbers(1, 0), hbar)
+        return wigner_from_invariants(x, ell, QuantumNumbers(0, 0), dc) * (
+            wigner_from_invariants(x, ell, QuantumNumbers(1, 0), dc)
         )
 
-    val = phase_space_integral(overlap, hbar, n_nodes=40, decay=2.0)
+    val = phase_space_integral(overlap, dc, n_nodes=40, decay=2.0)
     assert abs(val) < 1e-12
 
 
 def test_purity_value():
-    hbar = 1.3
+    dc = physics(0.0, 0.0, hbar=1.3)
 
     def square(x, ell):
-        return wigner_from_invariants(x, ell, QuantumNumbers(0, 0), hbar) ** 2
+        return wigner_from_invariants(x, ell, QuantumNumbers(0, 0), dc) ** 2
 
-    val = phase_space_integral(square, hbar, n_nodes=40, decay=2.0)
-    want = 1.0 / (2.0 * math.pi * hbar) ** 2
+    val = phase_space_integral(square, dc, n_nodes=40, decay=2.0)
+    want = 1.0 / (2.0 * math.pi * dc.hbar) ** 2
     assert abs(val - want) < 1e-12 * want
 
 
 def test_quadrature_rejects_no_nodes():
+    dc = physics(0.0, 0.0)
     for n in (0, -1, 40.0, True, False):
         with pytest.raises(ValueError, match="n_nodes"):
-            phase_space_integral(lambda x, ell: 1.0, 1.0, n_nodes=n)
+            phase_space_integral(lambda x, ell: 1.0, dc, n_nodes=n)
     with pytest.raises(ValueError, match="n_nodes"):
-        wigner_normalization(QuantumNumbers(0, 0), 1.0, n_nodes=40.0)
-    assert wigner_normalization(QuantumNumbers(0, 0), 1.0, n_nodes=np.int64(11)) == (
-        wigner_normalization(QuantumNumbers(0, 0), 1.0, n_nodes=11)
+        wigner_normalization(QuantumNumbers(0, 0), dc, n_nodes=40.0)
+    assert wigner_normalization(QuantumNumbers(0, 0), dc, n_nodes=np.int64(11)) == (
+        wigner_normalization(QuantumNumbers(0, 0), dc, n_nodes=11)
     )
 
 
@@ -270,19 +277,21 @@ def test_node_bound_is_the_last_finite_weight():
     t, w = np.polynomial.laguerre.laggauss(MAX_NODES + 1)
     with np.errstate(over="ignore"):
         assert not np.all(np.isfinite(w * np.exp(t)))
+    dc = physics(0.0, 0.0, hbar=0.7)
     for pair in ((0, 0), (6, 6)):
-        norm = wigner_normalization(QuantumNumbers(*pair), 0.7, n_nodes=MAX_NODES)
+        norm = wigner_normalization(QuantumNumbers(*pair), dc, n_nodes=MAX_NODES)
         assert abs(norm - 1.0) < 1e-9, pair
     with pytest.raises(ValueError, match="n_nodes"):
-        phase_space_integral(lambda x, ell: 1.0, 1.0, n_nodes=MAX_NODES + 1)
+        phase_space_integral(lambda x, ell: 1.0, dc, n_nodes=MAX_NODES + 1)
     with pytest.raises(ValueError, match="n_nodes"):
-        wigner_normalization(QuantumNumbers(0, 0), 1.0, n_nodes=MAX_NODES + 1)
+        wigner_normalization(QuantumNumbers(0, 0), dc, n_nodes=MAX_NODES + 1)
 
 
 def test_quadrature_rejects_bad_decay():
+    dc = physics(0.0, 0.0)
     for decay in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="decay"):
-            phase_space_integral(lambda x, ell: 1.0, 1.0, n_nodes=11, decay=decay)
+            phase_space_integral(lambda x, ell: 1.0, dc, n_nodes=11, decay=decay)
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +299,11 @@ def test_quadrature_rejects_bad_decay():
 # form of the eigenfunction
 
 
-def reference_integral(func, dc, hbar, n_nodes, decay):
+def reference_integral(func, dc, n_nodes, decay):
     """Gauss-Hermite integral of func(Q1, Q2, P1, P2) over the four phase-space
     axes, one whole (Q2, P1, P2) slice per Q1 node; the nodes are scaled by
     the Gaussian widths over sqrt(decay)."""
+    hbar = dc.hbar
     nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
     wfac = weights * np.exp(nodes**2)
     w_q = np.sqrt(hbar * dc.beta / dc.alpha / decay)
@@ -309,8 +319,9 @@ def reference_integral(func, dc, hbar, n_nodes, decay):
     return (hbar / decay) ** 2 * total
 
 
-def reference_eigenfunction(pt, qn, dc, hbar):
+def reference_eigenfunction(pt, qn, dc):
     """The eigenfunction as first written: omega_pm and both Laguerre factors."""
+    hbar = dc.hbar
     r = dc.alpha / dc.beta
     x = r * (pt.Q1**2 + pt.Q2**2) + (pt.P1**2 + pt.P2**2) / r
     op, om = omega_pm(pt, dc)
@@ -360,17 +371,18 @@ def _richardson_cross(f, z, ax1, ax2, h1, h2):
     return (4.0 * central(0.5 * h1, 0.5 * h2) - central(h1, h2)) / 3.0
 
 
-def reference_residual(pt, qn, dc, hbar, base_step_scale=1e-3):
+def reference_residual(pt, qn, dc, base_step_scale=1e-3):
     """The stargen residual at one scalar point by Richardson-extrapolated
     central differences, the oracle of the exact residual: one eigenfunction
     call per stencil point (49 in all), each on the point as a one-element
     array."""
+    hbar = dc.hbar
     w_q = np.sqrt(hbar * dc.beta / dc.alpha)
     w_p = np.sqrt(hbar * dc.alpha / dc.beta)
     steps = np.array([w_q, w_q, w_p, w_p]) * base_step_scale
 
     def rho(z):
-        return wigner_eigenfunction(PhaseState(*z[:, None]), qn, dc, hbar)[0]
+        return wigner_eigenfunction(PhaseState(*z[:, None]), qn, dc)[0]
 
     z0 = pt.as_array()
     rho0 = rho(z0)
@@ -393,7 +405,7 @@ def reference_residual(pt, qn, dc, hbar, base_step_scale=1e-3):
         - hbar**2 / 8.0 * quad
         + 1j * (hbar / 2.0) * bracket
     )
-    return complex(star - energy_level(qn, dc, hbar) * rho0)
+    return complex(star - energy_level(qn, dc) * rho0)
 
 
 def neg(z):
@@ -407,11 +419,11 @@ def t_reflect(z):
 
 def assert_odd_term_refused_and_null(term, reflect, n):
     # rho of (1, 2) times 1 + 0.1 * term, with term odd under reflect.
-    p, gauge, dc = physics(0.3, -0.5, ratio=0.6, hbar=0.9)
+    dc = physics(0.3, -0.5, ratio=0.6, hbar=0.9)
     qn = QuantumNumbers(1, 2)
 
     def rho(q1, q2, p1, p2):
-        return wigner_eigenfunction(PhaseState(q1, q2, p1, p2), qn, dc, p.hbar)
+        return wigner_eigenfunction(PhaseState(q1, q2, p1, p2), qn, dc)
 
     def tilted(q1, q2, p1, p2):
         return rho(q1, q2, p1, p2) * (1.0 + 0.1 * term(q1, q2, p1, p2))
@@ -428,14 +440,14 @@ def assert_odd_term_refused_and_null(term, reflect, n):
     assert np.array_equal(term(*reflect(z)), -term(*z))
     # The rule hands its integrand (X, L) alone: a phase-space integrand is refused.
     with pytest.raises(TypeError, match="required positional"):
-        phase_space_integral(tilted, p.hbar, n_nodes=n)
+        phase_space_integral(tilted, dc, n_nodes=n)
     # The term integrates to zero over phase space (the 4-D oracle at n
     # nodes), so what the rule leaves out is worth nothing; from 11 nodes the
     # oracle is exact for (1, 2) and equals the rule's normalization.
-    got = reference_integral(tilted, dc, p.hbar, n, 1.0)
-    assert abs(got - reference_integral(rho, dc, p.hbar, n, 1.0)) <= 1e-13
+    got = reference_integral(tilted, dc, n, 1.0)
+    assert abs(got - reference_integral(rho, dc, n, 1.0)) <= 1e-13
     if n >= 11:
-        assert abs(got - wigner_normalization(qn, p.hbar, n_nodes=n)) <= 1e-11
+        assert abs(got - wigner_normalization(qn, dc, n_nodes=n)) <= 1e-11
 
 
 @pytest.mark.parametrize(
@@ -476,17 +488,17 @@ def test_quadrature_checks_t_on_the_unmirrored_middle_slice(n):
 
 def test_eigenfunction_bits_match_first_form():
     rng = np.random.default_rng(44)
-    p, gauge, dc = physics(0.6, -0.8, ratio=2.5, m=0.7, omega=1.4, hbar=1.2)
+    dc = physics(0.6, -0.8, ratio=2.5, m=0.7, omega=1.4, hbar=1.2)
     pt = PhaseState(*rng.normal(0.0, 1.5, (4, 2000)))
     for n1 in range(4):
         for n2 in range(4):
             qn = QuantumNumbers(n1, n2)
-            want = reference_eigenfunction(pt, qn, dc, p.hbar)
-            got = wigner_eigenfunction(pt, qn, dc, p.hbar)
+            want = reference_eigenfunction(pt, qn, dc)
+            got = wigner_eigenfunction(pt, qn, dc)
             assert np.array_equal(got, want), qn
             scalar = PhaseState(0.3, -0.2, 0.5, 0.1)
-            assert wigner_eigenfunction(scalar, qn, dc, p.hbar) == (
-                reference_eigenfunction(scalar, qn, dc, p.hbar)
+            assert wigner_eigenfunction(scalar, qn, dc) == (
+                reference_eigenfunction(scalar, qn, dc)
             )
 
 
@@ -501,16 +513,15 @@ def test_eigenfunction_bits_match_first_form():
     st.integers(0, 6),
     st.integers(0, 2**32 - 1),
 )
-def test_eigenfunction_is_even_bit_for_bit(phys, n1, n2, seed):
-    p, gauge, dc = phys
-    w_q = math.sqrt(p.hbar * dc.beta / dc.alpha)
-    w_p = math.sqrt(p.hbar * dc.alpha / dc.beta)
+def test_eigenfunction_is_even_bit_for_bit(dc, n1, n2, seed):
+    w_q = math.sqrt(dc.hbar * dc.beta / dc.alpha)
+    w_p = math.sqrt(dc.hbar * dc.alpha / dc.beta)
     widths = np.array([w_q, w_q, w_p, w_p])[:, None]
     # Out to about 12 widths, where the Gaussian factor nears underflow.
     z = np.random.default_rng(seed).normal(0.0, 3.0, (4, 64)) * widths
     qn = QuantumNumbers(n1, n2)
-    plus = wigner_eigenfunction(PhaseState(*z), qn, dc, p.hbar)
-    minus = wigner_eigenfunction(PhaseState(*-z), qn, dc, p.hbar)
+    plus = wigner_eigenfunction(PhaseState(*z), qn, dc)
+    minus = wigner_eigenfunction(PhaseState(*-z), qn, dc)
     assert minus.tobytes() == plus.tobytes()
 
 
@@ -521,47 +532,45 @@ def test_eigenfunction_is_even_bit_for_bit(phys, n1, n2, seed):
     st.integers(0, 6),
     st.integers(0, 2**32 - 1),
 )
-def test_eigenfunction_is_even_under_t_bit_for_bit(phys, n1, n2, seed):
+def test_eigenfunction_is_even_under_t_bit_for_bit(dc, n1, n2, seed):
     # T: (Q1, Q2, P1, P2) -> (Q1, -Q2, -P1, P2) keeps X and L sign-exact.
-    p, gauge, dc = phys
-    w_q = math.sqrt(p.hbar * dc.beta / dc.alpha)
-    w_p = math.sqrt(p.hbar * dc.alpha / dc.beta)
+    w_q = math.sqrt(dc.hbar * dc.beta / dc.alpha)
+    w_p = math.sqrt(dc.hbar * dc.alpha / dc.beta)
     widths = np.array([w_q, w_q, w_p, w_p])[:, None]
     z = np.random.default_rng(seed).normal(0.0, 3.0, (4, 64)) * widths
     qn = QuantumNumbers(n1, n2)
-    plus = wigner_eigenfunction(PhaseState(*z), qn, dc, p.hbar)
-    reflected = wigner_eigenfunction(PhaseState(z[0], -z[1], -z[2], z[3]), qn, dc, p.hbar)
+    plus = wigner_eigenfunction(PhaseState(*z), qn, dc)
+    reflected = wigner_eigenfunction(PhaseState(z[0], -z[1], -z[2], z[3]), qn, dc)
     assert reflected.tobytes() == plus.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
 @given(admissible_physics(), st.integers(0, 6), st.integers(0, 6))
-def test_action_rule_matches_four_dimensional_oracle(phys, n1, n2):
+def test_action_rule_matches_four_dimensional_oracle(dc, n1, n2):
     # The normalization (decay 1) and the overlap with the ground state
     # (decay 2, scaled by (2 pi hbar)**2 to order one), by the n**2 rule
     # over the two mode actions and by the n**4 Gauss-Hermite rule over
     # phase space, which is exact for them at 24 nodes.
-    p, gauge, dc = phys
     qn, ground = QuantumNumbers(n1, n2), QuantumNumbers(0, 0)
 
     def rho(x, ell):
-        return wigner_from_invariants(x, ell, qn, p.hbar)
+        return wigner_from_invariants(x, ell, qn, dc)
 
     def overlap(x, ell):
-        return rho(x, ell) * wigner_from_invariants(x, ell, ground, p.hbar)
+        return rho(x, ell) * wigner_from_invariants(x, ell, ground, dc)
 
-    for func, decay, scale in ((rho, 1.0, 1.0), (overlap, 2.0, (2.0 * math.pi * p.hbar) ** 2)):
+    for func, decay, scale in ((rho, 1.0, 1.0), (overlap, 2.0, (2.0 * math.pi * dc.hbar) ** 2)):
         want = reference_integral(
-            lambda *z: func(*invariant_pair(PhaseState(*z), dc)), dc, p.hbar, 24, decay
+            lambda *z: func(*invariant_pair(PhaseState(*z), dc)), dc, 24, decay
         )
-        got = phase_space_integral(func, p.hbar, decay=decay)
+        got = phase_space_integral(func, dc, decay=decay)
         assert abs(scale * (got - want)) <= 1e-11, (decay, got, want)
 
 
-def residual_points(dc, hbar, seed, n):
+def residual_points(dc, seed, n):
     """n points out to two Gaussian widths per axis, as the wigner command draws them."""
-    w_q = math.sqrt(hbar * dc.beta / dc.alpha)
-    w_p = math.sqrt(hbar * dc.alpha / dc.beta)
+    w_q = math.sqrt(dc.hbar * dc.beta / dc.alpha)
+    w_p = math.sqrt(dc.hbar * dc.alpha / dc.beta)
     return np.random.default_rng(seed).uniform(-2.0, 2.0, (n, 4)) * np.array(
         [w_q, w_q, w_p, w_p]
     )
@@ -574,16 +583,15 @@ def residual_points(dc, hbar, seed, n):
     st.integers(0, 6),
     st.integers(0, 2**32 - 1),
 )
-def test_eigenfunction_at_a_scalar_point_matches_the_array_bit_for_bit(phys, n1, n2, seed):
+def test_eigenfunction_at_a_scalar_point_matches_the_array_bit_for_bit(dc, n1, n2, seed):
     # Python and NumPy scalar fields alike: a scalar square must not go
     # through pow, which rounds differently from the array square.
-    p, gauge, dc = phys
     qn = QuantumNumbers(n1, n2)
-    z = residual_points(dc, p.hbar, seed, 64)
-    batch = wigner_eigenfunction(PhaseState(*z.T), qn, dc, p.hbar)
+    z = residual_points(dc, seed, 64)
+    batch = wigner_eigenfunction(PhaseState(*z.T), qn, dc)
     for k, row in enumerate(z):
         for fields in (row.tolist(), list(row)):
-            alone = wigner_eigenfunction(PhaseState(*fields), qn, dc, p.hbar)
+            alone = wigner_eigenfunction(PhaseState(*fields), qn, dc)
             assert np.float64(alone).tobytes() == batch[k].tobytes(), (k, fields)
 
 
@@ -595,28 +603,50 @@ def test_eigenfunction_at_a_scalar_point_matches_the_array_bit_for_bit(phys, n1,
     st.integers(0, 2**32 - 1),
 )
 def test_stargen_residual_is_exact_and_agrees_with_the_stencil_oracle(
-    phys, n1, n2, seed
+    dc, n1, n2, seed
 ):
-    p, gauge, dc = phys
     qn = QuantumNumbers(n1, n2)
-    z = residual_points(dc, p.hbar, seed, 5)
+    z = residual_points(dc, seed, 5)
     pts = PhaseState(*z.T)
-    got = stargen_residual(pts, qn, dc, p.hbar)
-    want = np.array([reference_residual(PhaseState(*row), qn, dc, p.hbar) for row in z])
+    got = stargen_residual(pts, qn, dc)
+    want = np.array([reference_residual(PhaseState(*row), qn, dc) for row in z])
     # The size of the terms that cancel: |E| times rho with each Laguerre
     # factor replaced by 1 + |L_n|, so a nodal surface of rho does not
     # shrink it.
     x, _ = invariant_pair(pts, dc)
     omega_plus, omega_minus = omega_pm(pts, dc)
     scale = (
-        abs(energy_level(qn, dc, p.hbar))
-        * np.exp(-x / p.hbar)
-        * (1.0 + np.abs(laguerre0(n1, omega_plus / p.hbar)))
-        * (1.0 + np.abs(laguerre0(n2, omega_minus / p.hbar)))
-        / (np.pi**2 * p.hbar**2)
+        abs(energy_level(qn, dc))
+        * np.exp(-x / dc.hbar)
+        * (1.0 + np.abs(laguerre0(n1, omega_plus / dc.hbar)))
+        * (1.0 + np.abs(laguerre0(n2, omega_minus / dc.hbar)))
+        / (np.pi**2 * dc.hbar**2)
     )
     assert np.all(np.abs(got) <= 1e-12 * scale)
     assert np.all(np.abs(got - want) <= 1e-6 * scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(admissible_physics(), st.integers(0, 2**32 - 1))
+def test_bracket_term_vanishes_for_every_function_of_the_invariants(dc, seed):
+    # Both Omega_pm are conserved by the flow of H, so the first-order Moyal
+    # term (2 K z) . J (2 M_pm z) is zero at every point: the imaginary part of
+    # stargen_residual checks K against invariant_pair, and does not test rho.
+    z = residual_points(dc, seed, 64)
+    r = dc.alpha / dc.beta
+    diag = np.diag([r, r, 1.0 / r, 1.0 / r])
+    s = np.array(
+        [[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0],
+         [0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
+    )
+    x, _ = invariant_pair(PhaseState(*z.T), dc)
+    for m_pm, omega in zip((diag - s, diag + s), omega_pm(PhaseState(*z.T), dc)):
+        assert np.all(np.abs(np.einsum("ni,ij,nj->n", z, m_pm, z) - omega) <= 1e-14 * x)
+        bracket = np.einsum("ni,ij,nj->n", 2.0 * z @ dc.K, J, 2.0 * z @ m_pm)
+        scale = np.einsum(
+            "ni,ij,nj->n", np.abs(z) @ np.abs(2.0 * dc.K), np.abs(J), np.abs(z) @ np.abs(2.0 * m_pm)
+        )
+        assert np.all(np.abs(bracket) <= 1e-14 * scale)
 
 
 @settings(max_examples=60, deadline=None)
@@ -627,15 +657,14 @@ def test_stargen_residual_is_exact_and_agrees_with_the_stencil_oracle(
     st.integers(0, 2**32 - 1),
     st.integers(1, 9),
 )
-def test_stargen_residual_does_not_depend_on_the_batch(phys, n1, n2, seed, n):
-    p, gauge, dc = phys
+def test_stargen_residual_does_not_depend_on_the_batch(dc, n1, n2, seed, n):
     qn = QuantumNumbers(n1, n2)
-    z = residual_points(dc, p.hbar, seed, n)
-    batch = stargen_residual(PhaseState(*z.T), qn, dc, p.hbar)
+    z = residual_points(dc, seed, n)
+    batch = stargen_residual(PhaseState(*z.T), qn, dc)
     assert batch.shape == (n,) and batch.dtype == complex
-    reversed_batch = stargen_residual(PhaseState(*z[::-1].T), qn, dc, p.hbar)
+    reversed_batch = stargen_residual(PhaseState(*z[::-1].T), qn, dc)
     assert reversed_batch[::-1].tobytes() == batch.tobytes()
     for k, row in enumerate(z):
-        alone = stargen_residual(PhaseState(*row.tolist()), qn, dc, p.hbar)
+        alone = stargen_residual(PhaseState(*row.tolist()), qn, dc)
         assert type(alone) is complex
         assert np.complex128(alone).tobytes() == batch[k].tobytes()
