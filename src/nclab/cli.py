@@ -9,16 +9,22 @@ wigner      stargenfunction slice, eigen-equation residuals, normalization
 figure      plot-ready data behind the two report figures
 sweep       gamma/Omega grid with per-cell manifests and an index
 
-Every command resolves its settings from built-in defaults, then an
-optional JSON config file, then command-line flags (most specific wins),
-writes its data files plus a run manifest into the output directory, and
-exits 0 only if every invariant check it ran has passed.  Identical
-resolved settings produce byte-identical data files and manifests that
-differ only in the timestamp field.
+Every setting is declared once: ``_SETTINGS`` gives its flag type and
+help, and each command in ``_COMMANDS`` lists the settings it reads
+beyond the shared physics block, with their defaults.  A command takes
+a flag, and a config-file key, for exactly the settings it reads.  It
+resolves them from the defaults, then an optional JSON config file, then
+command-line flags (most specific wins), writes its data files plus a
+run manifest into the output directory, and exits 0 only if every check
+it ran has passed.  Each check records its value and its bound.
+Identical resolved settings produce byte-identical data files and
+manifests that differ only in the timestamp field.
 
 Times and steps are given on the command line in dimensionless Omega*t
 units so windows transfer between parameter sets.  The output directory is
---out, else the config key "out", else $NCLAB_OUT, else ./nclab_out.
+--out, else the config key "out", else $NCLAB_OUT, else ./nclab_out.  No
+array may have more than MAX_ROWS rows; larger sizes are refused before
+anything is allocated or written.
 """
 from __future__ import annotations
 
@@ -40,9 +46,15 @@ from .algebra import (
     gamma_components,
     make_gauge,
 )
-from .dynamics import Trajectory, integrate_numeric, invariant_pair, propagate_analytic
+from .dynamics import (
+    Trajectory,
+    integrate_numeric,
+    invariant_pair,
+    propagate_analytic,
+    step_count,
+)
 from .errors import CHECKS_FAILED_EXIT, NCLabError, UnreachableRatio, exit_code_for
-from .manifest import TOOL_VERSION, RunManifest, write_csv, write_json
+from .manifest import RunManifest, write_csv, write_json
 from .observables import (
     SOURCES,
     SectorEnergySeries,
@@ -66,6 +78,12 @@ from .wigner import (
 __all__ = ["RatioSpec", "params_from_ratio", "build_parser", "main"]
 
 MODES = ("single_theta", "symmetric")
+METHODS = ("analytic", "rk4", "both")
+
+# The most rows any one array of a run may have: 50 times the largest
+# default, figure 1's 200 000.  Larger sizes are refused before anything is
+# allocated, so a mistyped size exits 2 instead of failing in numpy.
+MAX_ROWS = 10**7
 
 WIGNER_SLICE_HEADER = ("Q1", "Q2", "P1", "P2", "rho")
 FIG2_HEADER = ("Omega_t", "xi1_rate_over_hOmega2", "first_order_amplitude")
@@ -119,9 +137,38 @@ def params_from_ratio(
     return replace(base, theta=theta, eta=theta)
 
 
-# Settings shared by every command; per-command extras are added in the
-# command functions.  None means "not set here".
-_DEFAULTS = {
+# Every setting a command can read: its flag's type, or its choices, and
+# the flag's help.  "config" names the settings file and is a flag only.
+_SETTINGS = {
+    "config": (str, "JSON settings file; flags override its keys"),
+    "out": (str, "output directory (default $NCLAB_OUT or ./nclab_out)"),
+    "m": (float, "mass"),
+    "omega": (float, "trap frequency"),
+    "hbar": (float, "Planck constant"),
+    "theta": (float, "position-position deformation"),
+    "eta": (float, "momentum-momentum deformation"),
+    "ratio": (float, "target gamma/Omega; takes precedence over theta/eta"),
+    "mode": (MODES, "how --ratio picks the deformations"),
+    "gauge_ratio": (float, "lambda/mu of the frame map"),
+    "t_max": (float, "time span, in Omega*t units"),
+    "dt": (float, "time step, in Omega*t units"),
+    "grid_points": (int, "number of time samples (wigner: per slice axis)"),
+    "method": (METHODS, "exact flow, Runge-Kutta, or both"),
+    "ic": (str, "initial conditions x,y,pi_x,pi_y (default ground mode)"),
+    "source": (SOURCES, "expression the series is evaluated from"),
+    "seed": (int, "seed for sampled phase-space points"),
+    "n1": (int, "first quantum number"),
+    "n2": (int, "second quantum number"),
+    "extent": (float, "slice half-width, in Gaussian widths"),
+    "residual_points": (int, "number of sampled residual points"),
+    "nodes": (int, "Gauss-Laguerre nodes per mode action"),
+    "ratios": (str, "comma-separated gamma/Omega grid (sorted ascending)"),
+}
+
+# Settings every command reads, with their defaults; each command's own
+# are in _COMMANDS.  None means "not set here".
+_PHYSICS = {
+    "out": None,
     "m": 1.0,
     "omega": 1.0,
     "hbar": 1.0,
@@ -130,8 +177,6 @@ _DEFAULTS = {
     "ratio": None,
     "mode": "single_theta",
     "gauge_ratio": 1.0,
-    "seed": 0,
-    "out": None,
 }
 
 
@@ -150,19 +195,17 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _resolve(args, extra_defaults: dict) -> dict:
+def _resolve(args) -> dict:
     """Merge defaults, config file and flags; flags win, then the file."""
-    settings = dict(_DEFAULTS)
-    settings.update(extra_defaults)
-    path = getattr(args, "config", None)
-    if path:
-        cfg = _load_config(path)
+    settings = dict(_PHYSICS, **_COMMANDS[args.command][2])
+    if args.config:
+        cfg = _load_config(args.config)
         unknown = sorted(set(cfg) - set(settings))
         if unknown:
             raise ValueError("unknown config keys: %s" % ", ".join(unknown))
         settings.update(cfg)
     for key in settings:
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is not None:
             settings[key] = val
     return settings
@@ -209,19 +252,29 @@ def _positive_finite(settings, *keys) -> None:
             )
 
 
+def _cap_rows(what, rows: int) -> None:
+    if rows > MAX_ROWS:
+        raise ValueError(
+            "%s would need %d rows, more than MAX_ROWS = %d" % (what, rows, MAX_ROWS)
+        )
+
+
 def _grid_points(settings, default=None) -> int:
     """The resolved number of time samples; a time grid needs at least two."""
     n = settings["grid_points"]
     n = int(default if n is None else n)
     if n < 2:
         raise ValueError("grid_points must be at least 2, got %d" % n)
+    _cap_rows("grid_points", n)
     return n
 
 
 def _print_checks(checks) -> None:
     for c in checks:
         status = "pass" if c["passed"] else "FAIL"
-        print("check %s: %s (%.6g)" % (c["name"], status, c["value"]))
+        lo, hi = c["bound"]
+        bound = "<= %.6g" % hi if lo is None else "in [%.6g, %.6g]" % (lo, hi)
+        print("check %s: %s (%.6g, bound %s)" % (c["name"], status, c["value"], bound))
 
 
 def _add_output(man: RunManifest, path) -> None:
@@ -229,8 +282,10 @@ def _add_output(man: RunManifest, path) -> None:
     print("wrote", path)
 
 
-def _finish(man: RunManifest, path) -> int:
-    man.write(path)
+def _finish(man: RunManifest, path, **blocks) -> int:
+    """Print the checks, write the manifest, and return the exit code."""
+    _print_checks(man.checks)
+    man.write(path, **blocks)
     print("wrote", path)
     if not man.all_passed():
         print("one or more checks failed", file=sys.stderr)
@@ -239,7 +294,7 @@ def _finish(man: RunManifest, path) -> int:
 
 
 def cmd_constants(args) -> int:
-    s = _resolve(args, {})
+    s = _resolve(args)
     dc = _physics(s)
     params = dc.params
     outdir = _out_dir(s)
@@ -247,29 +302,24 @@ def cmd_constants(args) -> int:
 
     x = params.nc_product
     resid = abs(dc.product_lm * (1.0 - dc.product_lm) - x / 4.0)
-    man.add_check(
-        "gauge_product_residual", resid <= 1e-14 * max(1.0, abs(x) / 4.0), resid
-    )
+    man.check("gauge_product_residual", resid, 1e-14 * max(1.0, abs(x) / 4.0))
     branch = abs((2.0 * dc.product_lm - 1.0) ** 2 - (1.0 - x)) / (1.0 - x)
-    man.add_check("gauge_branch_identity", branch <= 1e-14, branch)
+    man.check("gauge_branch_identity", branch, 1e-14)
 
     w_gauge = math.sqrt(
         (2.0 * dc.product_lm - 1.0) ** 2 * params.omega**2 + dc.gamma**2
     )
     w_plain = math.sqrt(params.omega**2 * (1.0 - x) + dc.gamma**2)
     w_rel = abs(w_gauge - w_plain) / w_plain
-    man.add_check("omega_identity", w_rel <= 1e-12, w_rel)
-    w_con = abs(dc.omega_big - w_plain) / w_plain
-    man.add_check("omega_construction", w_con <= 1e-12, w_con)
-
-    alg = algebra_residual(params, dc.gauge)
-    man.add_check("algebra_residual", alg <= 1e-12, alg)
+    man.check("omega_identity", w_rel, 1e-12)
+    man.check("omega_construction", abs(dc.omega_big - w_plain) / w_plain, 1e-12)
+    man.check("algebra_residual", algebra_residual(params, dc.gauge), 1e-12)
     if params.theta == 0.0 and params.eta == 0.0:
         comm = abs(dc.omega_big - params.omega) / params.omega
-        man.add_check("commutative_limit", comm <= 1e-15, comm)
+        man.check("commutative_limit", comm, 1e-15)
     if s["ratio"] is not None:
         r_err = abs(dc.gamma / dc.omega_big - float(s["ratio"]))
-        man.add_check("ratio_match", r_err <= 1e-12, r_err)
+        man.check("ratio_match", r_err, 1e-12)
 
     g_theta, g_eta = gamma_components(params)
     man.add_measured("gamma_theta", g_theta)
@@ -290,7 +340,6 @@ def cmd_constants(args) -> int:
     width = max(len(name) for name, _ in rows)
     for name, val in rows:
         print("%-*s  %.6g" % (width, name, val))
-    _print_checks(man.checks)
     return _finish(man, outdir / "constants_manifest.json")
 
 
@@ -314,43 +363,36 @@ def _invariant_drift(states: np.ndarray, dc) -> tuple[float, float]:
 
 
 def cmd_simulate(args) -> int:
-    s = _resolve(
-        args,
-        {
-            "t_max": 40.0,
-            "dt": math.pi / 1000.0,
-            "method": "analytic",
-            "ic": None,
-        },
-    )
+    s = _resolve(args)
     method = s["method"]
-    if method not in ("analytic", "rk4", "both"):
+    if method not in METHODS:
         raise ValueError("method must be analytic, rk4 or both, got %r" % (method,))
     _positive_finite(s, "t_max", "dt")
     dc = _physics(s)
     ic = _initial_conditions(s, dc)
-    outdir = _out_dir(s)
-    man = RunManifest("simulate", _manifest_args(s), dc)
     t_end = float(s["t_max"]) / dc.omega_big
     dt = float(s["dt"]) / dc.omega_big
+    n_steps = step_count(t_end, dt)
+    _cap_rows("t_max / dt", n_steps + 1)
+    outdir = _out_dir(s)
+    man = RunManifest("simulate", _manifest_args(s), dc)
 
     analytic_states = None
     if method in ("analytic", "both"):
-        n_steps = max(1, int(round(t_end / dt)))
         times = dt * np.arange(n_steps + 1)
         analytic_states = propagate_analytic(ic, dc, times).as_array()
-        traj = Trajectory(times=times, states=analytic_states, step=dt, constants=dc)
+        traj = Trajectory(times=times, states=analytic_states, constants=dc)
         path = outdir / "trajectory_analytic.csv"
         traj.write_csv(path)
         _add_output(man, path)
         d1, d2 = _invariant_drift(analytic_states, dc)
-        man.add_check("invariant_quadratic_drift", d1 <= 1e-10, d1)
-        man.add_check("invariant_angular_drift", d2 <= 1e-10, d2)
+        man.check("invariant_quadratic_drift", d1, 1e-10)
+        man.check("invariant_angular_drift", d2, 1e-10)
         if dc.gamma == 0.0:
             periods = float(s["t_max"]) / (2.0 * math.pi)
             if round(periods) >= 1 and abs(periods - round(periods)) < 1e-9:
                 gap = float(np.max(np.abs(analytic_states[-1] - analytic_states[0])))
-                man.add_check("periodic_return", gap <= 1e-8, gap)
+                man.check("periodic_return", gap, 1e-8)
 
     if method in ("rk4", "both"):
         traj_n = integrate_numeric(ic, dc, t_end, dt)
@@ -358,14 +400,13 @@ def cmd_simulate(args) -> int:
         traj_n.write_csv(path)
         _add_output(man, path)
         d1, d2 = _invariant_drift(traj_n.states, dc)
-        man.add_check("invariant_quadratic_drift_rk4", d1 <= 1e-8, d1)
-        man.add_check("invariant_angular_drift_rk4", d2 <= 1e-8, d2)
+        man.check("invariant_quadratic_drift_rk4", d1, 1e-8)
+        man.check("invariant_angular_drift_rk4", d2, 1e-8)
         if analytic_states is not None:
             ref = propagate_analytic(ic, dc, traj_n.times).as_array()
             sup = float(np.max(np.abs(traj_n.states - ref)))
-            man.add_check("rk4_matches_analytic", sup <= 1e-8, sup)
+            man.check("rk4_matches_analytic", sup, 1e-8)
 
-    _print_checks(man.checks)
     return _finish(man, outdir / "simulate_manifest.json")
 
 
@@ -382,9 +423,7 @@ def _first_order_rel_err(first, closed) -> float:
 
 
 def cmd_xi(args) -> int:
-    s = _resolve(
-        args, {"t_max": 40.0, "grid_points": 4000, "source": "closed_form"}
-    )
+    s = _resolve(args)
     source = s["source"]
     if source not in SOURCES:
         raise ValueError(
@@ -403,7 +442,7 @@ def cmd_xi(args) -> int:
     _add_output(man, path)
 
     part = float(np.max(np.abs(series.xi1 + series.xi2 - 1.0)))
-    man.add_check("energy_partition", part <= 1e-12, part)
+    man.check("energy_partition", part, 1e-12)
 
     if source == "trajectory":
         closed = sector_energy_series(dc, omega_t, "closed_form")
@@ -413,29 +452,19 @@ def cmd_xi(args) -> int:
         scale = dc.hbar * dc.omega_big
         signed = [xi_closed(dc, coeffs, t, i) / scale for i in (1, 2)]
         gap = _series_pair_gap(series, SectorEnergySeries(omega_t, *signed, "signed"))
-        man.add_check("trajectory_matches_closed", gap <= 1e-9, gap)
+        man.check("trajectory_matches_closed", gap, 1e-9)
 
     if source == "first_order":
         closed = sector_energy_series(dc, omega_t, "closed_form")
         man.add_measured("first_order_rel_err", _first_order_rel_err(series, closed))
 
-    _print_checks(man.checks)
     return _finish(man, outdir / "xi_manifest.json")
 
 
 def cmd_wigner(args) -> int:
-    s = _resolve(
-        args,
-        {
-            "n1": 0,
-            "n2": 0,
-            "grid_points": 81,
-            "extent": 3.0,
-            "residual_points": 20,
-            "nodes": 40,
-        },
-    )
+    s = _resolve(args)
     n = _grid_points(s)
+    _cap_rows("grid_points**2", n * n)
     nodes = int(s["nodes"])
     if not 11 <= nodes <= MAX_NODES - 10:
         # The three rules have nodes - 10, nodes and nodes + 10 nodes per action.
@@ -445,6 +474,7 @@ def cmd_wigner(args) -> int:
     n_points = int(s["residual_points"])
     if n_points < 1:
         raise ValueError("residual_points must be at least 1, got %d" % n_points)
+    _cap_rows("residual_points", n_points)
     _positive_finite(s, "extent")
     extent = float(s["extent"])
     seed = int(s["seed"])
@@ -495,33 +525,28 @@ def cmd_wigner(args) -> int:
     _add_output(man, res_path)
     # np.max, unlike max(), carries a NaN residual through to the check.
     worst = float(np.max([r["rel"] for r in records]))
-    man.add_check("stargen_residual_bound", worst <= 1e-6, worst)
+    man.check("stargen_residual_bound", worst, 1e-6)
 
     spread_e = max(
         abs(energy_level(qn, derived_constants(params, make_gauge(params, r))) - energy)
         for r in (0.5, 1.0, 2.0)
     )
-    man.add_check(
-        "spectrum_gauge_invariance", spread_e <= 1e-12 * abs(energy), spread_e
-    )
+    man.check("spectrum_gauge_invariance", spread_e, 1e-12 * abs(energy))
 
     norms = [
         wigner_normalization(qn, dc, n_nodes=k)
         for k in (nodes - 10, nodes, nodes + 10)
     ]
     man.add_measured("wigner_normalization", norms[1])
-    stability = max(norms) - min(norms)
-    man.add_check("normalization_stable", stability <= 1e-6, stability)
+    man.check("normalization_stable", max(norms) - min(norms), 1e-6)
     # Stability alone would pass a prefactor that is off by a constant.
-    unit_gap = abs(norms[1] - 1.0)
-    man.add_check("normalization_unit", unit_gap <= 1e-9, unit_gap)
+    man.check("normalization_unit", abs(norms[1] - 1.0), 1e-9)
 
-    _print_checks(man.checks)
     return _finish(man, outdir / "wigner_manifest.json")
 
 
 def cmd_figure(args) -> int:
-    s = _resolve(args, {"t_max": None, "grid_points": None})
+    s = _resolve(args)
     if s["ratio"] is None and s["theta"] == 0.0 and s["eta"] == 0.0:
         s["ratio"] = 0.002
     which = int(args.which)
@@ -553,20 +578,18 @@ def cmd_figure(args) -> int:
         one_beat = full_t <= beat
         env_max = float(np.max(full.xi1[one_beat]))
         env_min = float(np.min(full.xi2[one_beat]))
-        man.add_check("envelope_max_xi1", 0.999 <= env_max <= 1.001, env_max)
-        man.add_check("envelope_min_xi2", -0.001 <= env_min <= 0.001, env_min)
+        man.check("envelope_max_xi1", env_max, 1.001, 0.999)
+        man.check("envelope_min_xi2", env_min, 0.001, -0.001)
         part = float(np.max(np.abs(full.xi1 + full.xi2 - 1.0)))
-        man.add_check("energy_partition", part <= 1e-12, part)
+        man.check("energy_partition", part, 1e-12)
 
         r_eff = dc.gamma / dc.omega_big
         start1 = float(zoom.xi1[0])
         start2 = float(zoom.xi2[0])
         man.add_measured("zoom_start_xi1", start1)
         man.add_measured("zoom_start_xi2", start2)
-        gap1 = abs(start1 - 0.5 * (1.0 + r_eff))
-        gap2 = abs(start2 - 0.5 * (1.0 - r_eff))
-        man.add_check("zoom_start_xi1_match", gap1 <= 1e-9, gap1)
-        man.add_check("zoom_start_xi2_match", gap2 <= 1e-9, gap2)
+        man.check("zoom_start_xi1_match", abs(start1 - 0.5 * (1.0 + r_eff)), 1e-9)
+        man.check("zoom_start_xi2_match", abs(start2 - 0.5 * (1.0 - r_eff)), 1e-9)
     else:
         span = 4.0 * math.pi if s["t_max"] is None else float(s["t_max"])
         omega_t = np.linspace(0.0, span, n)
@@ -583,8 +606,7 @@ def cmd_figure(args) -> int:
         amplitude = 0.5 * float(np.max(rate) - np.min(rate))
         man.add_measured("rate_amplitude", amplitude)
         man.add_measured("rate_amplitude_target", target)
-        rel = abs(amplitude - target) / target
-        man.add_check("rate_amplitude_match", rel <= 1e-3, rel)
+        man.check("rate_amplitude_match", abs(amplitude - target) / target, 1e-3)
 
         if params.nc_product == 0.0:
             window = np.linspace(0.0, 40.0, 4001)
@@ -595,18 +617,13 @@ def cmd_figure(args) -> int:
                 closed = sector_energy_series(d, window, "closed_form")
                 errs.append(_first_order_rel_err(first, closed))
             man.add_measured("first_order_rel_err", errs[0])
-            ratio = errs[0] / errs[1]
-            man.add_check("first_order_truncation_ratio", 3.2 <= ratio <= 4.8, ratio)
+            man.check("first_order_truncation_ratio", errs[0] / errs[1], 4.8, 3.2)
 
-    _print_checks(man.checks)
     return _finish(man, outdir / ("figure%d_manifest.json" % which))
 
 
 def cmd_sweep(args) -> int:
-    s = _resolve(
-        args,
-        {"ratios": [0.001, 0.002, 0.004], "t_max": 40.0, "grid_points": 2000},
-    )
+    s = _resolve(args)
     raw = s["ratios"]
     if isinstance(raw, str):
         raw = raw.split(",")
@@ -628,7 +645,7 @@ def cmd_sweep(args) -> int:
     omega_t = np.linspace(0.0, float(s["t_max"]), n)
 
     cells = []
-    all_ok = True
+    codes = []
     for r, name, dc in zip(ratios, names, physics):
         cell_dir = outdir / name
         cell_dir.mkdir(parents=True, exist_ok=True)
@@ -643,12 +660,11 @@ def cmd_sweep(args) -> int:
         cman.add_output(path)
 
         part = float(np.max(np.abs(closed.xi1 + closed.xi2 - 1.0)))
-        cman.add_check("energy_partition", part <= 1e-12, part)
+        cman.check("energy_partition", part, 1e-12)
         err = _first_order_rel_err(first, closed)
         cman.add_measured("first_order_rel_err", err)
         cman.add_measured("gamma_over_omega_big", dc.gamma / dc.omega_big)
-        cman.write(cell_dir / "manifest.json")
-        all_ok = all_ok and cman.all_passed()
+        codes.append(_finish(cman, cell_dir / "manifest.json"))
         cells.append(
             {
                 "ratio": r,
@@ -659,7 +675,7 @@ def cmd_sweep(args) -> int:
         )
         print("cell %s: first_order_rel_err = %.6g" % (name, err))
 
-    index_checks = []
+    man = RunManifest("sweep", _manifest_args(s))
     if s["mode"] == "single_theta":
         # Truncation error grows as the square of the ratio; adjacent
         # cells must reproduce that power law.
@@ -668,55 +684,51 @@ def cmd_sweep(args) -> int:
             low_err = low["first_order_rel_err"]
             # A lower cell without error (too short a span) shows no power law.
             got = high["first_order_rel_err"] / low_err if low_err else math.inf
-            passed = 0.8 * expected <= got <= 1.2 * expected
-            index_checks.append(
-                {
-                    "name": "error_scaling_%s_to_%s" % (low["dir"], high["dir"]),
-                    "passed": passed,
-                    "value": got,
-                    "expected": expected,
-                }
-            )
-            all_ok = all_ok and passed
-    index = {
-        "cells": cells,
-        "checks": index_checks,
-        "command": "sweep",
-        "tool_version": TOOL_VERSION,
-    }
-    index_path = outdir / "index.json"
-    write_json(index_path, index)
-    print("wrote", index_path)
-    _print_checks(index_checks)
-    if not all_ok:
-        print("one or more checks failed", file=sys.stderr)
-        return CHECKS_FAILED_EXIT
-    return 0
+            label = "error_scaling_%s_to_%s" % (low["dir"], high["dir"])
+            man.check(label, got, 1.2 * expected, 0.8 * expected)
+    codes.append(_finish(man, outdir / "index.json", cells=cells))
+    return max(codes)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON settings file; flags override its keys")
-    p.add_argument("--out", help="output directory (default $NCLAB_OUT or ./nclab_out)")
-    p.add_argument("--m", type=float, help="mass")
-    p.add_argument("--omega", type=float, help="trap frequency")
-    p.add_argument("--hbar", type=float, help="Planck constant")
-    p.add_argument("--theta", type=float, help="position-position deformation")
-    p.add_argument("--eta", type=float, help="momentum-momentum deformation")
-    p.add_argument(
-        "--ratio", type=float, help="target gamma/Omega; takes precedence over theta/eta"
-    )
-    p.add_argument("--mode", choices=MODES, help="how --ratio picks the deformations")
-    p.add_argument(
-        "--gauge-ratio", type=float, dest="gauge_ratio", help="lambda/mu of the frame map"
-    )
-    p.add_argument(
-        "--grid-points", type=int, dest="grid_points", help="number of time samples"
-    )
-    p.add_argument(
-        "--t-max", type=float, dest="t_max", help="time span, in Omega*t units"
-    )
-    p.add_argument("--dt", type=float, help="time step, in Omega*t units")
-    p.add_argument("--seed", type=int, help="seed for sampled phase-space points")
+# name -> (function, help, the settings it reads beyond _PHYSICS with their
+# defaults).  Those settings are the command's flags and config keys.
+_COMMANDS = {
+    "constants": (cmd_constants, "derived constants and algebra checks", {}),
+    "simulate": (
+        cmd_simulate,
+        "trajectory CSV from the exact flow and/or Runge-Kutta",
+        {"t_max": 40.0, "dt": math.pi / 1000.0, "method": "analytic", "ic": None},
+    ),
+    "xi": (
+        cmd_xi,
+        "sector-energy series for a chosen source",
+        {"t_max": 40.0, "grid_points": 4000, "source": "closed_form"},
+    ),
+    "wigner": (
+        cmd_wigner,
+        "stargenfunction slice, residual report, normalization",
+        {
+            "seed": 0,
+            "n1": 0,
+            "n2": 0,
+            "grid_points": 81,
+            "extent": 3.0,
+            "residual_points": 20,
+            "nodes": 40,
+        },
+    ),
+    # figure 1 defaults to 200 000 grid points, figure 2 to 4000.
+    "figure": (
+        cmd_figure,
+        "plot-ready data behind the report figures",
+        {"t_max": None, "grid_points": None},
+    ),
+    "sweep": (
+        cmd_sweep,
+        "gamma/Omega grid with per-cell manifests",
+        {"ratios": (0.001, 0.002, 0.004), "t_max": 40.0, "grid_points": 2000},
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -725,51 +737,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deformed-oscillator simulations: CSV data plus run manifests.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("constants", help="derived constants and algebra checks")
-    _add_common(p)
-    p.set_defaults(func=cmd_constants)
-
-    p = sub.add_parser(
-        "simulate", help="trajectory CSV from the exact flow and/or Runge-Kutta"
-    )
-    _add_common(p)
-    p.add_argument("--method", choices=("analytic", "rk4", "both"))
-    p.add_argument("--ic", help="initial conditions x,y,pi_x,pi_y (default ground mode)")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("xi", help="sector-energy series for a chosen source")
-    _add_common(p)
-    p.add_argument("--source", choices=SOURCES)
-    p.set_defaults(func=cmd_xi)
-
-    p = sub.add_parser(
-        "wigner", help="stargenfunction slice, residual report, normalization"
-    )
-    _add_common(p)
-    p.add_argument("--n1", type=int, help="first quantum number")
-    p.add_argument("--n2", type=int, help="second quantum number")
-    p.add_argument(
-        "--extent", type=float, help="slice half-width, in Gaussian widths"
-    )
-    p.add_argument(
-        "--residual-points",
-        type=int,
-        dest="residual_points",
-        help="number of sampled residual points",
-    )
-    p.add_argument("--nodes", type=int, help="Gauss-Laguerre nodes per mode action")
-    p.set_defaults(func=cmd_wigner)
-
-    p = sub.add_parser("figure", help="plot-ready data behind the report figures")
-    p.add_argument("which", type=int, choices=(1, 2))
-    _add_common(p)
-    p.set_defaults(func=cmd_figure)
-
-    p = sub.add_parser("sweep", help="gamma/Omega grid with per-cell manifests")
-    _add_common(p)
-    p.add_argument("--ratios", help="comma-separated gamma/Omega grid (sorted ascending)")
-    p.set_defaults(func=cmd_sweep)
+    for name, (func, text, defaults) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if name == "figure":
+            p.add_argument("which", type=int, choices=(1, 2))
+        for key in ("config", *_PHYSICS, *defaults):
+            kind, flag_help = _SETTINGS[key]
+            typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            flag = "--" + key.replace("_", "-")
+            p.add_argument(flag, dest=key, help=flag_help, **typed)
+        p.set_defaults(func=func)
     return parser
 
 

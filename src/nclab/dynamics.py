@@ -29,6 +29,7 @@ __all__ = [
     "eom_rhs",
     "propagate_analytic",
     "integrate_numeric",
+    "step_count",
     "invariant_pair",
 ]
 
@@ -40,13 +41,11 @@ class Trajectory:
     """Uniformly sampled numerical trajectory.
 
     times has shape (n,), states shape (n, 4) with columns (Q1, Q2, P1,
-    P2), step is the uniform sampling increment, and constants records the
-    DerivedConstants the run used.
+    P2), and constants records the DerivedConstants the run used.
     """
 
     times: np.ndarray
     states: np.ndarray
-    step: float
     constants: DerivedConstants
 
     def write_csv(self, path) -> None:
@@ -96,6 +95,14 @@ def propagate_analytic(
     )
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """Whole steps of size dt spanning t_end: t_end / dt rounded, at least one."""
+    steps = t_end / dt
+    if not np.isfinite(steps):
+        raise ValueError("t_end / dt = %r is not a finite step count" % steps)
+    return max(1, int(round(steps)))
+
+
 def integrate_numeric(
     ic: InitialConditions,
     dc: DerivedConstants,
@@ -123,7 +130,7 @@ def integrate_numeric(
         raise ValueError("t_end must be positive")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    n_steps = max(1, int(round(t_end / dt)))
+    n_steps = step_count(t_end, dt)
     h = dt * dc.A
     # R - I in Horner form: h (I + h/2 (I + h/3 (I + h/4))).
     step = np.eye(4)
@@ -154,4 +161,4 @@ def integrate_numeric(
             "non-finite state at t = %g (component %d)"
             % (times[bad[0]], bad[1])
         )
-    return Trajectory(times=times, states=states, step=dt * stride, constants=dc)
+    return Trajectory(times=times, states=states, constants=dc)

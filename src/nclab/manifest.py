@@ -2,9 +2,10 @@
 
 A manifest captures what a command did (resolved arguments, physical
 parameters, gauge, derived constants), what it measured (named constants
-and pass/fail checks with values), and what it wrote (file names with
-content hashes).  Two runs with the same inputs produce identical
-manifests up to the timestamp field, which comparison tooling drops.
+and pass/fail checks, each with its value and bound), and what it wrote
+(file names with content hashes).  Two runs with the same inputs produce
+identical manifests up to the timestamp field, which comparison tooling
+drops.
 
 Every CSV data file goes through ``write_csv``: a header row, comma
 separators, ``\\r\\n`` line ends, floats as ``%.17g`` (so they round-trip
@@ -111,12 +112,20 @@ class RunManifest:
     checks: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
 
-    def add_check(self, name: str, passed: bool, value: float) -> bool:
-        """Record one named check; returns ``passed`` for chaining."""
+    def check(
+        self, name: str, value: float, hi: float, lo: float | None = None
+    ) -> None:
+        """Record a named check that passes when lo <= value <= hi.
+
+        ``lo`` None leaves the range open below; its side of the recorded
+        ``bound`` is then null.  A NaN value fails, as it compares false
+        with any bound.
+        """
+        value = float(value)
+        passed = (lo is None or lo <= value) and value <= hi
         self.checks.append(
-            {"name": name, "passed": bool(passed), "value": float(value)}
+            {"name": name, "passed": passed, "value": value, "bound": [lo, hi]}
         )
-        return passed
 
     def add_measured(self, name: str, value: float) -> None:
         self.measured_constants[name] = float(value)
@@ -148,5 +157,6 @@ class RunManifest:
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         }
 
-    def write(self, path) -> None:
-        write_json(path, self.to_dict())
+    def write(self, path, **blocks) -> None:
+        """Write the manifest, with ``blocks`` as further top-level keys."""
+        write_json(path, dict(self.to_dict(), **blocks))

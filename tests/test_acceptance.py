@@ -275,7 +275,8 @@ def test_criterion_07_time_crystal_law(tmp_path):
         )
         man.add_measured("set_%02d_gap" % k, gap)
         man.add_measured("set_%02d_gauge_spread" % k, spread)
-        man.add_check("set_%02d_documented" % k, ok, gap)
+        man.check("set_%02d_documented_spread" % k, spread, tol)
+        man.check("set_%02d_documented_signed_gap" % k, signed_gap, 1e-12)
     man_path = tmp_path / "xi_discrepancy_manifest.json"
     man.write(man_path)
     with open(man_path) as fh:

@@ -1,4 +1,6 @@
 """Command surface: settings, artifacts, manifests and exit codes."""
+import argparse
+import dataclasses
 import inspect
 import json
 import math
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import nclab
+import nclab.cli
 from nclab import (
     TOOL_VERSION,
     PhysicalParams,
@@ -24,8 +27,12 @@ from nclab import (
     params_from_ratio,
     stargen_residual,
 )
-from nclab.cli import main
+from nclab.cli import MAX_ROWS, build_parser, main
+from nclab.manifest import RunManifest
 from nclab.states import PhaseState
+from test_output_bytes import GOLDEN
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def read_manifest(path):
@@ -410,6 +417,48 @@ def test_sweep_command(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# check records
+
+
+def test_check_record_carries_its_bound():
+    man = RunManifest("unit", {})
+    cases = [
+        # (value, hi, lo, passed)
+        (0.5, 1.0, None, True),
+        (1.5, 1.0, None, False),
+        (1.0, 1.0, None, True),
+        (0.5, 1.0, 0.0, True),
+        (-0.5, 1.0, 0.0, False),
+        (1.5, 1.0, 0.0, False),
+        (0.0, 1.0, 0.0, True),
+        (1.0, 1.0, 0.0, True),
+        (math.nan, 1.0, None, False),
+        (math.nan, 1.0, 0.0, False),
+        (math.inf, 1.0, None, False),
+        (math.inf, 1.0, 0.0, False),
+    ]
+    for k, (value, hi, lo, _) in enumerate(cases):
+        man.check("case_%d" % k, value, hi, lo)
+    for (value, hi, lo, passed), record in zip(cases, man.checks):
+        assert set(record) == {"name", "passed", "value", "bound"}
+        assert record["passed"] is passed, (value, hi, lo)
+        assert record["bound"] == [lo, hi]
+        assert record["value"] == value or math.isnan(value)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_every_written_check_agrees_with_its_bound(tmp_path, name):
+    argv, _ = GOLDEN[name]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    manifests = [p for p in tmp_path.rglob("*.json") if p.name != "wigner_residuals.json"]
+    checks = [c for path in manifests for c in read_manifest(path)["checks"]]
+    assert checks
+    for c in checks:
+        lo, hi = c["bound"]
+        assert c["passed"] == ((lo is None or lo <= c["value"]) and c["value"] <= hi), c
+
+
+# ---------------------------------------------------------------------------
 # settings plumbing
 
 
@@ -441,7 +490,7 @@ def test_default_out_dir(tmp_path, monkeypatch):
 
 def test_determinism_across_runs(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"theta": 0.03, "eta": 0.01, "t_max": 8.0, "seed": 7}))
+    cfg.write_text(json.dumps({"theta": 0.03, "eta": 0.01, "t_max": 8.0}))
     outs = (tmp_path / "a", tmp_path / "b")
     for out in outs:
         assert (
@@ -459,6 +508,101 @@ def test_determinism_across_runs(tmp_path):
         a.pop("timestamp")
         b.pop("timestamp")
         assert a == b
+
+
+# Settings every command reads, and each command's own, with a value that
+# parses; together they are every flag of every subcommand.
+SHARED_SETTINGS = {
+    "config": "cfg.json",
+    "out": "out",
+    "m": "1.5",
+    "omega": "1.5",
+    "hbar": "1.5",
+    "theta": "0.1",
+    "eta": "0.1",
+    "ratio": "0.01",
+    "mode": "symmetric",
+    "gauge_ratio": "2",
+}
+OWN_SETTINGS = {
+    "constants": {},
+    "simulate": {"t_max": "4", "dt": "0.01", "method": "both", "ic": "1,0,0,0"},
+    "xi": {"t_max": "4", "grid_points": "10", "source": "trajectory"},
+    "wigner": {
+        "seed": "3",
+        "n1": "1",
+        "n2": "2",
+        "grid_points": "5",
+        "extent": "2",
+        "residual_points": "2",
+        "nodes": "20",
+    },
+    "figure": {"t_max": "4", "grid_points": "10"},
+    "sweep": {"ratios": "0.001,0.002", "t_max": "4", "grid_points": "10"},
+}
+PREFIX = {"figure": ["figure", "1"]}
+
+
+def flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def subcommand_flags():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {s for s in p._option_string_actions if s.startswith("--")} - {"--help"}
+        for name, p in sub.choices.items()
+    }
+
+
+def test_each_subcommand_has_the_flags_of_its_settings():
+    expected = {
+        name: {flag(k) for k in {**SHARED_SETTINGS, **own}}
+        for name, own in OWN_SETTINGS.items()
+    }
+    assert subcommand_flags() == expected
+    assert sum(len(flags) for flags in expected.values()) == 79
+
+
+@pytest.mark.parametrize("command", sorted(OWN_SETTINGS))
+def test_each_subcommand_accepts_every_flag_of_its_settings(command):
+    argv = PREFIX.get(command, [command])
+    for key, value in {**SHARED_SETTINGS, **OWN_SETTINGS[command]}.items():
+        args = build_parser().parse_args(argv + [flag(key), value])
+        assert getattr(args, key) is not None, key
+
+
+@pytest.mark.parametrize("command", sorted(OWN_SETTINGS))
+def test_each_subcommand_refuses_every_setting_it_does_not_read(tmp_path, capsys, command):
+    argv = PREFIX.get(command, [command])
+    others = {k: v for own in OWN_SETTINGS.values() for k, v in own.items()}
+    unread = sorted(set(others) - set(OWN_SETTINGS[command]))
+    assert unread
+    for key in unread:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag(key), others[key]])
+        assert exc.value.code == 2, key
+        cfg = tmp_path / ("%s.json" % key)
+        cfg.write_text(json.dumps({key: others[key]}))
+        out = tmp_path / ("out_" + key)
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2, key
+        assert not out.exists()
+        assert "unknown config keys: %s" % key in capsys.readouterr().err
+
+
+def test_readme_names_only_flags_the_parser_accepts():
+    text = (ROOT / "README.md").read_text()
+    flags = subcommand_flags()
+    shared = re.search(r"^Every subcommand accepts (.*?)\n\n", text, re.M | re.S)
+    shared = set(re.findall(r"--[a-z][a-z0-9-]*", shared.group(1)))
+    assert shared == {flag(k) for k in SHARED_SETTINGS}
+    rows = dict(re.findall(r"^\| `([a-z]+)[^`]*` \|(.*)$", text, re.M))
+    assert set(rows) == set(flags)
+    for name, row in rows.items():
+        named = set(re.findall(r"--[a-z][a-z0-9-]*", row))
+        assert named <= flags[name], (name, named - flags[name])
+        assert shared | named == flags[name], (name, flags[name] - shared - named)
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +787,22 @@ def test_sweep_without_first_order_error_fails_its_scaling_check(tmp_path):
     assert index["checks"] and not any(c["passed"] for c in index["checks"])
 
 
+def test_sweep_with_a_failing_cell_check_exits_one(tmp_path, monkeypatch):
+    # The scaling checks pass; only the cells' energy partition fails.
+    real = nclab.cli.sector_energy_series
+
+    def leaky(dc, omega_t, source):
+        series = real(dc, omega_t, source)
+        return dataclasses.replace(series, xi1=series.xi1 + 1e-6)
+
+    monkeypatch.setattr(nclab.cli, "sector_energy_series", leaky)
+    out = tmp_path / "out"
+    assert main(["sweep", "--ratios", "0.001,0.002", "--grid-points", "300", "--out", str(out)]) == 1
+    assert all(c["passed"] for c in read_manifest(out / "index.json")["checks"])
+    cell = read_manifest(out / "r_0.001" / "manifest.json")
+    assert not check_map(cell)["energy_partition"]["passed"]
+
+
 @pytest.mark.parametrize("field,value", [("m", "0"), ("hbar", "0"), ("hbar", "-1")])
 @pytest.mark.parametrize("mode", ["single_theta", "symmetric"])
 def test_ratio_with_bad_scales_rejected(tmp_path, capsys, field, value, mode):
@@ -656,6 +816,27 @@ def test_sweep_rejects_unreachable_ratio_before_any_cell(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--ratios", "0.002,1.5", "--out", str(out)]) == 5
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--t-max", "1e15", "--dt", "1e-3"],
+        # MAX_ROWS steps, so one row more than the cap with the initial state.
+        ["simulate", "--method", "rk4", "--t-max", str(MAX_ROWS), "--dt", "1"],
+        ["xi", "--grid-points", "100000000000"],
+        ["xi", "--grid-points", str(MAX_ROWS + 1)],
+        ["figure", "1", "--grid-points", str(MAX_ROWS + 1)],
+        ["figure", "2", "--grid-points", str(MAX_ROWS + 1)],
+        ["sweep", "--grid-points", str(MAX_ROWS + 1)],
+        # The slice has grid_points**2 rows: 3163**2 > 10**7 > 3162**2.
+        ["wigner", "--grid-points", "3163"],
+        ["wigner", "--residual-points", str(MAX_ROWS + 1)],
+    ],
+)
+def test_sizes_over_the_row_cap_rejected(tmp_path, capsys, argv):
+    assert MAX_ROWS == 10**7
+    assert_rejected_up_front(capsys, tmp_path / "out", argv)
 
 
 # ---------------------------------------------------------------------------

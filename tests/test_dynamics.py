@@ -211,6 +211,9 @@ def test_integrate_validates_arguments():
         integrate_numeric(ic, dc, -1.0, 0.1)
     with pytest.raises(ValueError):
         integrate_numeric(ic, dc, 1.0, 0.1, stride=0)
+    # An infinite span has no whole step count (once an OverflowError).
+    with pytest.raises(ValueError):
+        integrate_numeric(ic, dc, math.inf, 0.1)
 
 
 def test_integrate_blowup_raises():
