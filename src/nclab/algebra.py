@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidGauge, MapNotInvertible
+from .errors import DomainError, InvalidGauge, MapNotInvertible
 from .states import NCState, PhaseState
 
 __all__ = [
@@ -240,7 +240,9 @@ def derived_constants(
 
     With ``gauge=None`` the ratio-1 gauge is used.  A gauge whose product
     disagrees with the constraint is rejected: observables computed from an
-    off-shell gauge would silently depend on the frame.
+    off-shell gauge would silently depend on the frame.  Parameters so
+    extreme that alpha, beta or Omega = 2*alpha*beta underflows to zero or
+    overflows raise DomainError.
     """
     if gauge is None:
         gauge = make_gauge(params)
@@ -253,18 +255,27 @@ def derived_constants(
         )
     m, w, hb = params.m, params.omega, params.hbar
     lam, mu = gauge.lam, gauge.mu
-    alpha = math.sqrt(
-        0.5 * m * w**2 * lam**2 + params.eta**2 / (8.0 * m * hb**2 * mu**2)
-    )
-    beta = math.sqrt(
-        mu**2 / (2.0 * m) + m * w**2 * params.theta**2 / (8.0 * hb**2 * lam**2)
-    )
-    g_theta, g_eta = gamma_components(params)
+    try:
+        alpha = math.sqrt(
+            0.5 * m * w**2 * lam**2 + params.eta**2 / (8.0 * m * hb**2 * mu**2)
+        )
+        beta = math.sqrt(
+            mu**2 / (2.0 * m) + m * w**2 * params.theta**2 / (8.0 * hb**2 * lam**2)
+        )
+        g_theta, g_eta = gamma_components(params)
+    except OverflowError:  # float ** raises where * would give inf
+        alpha = beta = math.inf
+    omega_big = 2.0 * alpha * beta
+    if not all(0.0 < v < math.inf for v in (alpha, beta, omega_big)):
+        raise DomainError(
+            "alpha = %r, beta = %r, Omega = %r: all must be positive and finite"
+            % (alpha, beta, omega_big)
+        )
     return DerivedConstants(
         alpha=alpha,
         beta=beta,
         gamma=g_theta + g_eta,
-        omega_big=2.0 * alpha * beta,
+        omega_big=omega_big,
         product_lm=product,
         params=params,
         gauge=gauge,

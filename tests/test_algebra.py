@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclab import (
+    DomainError,
     GaugeChoice,
     InvalidGauge,
     MapNotInvertible,
@@ -124,6 +125,12 @@ def test_derived_constants_rejects_off_shell_gauge():
     p = PhysicalParams(1.0, 1.0, 1.0, 0.3, 0.3)
     with pytest.raises(InvalidGauge):
         derived_constants(p, GaugeChoice(1.0, 1.0))
+
+
+@pytest.mark.parametrize("omega", [1e-300, 1e300])
+def test_derived_constants_rejects_omega_out_of_range(omega):
+    with pytest.raises(DomainError):
+        derived_constants(PhysicalParams(1.0, omega, 1.0))
 
 
 def test_derived_constants_commutative():

@@ -639,6 +639,26 @@ def test_extreme_gauge_ratio_rejected_naming_the_ratio(tmp_path, capsys, ratio):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants", "--omega", "1e-300"],
+        ["simulate", "--omega", "1e-300"],
+        ["simulate", "--omega", "1e-300", "--ic", "1,0,0,0", "--method", "rk4"],
+        ["constants", "--omega", "1e300"],
+        ["simulate", "--omega", "1e300"],
+    ],
+    ids=["constants-tiny", "simulate-tiny", "rk4-tiny", "constants-huge", "simulate-huge"],
+)
+def test_extreme_omega_is_a_domain_error_before_output(tmp_path, capsys, argv):
+    # Omega = 2*alpha*beta underflows to 0 or overflows.
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 6
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: DomainError:"), err
+    assert not out.exists()
+
+
 def test_exit_code_nonfinite(tmp_path):
     rc = main(
         [

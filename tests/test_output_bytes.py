@@ -10,6 +10,7 @@ differently in the last bit writes different bytes.
 import csv
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclab.cli import main
-from nclab.manifest import CSV_BLOCK_ROWS, write_csv
+from nclab import manifest
+from nclab.manifest import CSV_BLOCK_ROWS, write_csv, write_json
 
 RATIO_XI = ["xi", "--ratio", "0.002", "--t-max", "20", "--grid-points", "300"]
 
@@ -90,6 +92,7 @@ def test_golden_output_bytes(tmp_path, name):
         if p.suffix == ".csv" or p.name == "wigner_residuals.json"
     )
     assert written == sorted(expected)
+    assert not list(tmp_path.rglob("*.tmp"))
     for rel, digest in expected.items():
         assert hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() == digest, rel
 
@@ -156,3 +159,105 @@ def test_write_csv_rejects_mismatched_columns(tmp_path):
         write_csv(path, ("a", "b"), [np.zeros(3), np.zeros(4)])
     with pytest.raises(ValueError):
         write_csv(path, ("a", "b"), ["text", 1.0])
+
+
+# Exact ties (%.17g rounds their 18th digit, a 5, half to even: down for
+# 2**-25, up for 3 * 2**-25), the edges of the fixed notation and of the
+# exact path's window, subnormals and the values that have no digits to
+# compute.
+EDGES = [
+    2**-25, 3 * 2**-25, 9.9999999999999991e-05, 1e-4, 9999999999999998.0, 1e16, 1e17,
+    9.9e-251, 1e-250, 1e250, 5e-324, 2.5e-310, 2.2250738585072014e-308,
+    0.0, math.nan, math.inf,
+    # Below 10**k by less than half a unit of the 17th digit: %.17g rounds
+    # them up to 1e-14 and 1e+98, so log10 rounded down would give N = 10**17.
+    1e-14, 1e98,
+]
+EDGES = EDGES + [-x for x in EDGES]
+
+
+def assert_matches_reference(out, header, columns, n_rows):
+    write_csv(out / "bulk.csv", header, columns)
+    reference_csv(out / "ref.csv", header, columns, n_rows)
+    assert (out / "bulk.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.integers(0, 2**63 - 1),
+    st.sampled_from([2 * BLOCK - 1, 2 * BLOCK + 1, 3 * BLOCK]),
+)
+def test_write_csv_matches_csv_writer_on_raw_bits(tmp_path_factory, seed, n_rows):
+    # Every float64 bit pattern is equally likely in the first two columns;
+    # the third has the magnitudes of data, in both notations.  Each
+    # example writes 3 * n_rows >= 12k values over two or three blocks.
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(-(2**63), 2**63, (2, n_rows), dtype=np.int64).view(np.float64)
+    data = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-8, 20, n_rows)
+    columns = [bits[0], "x", bits[1], data]
+    out = tmp_path_factory.mktemp("csv")
+    assert_matches_reference(out, ["a", "s", "b", "c"], columns, n_rows)
+
+
+def test_write_csv_edge_values_take_the_per_value_path(tmp_path, monkeypatch):
+    formatted = []
+
+    def spy(x):
+        formatted.append(x)
+        return b"%.17g" % x
+
+    monkeypatch.setattr(manifest, "_g17", spy)
+    # Each edge in every row of a block, and across the block boundary.
+    column = np.resize(EDGES, BLOCK + len(EDGES))
+    columns = [column, column[::-1].copy()]
+    assert_matches_reference(tmp_path, ["v", "w"], columns, len(column))
+    # The ties, zeros and non-finite values went through %.17g, each once
+    # per block in which it occurs.
+    per_value = {x for x in formatted if x == x}
+    ties = {2**-25, -(2**-25), 3 * 2**-25}
+    assert ties | {0.0, math.inf, -math.inf, 5e-324, 9.9e-251} <= per_value
+    assert any(x != x for x in formatted)
+    # Exact powers of ten take the vectorised path.
+    assert 1e16 not in per_value and 1e17 not in per_value
+
+
+def test_write_csv_rejects_nul_before_opening(tmp_path):
+    path = tmp_path / "nul.csv"
+    with pytest.raises(ValueError):
+        write_csv(path, ("a\0", "b"), [np.zeros(3), "x"])
+    with pytest.raises(ValueError):
+        write_csv(path, ("a", "b"), [np.zeros(3), "x\0"])
+    assert os.listdir(tmp_path) == []
+
+
+def test_write_csv_encodes_text_as_utf8(tmp_path):
+    path = tmp_path / "utf8.csv"
+    write_csv(path, ("t", "Ω·t"), [np.array([0.5, -2.0]), "é,ü"])
+    expected = "t,Ω·t\r\n0.5,\"é,ü\"\r\n-2,\"é,ü\"\r\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_a_write_that_fails_leaves_no_file(tmp_path, monkeypatch):
+    blocks = []
+    format_floats = manifest._format_floats
+
+    def fail_on_second_block(x, out):
+        blocks.append(len(x))
+        if len(blocks) == 2:
+            raise MemoryError("forced")
+        format_floats(x, out)
+
+    monkeypatch.setattr(manifest, "_format_floats", fail_on_second_block)
+    with pytest.raises(MemoryError):
+        write_csv(tmp_path / "data.csv", ("t",), [np.arange(2 * BLOCK, dtype=float)])
+    assert len(blocks) == 2
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "report.json", {"value": object()})
+    assert os.listdir(tmp_path) == []
+    # An existing target keeps its old bytes.
+    (tmp_path / "data.csv").write_bytes(b"old")
+    blocks.clear()
+    with pytest.raises(MemoryError):
+        write_csv(tmp_path / "data.csv", ("t",), [np.arange(2 * BLOCK, dtype=float)])
+    assert os.listdir(tmp_path) == ["data.csv"]
+    assert (tmp_path / "data.csv").read_bytes() == b"old"
