@@ -67,7 +67,8 @@ class PhysicalParams:
     eta : float
         Momentum-momentum deformation (action**2 over area).  Either sign.
 
-    Every field must be finite; NaN and infinities raise ValueError.
+    Every field must be finite; NaN and infinities raise ValueError, and
+    an hbar whose square underflows to zero or overflows raises DomainError.
 
     The linear maps exist only while theta*eta < hbar**2, so that product
     is rejected at construction time.
@@ -87,10 +88,19 @@ class PhysicalParams:
                 )
         if self.m <= 0.0 or self.omega <= 0.0 or self.hbar <= 0.0:
             raise ValueError("m, omega and hbar must all be positive")
-        if self.theta * self.eta >= self.hbar**2:
+        try:
+            hbar2 = self.hbar**2
+        except OverflowError:  # float ** raises where * would give inf
+            hbar2 = math.inf
+        if not 0.0 < hbar2 < math.inf:
+            raise DomainError(
+                "hbar = %r: hbar**2 = %r must be positive and finite"
+                % (self.hbar, hbar2)
+            )
+        if self.theta * self.eta >= hbar2:
             raise MapNotInvertible(
                 "theta*eta = %g >= hbar**2 = %g: the frame map degenerates"
-                % (self.theta * self.eta, self.hbar**2)
+                % (self.theta * self.eta, hbar2)
             )
 
     @property

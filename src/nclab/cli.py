@@ -29,6 +29,7 @@ anything is allocated or written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -53,7 +54,13 @@ from .dynamics import (
     propagate_analytic,
     step_count,
 )
-from .errors import CHECKS_FAILED_EXIT, NCLabError, UnreachableRatio, exit_code_for
+from .errors import (
+    CHECKS_FAILED_EXIT,
+    DomainError,
+    NCLabError,
+    UnreachableRatio,
+    exit_code_for,
+)
 from .manifest import RunManifest, write_csv, write_json
 from .observables import (
     SOURCES,
@@ -124,17 +131,29 @@ def params_from_ratio(
     / (m*omega**2); then Omega**2 = omega**2 + gamma**2 and the ratio comes
     out to r up to roundoff.  symmetric: theta = eta chosen so the two
     deformation frequencies are equal; with m = omega = hbar = 1 this
-    reduces to theta = eta = r and Omega = omega exactly.
+    reduces to theta = eta = r and Omega = omega exactly.  A base so
+    extreme that theta overflows, underflows to zero or cannot be computed
+    raises DomainError.
     """
     r, m, omega, hbar = spec.ratio, base.m, base.omega, base.hbar
     if r == 0.0:
         return replace(base, theta=0.0, eta=0.0)
-    if spec.mode == "single_theta":
-        gamma = r * omega / math.sqrt(1.0 - r * r)
-        return replace(base, theta=2.0 * hbar * gamma / (m * omega**2), eta=0.0)
-    k = (m * omega**2 + 1.0 / m) / (2.0 * hbar)
-    theta = r * omega / math.sqrt(k * k * (1.0 - r * r) + (r * omega / hbar) ** 2)
-    return replace(base, theta=theta, eta=theta)
+    try:
+        if spec.mode == "single_theta":
+            gamma = r * omega / math.sqrt(1.0 - r * r)
+            theta, eta = 2.0 * hbar * gamma / (m * omega**2), 0.0
+        else:
+            k = (m * omega**2 + 1.0 / m) / (2.0 * hbar)
+            theta = r * omega / math.sqrt(k * k * (1.0 - r * r) + (r * omega / hbar) ** 2)
+            eta = theta
+    except (OverflowError, ZeroDivisionError):  # float ** and / raise
+        theta = math.nan
+    if not 0.0 < theta < math.inf:
+        raise DomainError(
+            "gamma/Omega = %r is out of floating-point range at m = %r, "
+            "omega = %r, hbar = %r" % (r, m, omega, hbar)
+        )
+    return replace(base, theta=theta, eta=eta)
 
 
 # Every setting a command can read: its flag's type, or its choices, and
@@ -750,8 +769,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main parses with one parser, built on first use: building it (79 flags)
+# costs some thirty parses.  A parse leaves no state on the parser.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NCLabError as exc:

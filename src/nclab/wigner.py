@@ -24,6 +24,7 @@ Gauss-Laguerre rule over the two actions.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,6 +51,16 @@ __all__ = [
 # largest Gauss-Laguerre node t is 708.7 at 185 nodes and 712.6 at 186, past
 # log(float max) = 709.8, where exp(t) overflows.
 MAX_NODES = 185
+
+
+@functools.cache
+def _laguerre_rule(n_nodes: int):
+    """Gauss-Laguerre nodes t and weights wt = w exp(t) of an n_nodes rule,
+    both read-only; built once per node count, at most MAX_NODES of them."""
+    t, w = np.polynomial.laguerre.laggauss(n_nodes)
+    wt = w * np.exp(t)
+    t.flags.writeable = wt.flags.writeable = False
+    return t, wt
 
 
 def _is_count(n) -> bool:
@@ -273,7 +284,9 @@ def phase_space_integral(
     exact when g exp(decay X / hbar) is a polynomial of degree below
     2 n_nodes in each of a and b: degrees n1 and n2 for the eigenfunction
     of (n1, n2) at decay 1, the sums of two such for a product at decay 2.
-    No node depends on the gauge: of ``dc`` only hbar is used.  Raises
+    No node depends on the gauge: of ``dc`` only hbar is used.  The rule
+    of each node count is built once per process and shared, read-only,
+    by every later call (at most MAX_NODES rules are kept).  Raises
     ValueError if ``n_nodes`` is not an integer from 1 to MAX_NODES (a bool
     is refused), or ``decay`` is not a positive finite number.
     """
@@ -284,8 +297,7 @@ def phase_space_integral(
         )
     if not (decay > 0.0 and math.isfinite(decay)):
         raise ValueError("decay must be positive and finite, got %r" % (decay,))
-    t, w = np.polynomial.laguerre.laggauss(n_nodes)
-    wt = w * np.exp(t)
+    t, wt = _laguerre_rule(int(n_nodes))
     a = (2.0 * hbar / decay) * t
     a, b = a[:, None], a[None, :]
     vals = func(0.5 * (a + b), 0.25 * (b - a))

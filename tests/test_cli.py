@@ -647,16 +647,72 @@ def test_extreme_gauge_ratio_rejected_naming_the_ratio(tmp_path, capsys, ratio):
         ["simulate", "--omega", "1e-300", "--ic", "1,0,0,0", "--method", "rk4"],
         ["constants", "--omega", "1e300"],
         ["simulate", "--omega", "1e300"],
+        ["constants", "--ratio", "0.002", "--omega", "1e300"],
+        ["constants", "--ratio", "0.002", "--omega", "1e-300"],
+        ["figure", "1", "--omega", "1e-300"],
     ],
-    ids=["constants-tiny", "simulate-tiny", "rk4-tiny", "constants-huge", "simulate-huge"],
+    ids=[
+        "constants-tiny", "simulate-tiny", "rk4-tiny", "constants-huge", "simulate-huge",
+        "ratio-huge", "ratio-tiny", "figure-tiny",
+    ],
 )
 def test_extreme_omega_is_a_domain_error_before_output(tmp_path, capsys, argv):
-    # Omega = 2*alpha*beta underflows to 0 or overflows.
+    # Omega = 2*alpha*beta underflows to 0 or overflows; with --ratio (the
+    # default of figure 1), theta overflows or divides by omega**2 = 0.
+    assert_domain_error_before_output(tmp_path, capsys, argv)
+
+
+@pytest.mark.parametrize("hbar", ["1e300", "1e-300"])
+def test_extreme_hbar_is_a_domain_error_before_output(tmp_path, capsys, hbar):
+    # hbar**2 overflows, or underflows to 0 (not theta*eta >= hbar**2).
+    assert_domain_error_before_output(tmp_path, capsys, ["constants", "--hbar", hbar])
+
+
+def assert_domain_error_before_output(tmp_path, capsys, argv):
+    """Exit 6 with one error line, before the output directory exists."""
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 6
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: DomainError:"), err
     assert not out.exists()
+
+
+def child_env():
+    """The environment of a child that imports this checkout's package."""
+    src = str(Path(nclab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_reused_parser_carries_nothing_between_runs(tmp_path, capsys):
+    # main parses with one parser per process.  A usage error, a domain
+    # error and a run with --theta go before a golden run whose defaults
+    # include theta = 0; that run matches one made in a process of its own.
+    argv, hashes = GOLDEN["figure2"]
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", "2", "--nodes", "11"])
+    assert exc.value.code == 2
+    assert main(["figure", "1", "--omega", "1e-300", "--out", str(tmp_path / "d")]) == 6
+    assert main(["figure", "2", "--theta", "0.004", "--out", str(tmp_path / "t")]) == 0
+    reused = tmp_path / "reused"
+    assert main(argv + ["--out", str(reused)]) == 0
+    capsys.readouterr()
+    alone = tmp_path / "alone"
+    proc = subprocess.run(
+        [sys.executable, "-m", "nclab", *argv, "--out", str(alone)],
+        capture_output=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name, digest in hashes.items():
+        assert file_sha256(reused / name) == file_sha256(alone / name) == digest
+    manifests = [read_manifest(d / "figure2_manifest.json") for d in (reused, alone)]
+    for man in manifests:
+        man.pop("timestamp")
+    assert manifests[0] == manifests[1]
+    assert manifests[0]["arguments"]["theta"] == 0.0
+    assert build_parser() is not build_parser()
 
 
 def test_exit_code_nonfinite(tmp_path):
@@ -865,14 +921,11 @@ def test_sizes_over_the_row_cap_rejected(tmp_path, capsys, argv):
 
 def test_module_invocation(tmp_path):
     # The child finds this checkout's package however the suite was started.
-    src = str(Path(nclab.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "nclab", "constants", "--ratio", "0.01", "--out", str(tmp_path)],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "constants_manifest.json").exists()

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nclab import (
     InitialConditions,
@@ -19,6 +21,8 @@ from nclab import (
     propagate_analytic,
 )
 from nclab.dynamics import CSV_HEADER
+
+from conftest import admissible_physics
 
 
 def params_for(g_theta, g_eta, m=1.0, omega=1.0, hbar=1.0):
@@ -92,6 +96,18 @@ def test_rk4_matches_analytic():
     traj = integrate_numeric(ic, dc, 20.0 * period, period / 2000.0)
     ref = propagate_analytic(ic, dc, traj.times).as_array()
     assert np.max(np.abs(traj.states - ref)) < 1e-8
+
+
+@settings(max_examples=150, deadline=None)
+@given(admissible_physics(), st.integers(0, 2**32 - 1))
+def test_rk4_matches_analytic_over_the_whole_domain(dc, seed):
+    # Criterion 04's step and bound: dt = period/2000 over two periods, the
+    # sup error within 1e-8 of the largest |z| the flow reaches.
+    ic = InitialConditions(*np.random.default_rng(seed).normal(0.0, 1.0, 4))
+    period = 2.0 * math.pi / dc.omega_big
+    traj = integrate_numeric(ic, dc, 2.0 * period, period / 2000.0)
+    ref = propagate_analytic(ic, dc, traj.times).as_array()
+    assert np.max(np.abs(traj.states - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
 def classical_rk4(ic, dc, dt, n_steps):

@@ -28,6 +28,7 @@ from nclab import (
 )
 from nclab.algebra import J, invariant_pair
 from nclab.states import PhaseState
+from nclab import wigner
 from nclab.wigner import MAX_NODES
 
 from conftest import admissible_physics
@@ -292,6 +293,55 @@ def test_quadrature_rejects_bad_decay():
     for decay in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="decay"):
             phase_space_integral(lambda x, ell: 1.0, dc, n_nodes=11, decay=decay)
+
+
+def fresh_rule_integral(func, dc, n_nodes, decay=1.0):
+    """phase_space_integral's rule, built from a fresh laggauss call."""
+    t, w = np.polynomial.laguerre.laggauss(n_nodes)
+    wt = w * np.exp(t)
+    a = (2.0 * dc.hbar / decay) * t
+    a, b = a[:, None], a[None, :]
+    vals = func(0.5 * (a + b), 0.25 * (b - a))
+    return np.pi**2 * (dc.hbar / decay) ** 2 * float(np.sum(wt[:, None] * wt[None, :] * vals))
+
+
+@pytest.mark.parametrize("n_nodes", [1, 11, 30, 40, 50, MAX_NODES])
+def test_cached_rule_gives_the_bits_of_a_fresh_rule(n_nodes):
+    dc = physics(0.03, -0.02, ratio=1.7, hbar=0.8)
+    qn, other = QuantumNumbers(2, 1), QuantumNumbers(0, 3)
+
+    def rho(x, ell):
+        return wigner_from_invariants(x, ell, qn, dc)
+
+    def product(x, ell):
+        return rho(x, ell) * wigner_from_invariants(x, ell, other, dc)
+
+    for _ in range(2):  # the first call may build the rule, the second reuses it
+        norm = wigner_normalization(qn, dc, n_nodes=n_nodes)
+        assert norm.hex() == fresh_rule_integral(rho, dc, n_nodes).hex()
+        overlap = phase_space_integral(product, dc, n_nodes=n_nodes, decay=2.0)
+        assert overlap.hex() == fresh_rule_integral(product, dc, n_nodes, 2.0).hex()
+
+
+def test_cached_rule_is_shared_and_read_only():
+    t, wt = wigner._laguerre_rule(11)
+    assert wigner._laguerre_rule(11)[0] is t
+    for arr in (t, wt):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
+def test_bad_arguments_raise_before_a_rule_is_built():
+    dc = physics(0.0, 0.0)
+    before = wigner._laguerre_rule.cache_info()
+    for n in (0, MAX_NODES + 1, 40.0, True):
+        with pytest.raises(ValueError, match="n_nodes"):
+            phase_space_integral(lambda x, ell: 1.0, dc, n_nodes=n)
+    for decay in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="decay"):
+            phase_space_integral(lambda x, ell: 1.0, dc, n_nodes=97, decay=decay)
+    after = wigner._laguerre_rule.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 # ---------------------------------------------------------------------------
