@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from nclab.cli import main
 from nclab import manifest
-from nclab.manifest import write_csv, write_json
+from nclab.manifest import CSV_BLOCK_ROWS, write_csv, write_json
 
 RATIO_XI = ["xi", "--ratio", "0.002", "--t-max", "20", "--grid-points", "300"]
 
@@ -101,8 +101,7 @@ def test_golden_output_bytes(tmp_path, name):
 # ---------------------------------------------------------------------------
 # the shared writer against csv.writer
 
-# Rows per formatting block of a CSV with n float columns.
-block_rows = manifest._block_rows
+BLOCK = CSV_BLOCK_ROWS
 SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1e308, 0.1]
 TEXT = st.text(alphabet=',"\r\nab %x0', max_size=6)
 
@@ -123,13 +122,11 @@ def reference_csv(path, header, columns, n_rows):
 
 @st.composite
 def tables(draw):
+    n_rows = draw(st.sampled_from([0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]))
+    pool = np.array(SPECIALS + draw(st.lists(st.floats(), min_size=1, max_size=8)))
     kinds = draw(st.lists(st.sampled_from(["array", "text", "float"]), min_size=1, max_size=6))
     if "array" not in kinds:
         kinds[draw(st.integers(0, len(kinds) - 1))] = "array"
-    # Row counts at and across the block boundaries of this column count.
-    block = block_rows(kinds.count("array"))
-    n_rows = draw(st.sampled_from([0, 1, 2, block - 1, block, block + 1, 2 * block + 3]))
-    pool = np.array(SPECIALS + draw(st.lists(st.floats(), min_size=1, max_size=8)))
     columns = []
     for kind in kinds:
         if kind == "array":
@@ -189,12 +186,12 @@ def assert_matches_reference(out, header, columns, n_rows):
 @settings(max_examples=10, deadline=None)
 @given(
     st.integers(0, 2**63 - 1),
-    st.sampled_from([6 * block_rows(3) - 1, 6 * block_rows(3) + 1, 9 * block_rows(3)]),
+    st.sampled_from([2 * BLOCK - 1, 2 * BLOCK + 1, 3 * BLOCK]),
 )
 def test_write_csv_matches_csv_writer_on_raw_bits(tmp_path_factory, seed, n_rows):
     # Every float64 bit pattern is equally likely in the first two columns;
     # the third has the magnitudes of data, in both notations.  Each
-    # example writes 3 * n_rows >= 12k values over six to nine blocks.
+    # example writes 3 * n_rows >= 12k values over two or three blocks.
     rng = np.random.default_rng(seed)
     bits = rng.integers(-(2**63), 2**63, (2, n_rows), dtype=np.int64).view(np.float64)
     data = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-8, 20, n_rows)
@@ -212,7 +209,7 @@ def test_write_csv_edge_values_take_the_per_value_path(tmp_path, monkeypatch):
 
     monkeypatch.setattr(manifest, "_g17", spy)
     # Each edge in every row of a block, and across the block boundary.
-    column = np.resize(EDGES, block_rows(2) + len(EDGES))
+    column = np.resize(EDGES, BLOCK + len(EDGES))
     columns = [column, column[::-1].copy()]
     assert_matches_reference(tmp_path, ["v", "w"], columns, len(column))
     # The ties, zeros and non-finite values went through %.17g, each once
@@ -241,26 +238,10 @@ def test_write_csv_encodes_text_as_utf8(tmp_path):
     assert path.read_bytes() == expected.encode("utf-8")
 
 
-def test_each_block_formats_all_its_float_columns_in_one_call(tmp_path, monkeypatch):
-    calls = []
-    format_floats = manifest._format_floats
-
-    def spy(x, out):
-        calls.append(len(x))
-        format_floats(x, out)
-
-    monkeypatch.setattr(manifest, "_format_floats", spy)
-    block = block_rows(3)
-    n_rows = 2 * block + 5
-    columns = [np.arange(n_rows) / 7.0, "s", -np.arange(n_rows) / 3.0, 0.25, np.ones(n_rows)]
-    assert_matches_reference(tmp_path, ["a", "t", "b", "c", "d"], columns, n_rows)
-    assert calls == [3 * block, 3 * block, 15]
-    assert 3 * block <= manifest.CSV_BLOCK_VALUES
-
-
 def test_write_csv_memory_peak(tmp_path):
     # Figure 1's full file: 50k rows of three floats.  Each block's
-    # transients stay bounded, whatever the length of the file.
+    # transients stay bounded, whatever the length of the file (0.67 MiB
+    # at 2048 rows per block).
     n = 50000
     columns = [np.linspace(0.0, 100.0, n), np.linspace(0.0, 1.0, n) ** 2, np.cos(np.arange(n))]
     path = tmp_path / "big.csv"
@@ -271,12 +252,11 @@ def test_write_csv_memory_peak(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.80 * 2**20
+    assert peak <= 0.75 * 2**20
 
 
 def test_a_write_that_fails_leaves_no_file(tmp_path, monkeypatch):
     blocks = []
-    n_rows = 2 * block_rows(1)
     format_floats = manifest._format_floats
 
     def fail_on_second_block(x, out):
@@ -287,7 +267,7 @@ def test_a_write_that_fails_leaves_no_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(manifest, "_format_floats", fail_on_second_block)
     with pytest.raises(MemoryError):
-        write_csv(tmp_path / "data.csv", ("t",), [np.arange(n_rows, dtype=float)])
+        write_csv(tmp_path / "data.csv", ("t",), [np.arange(2 * BLOCK, dtype=float)])
     assert len(blocks) == 2
     with pytest.raises(TypeError):
         write_json(tmp_path / "report.json", {"value": object()})
@@ -296,6 +276,6 @@ def test_a_write_that_fails_leaves_no_file(tmp_path, monkeypatch):
     (tmp_path / "data.csv").write_bytes(b"old")
     blocks.clear()
     with pytest.raises(MemoryError):
-        write_csv(tmp_path / "data.csv", ("t",), [np.arange(n_rows, dtype=float)])
+        write_csv(tmp_path / "data.csv", ("t",), [np.arange(2 * BLOCK, dtype=float)])
     assert os.listdir(tmp_path) == ["data.csv"]
     assert (tmp_path / "data.csv").read_bytes() == b"old"
