@@ -330,13 +330,15 @@ def sw_to_commutative(nc: NCState, dc: DerivedConstants) -> PhaseState:
 
 
 def algebra_residual(params: PhysicalParams, gauge: GaugeChoice) -> float:
-    """Worst-case bracket defect of the frame map.
+    """Worst-case bracket defect of the frame map, relative to its scale.
 
     Pushes the canonical brackets of the commutative frame through the map
     and compares against the target deformed algebra; returns the max-norm
-    of the difference.  Zero (to roundoff) certifies the gauge product; a
-    perturbed product shows up as a strictly positive residual, so this
-    function deliberately accepts off-shell gauges.
+    of the difference over max(hbar, |theta|, |eta|), the largest target
+    entry, so that the same relative defect reads the same at any scale.
+    Zero (to roundoff) certifies the gauge product; a perturbed product
+    shows up as a strictly positive residual, so this function deliberately
+    accepts off-shell gauges.
     """
     # derived_constants refuses an off-shell gauge, so swap it in afterwards;
     # M depends on nothing else.
@@ -350,7 +352,8 @@ def algebra_residual(params: PhysicalParams, gauge: GaugeChoice) -> float:
             [0.0, -hb, -et, 0.0],
         ]
     )
-    return float(np.max(np.abs(hb * (M @ J @ M.T) - target)))
+    scale = max(hb, abs(th), abs(et))
+    return float(np.max(np.abs(hb * (M @ J @ M.T) - target))) / scale
 
 
 def invariant_pair(state: PhaseState, dc: DerivedConstants):

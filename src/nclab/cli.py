@@ -14,11 +14,14 @@ help, and each command in ``_COMMANDS`` lists the settings it reads
 beyond the shared physics block, with their defaults.  A command takes
 a flag, and a config-file key, for exactly the settings it reads.  It
 resolves them from the defaults, then an optional JSON config file, then
-command-line flags (most specific wins), writes its data files plus a
-run manifest into the output directory, and exits 0 only if every check
-it ran has passed.  Each check records its value and its bound.
-Identical resolved settings produce byte-identical data files and
-manifests that differ only in the timestamp field.
+command-line flags (most specific wins).  A command then computes,
+records its checks (each with its value and its bound) and hands each data
+file and manifest to ``main``'s ``RunOutput``, which stages them and, once
+the command has returned, commits them all into the output directory.  A
+run exits 0 only if every check it ran has passed, and 1 if one failed;
+any other exit code leaves no file or directory behind.  Identical
+resolved settings produce byte-identical data files and manifests that
+differ only in the timestamp field.
 
 Times and steps are given on the command line in dimensionless Omega*t
 units so windows transfer between parameter sets.  The output directory is
@@ -35,7 +38,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -55,13 +57,12 @@ from .dynamics import (
     step_count,
 )
 from .errors import (
-    CHECKS_FAILED_EXIT,
     DomainError,
     NCLabError,
     UnreachableRatio,
     exit_code_for,
 )
-from .manifest import RunManifest, write_csv, write_json
+from .manifest import RunManifest, RunOutput, write_csv, write_json
 from .observables import (
     SOURCES,
     SectorEnergySeries,
@@ -227,14 +228,9 @@ def _resolve(args) -> dict:
         val = getattr(args, key)
         if val is not None:
             settings[key] = val
+    if "which" in args:
+        settings["which"] = args.which
     return settings
-
-
-def _out_dir(settings) -> Path:
-    out = settings.get("out") or os.environ.get("NCLAB_OUT") or "nclab_out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _build_params(settings) -> PhysicalParams:
@@ -256,11 +252,6 @@ def _build_params(settings) -> PhysicalParams:
 def _physics(settings) -> DerivedConstants:
     params = _build_params(settings)
     return derived_constants(params, make_gauge(params, float(settings["gauge_ratio"])))
-
-
-def _manifest_args(settings) -> dict:
-    # The output location is where the run landed, not what it computed.
-    return {k: v for k, v in settings.items() if k != "out"}
 
 
 def _positive_finite(settings, *keys) -> None:
@@ -288,36 +279,10 @@ def _grid_points(settings, default=None) -> int:
     return n
 
 
-def _print_checks(checks) -> None:
-    for c in checks:
-        status = "pass" if c["passed"] else "FAIL"
-        lo, hi = c["bound"]
-        bound = "<= %.6g" % hi if lo is None else "in [%.6g, %.6g]" % (lo, hi)
-        print("check %s: %s (%.6g, bound %s)" % (c["name"], status, c["value"], bound))
-
-
-def _add_output(man: RunManifest, path) -> None:
-    man.add_output(path)
-    print("wrote", path)
-
-
-def _finish(man: RunManifest, path, **blocks) -> int:
-    """Print the checks, write the manifest, and return the exit code."""
-    _print_checks(man.checks)
-    man.write(path, **blocks)
-    print("wrote", path)
-    if not man.all_passed():
-        print("one or more checks failed", file=sys.stderr)
-        return CHECKS_FAILED_EXIT
-    return 0
-
-
-def cmd_constants(args) -> int:
-    s = _resolve(args)
+def cmd_constants(s, out: RunOutput) -> None:
     dc = _physics(s)
     params = dc.params
-    outdir = _out_dir(s)
-    man = RunManifest("constants", _manifest_args(s), dc)
+    man = RunManifest("constants", s, dc)
 
     x = params.nc_product
     resid = abs(dc.product_lm * (1.0 - dc.product_lm) - x / 4.0)
@@ -359,7 +324,7 @@ def cmd_constants(args) -> int:
     width = max(len(name) for name, _ in rows)
     for name, val in rows:
         print("%-*s  %.6g" % (width, name, val))
-    return _finish(man, outdir / "constants_manifest.json")
+    out.finish(man, "constants_manifest.json")
 
 
 def _initial_conditions(settings, dc) -> InitialConditions:
@@ -381,8 +346,7 @@ def _invariant_drift(states: np.ndarray, dc) -> tuple[float, float]:
     return float(i1.max() - i1.min()) / scale, float(i2.max() - i2.min()) / scale
 
 
-def cmd_simulate(args) -> int:
-    s = _resolve(args)
+def cmd_simulate(s, out: RunOutput) -> None:
     method = s["method"]
     if method not in METHODS:
         raise ValueError("method must be analytic, rk4 or both, got %r" % (method,))
@@ -393,17 +357,14 @@ def cmd_simulate(args) -> int:
     dt = float(s["dt"]) / dc.omega_big
     n_steps = step_count(t_end, dt)
     _cap_rows("t_max / dt", n_steps + 1)
-    outdir = _out_dir(s)
-    man = RunManifest("simulate", _manifest_args(s), dc)
+    man = RunManifest("simulate", s, dc)
 
     analytic_states = None
     if method in ("analytic", "both"):
         times = dt * np.arange(n_steps + 1)
         analytic_states = propagate_analytic(ic, dc, times).as_array()
         traj = Trajectory(times=times, states=analytic_states, constants=dc)
-        path = outdir / "trajectory_analytic.csv"
-        traj.write_csv(path)
-        _add_output(man, path)
+        out.write(man, "trajectory_analytic.csv", traj.write_csv)
         d1, d2 = _invariant_drift(analytic_states, dc)
         man.check("invariant_quadratic_drift", d1, 1e-10)
         man.check("invariant_angular_drift", d2, 1e-10)
@@ -415,9 +376,7 @@ def cmd_simulate(args) -> int:
 
     if method in ("rk4", "both"):
         traj_n = integrate_numeric(ic, dc, t_end, dt)
-        path = outdir / "trajectory_rk4.csv"
-        traj_n.write_csv(path)
-        _add_output(man, path)
+        out.write(man, "trajectory_rk4.csv", traj_n.write_csv)
         d1, d2 = _invariant_drift(traj_n.states, dc)
         man.check("invariant_quadratic_drift_rk4", d1, 1e-8)
         man.check("invariant_angular_drift_rk4", d2, 1e-8)
@@ -425,8 +384,7 @@ def cmd_simulate(args) -> int:
             ref = propagate_analytic(ic, dc, traj_n.times).as_array()
             sup = float(np.max(np.abs(traj_n.states - ref)))
             man.check("rk4_matches_analytic", sup, 1e-8)
-
-    return _finish(man, outdir / "simulate_manifest.json")
+    out.finish(man, "simulate_manifest.json")
 
 
 def _series_pair_gap(a, b) -> float:
@@ -441,8 +399,7 @@ def _first_order_rel_err(first, closed) -> float:
     return _series_pair_gap(first, closed) / dev if dev > 0.0 else 0.0
 
 
-def cmd_xi(args) -> int:
-    s = _resolve(args)
+def cmd_xi(s, out: RunOutput) -> None:
     source = s["source"]
     if source not in SOURCES:
         raise ValueError(
@@ -452,13 +409,9 @@ def cmd_xi(args) -> int:
     _positive_finite(s, "t_max")
     dc = _physics(s)
     omega_t = np.linspace(0.0, float(s["t_max"]), n)
-    # Before the output directory: the degenerate form refuses theta*eta != 0.
     series = sector_energy_series(dc, omega_t, source)
-    outdir = _out_dir(s)
-    man = RunManifest("xi", _manifest_args(s), dc)
-    path = outdir / ("xi_%s.csv" % source)
-    series.write_csv(path)
-    _add_output(man, path)
+    man = RunManifest("xi", s, dc)
+    out.write(man, "xi_%s.csv" % source, series.write_csv)
 
     part = float(np.max(np.abs(series.xi1 + series.xi2 - 1.0)))
     man.check("energy_partition", part, 1e-12)
@@ -476,12 +429,10 @@ def cmd_xi(args) -> int:
     if source == "first_order":
         closed = sector_energy_series(dc, omega_t, "closed_form")
         man.add_measured("first_order_rel_err", _first_order_rel_err(series, closed))
+    out.finish(man, "xi_manifest.json")
 
-    return _finish(man, outdir / "xi_manifest.json")
 
-
-def cmd_wigner(args) -> int:
-    s = _resolve(args)
+def cmd_wigner(s, out: RunOutput) -> None:
     n = _grid_points(s)
     _cap_rows("grid_points**2", n * n)
     nodes = int(s["nodes"])
@@ -502,8 +453,7 @@ def cmd_wigner(args) -> int:
     qn = QuantumNumbers(int(s["n1"]), int(s["n2"]))
     dc = _physics(s)
     params, hb = dc.params, dc.hbar
-    outdir = _out_dir(s)
-    man = RunManifest("wigner", _manifest_args(s), dc)
+    man = RunManifest("wigner", s, dc)
     w_q = math.sqrt(hb * dc.beta / dc.alpha)
     w_p = math.sqrt(hb * dc.alpha / dc.beta)
 
@@ -511,13 +461,8 @@ def cmd_wigner(args) -> int:
     p_axis = np.linspace(-extent * w_p, extent * w_p, n)
     grid_q, grid_p = np.meshgrid(q_axis, p_axis, indexing="ij")
     rho = wigner_eigenfunction(PhaseState(grid_q, 0.0, grid_p, 0.0), qn, dc)
-    slice_path = outdir / "wigner_slice.csv"
-    write_csv(
-        slice_path,
-        WIGNER_SLICE_HEADER,
-        [grid_q.ravel(), "0", grid_p.ravel(), "0", rho.ravel()],
-    )
-    _add_output(man, slice_path)
+    columns = [grid_q.ravel(), "0", grid_p.ravel(), "0", rho.ravel()]
+    out.write(man, "wigner_slice.csv", write_csv, WIGNER_SLICE_HEADER, columns)
 
     energy = energy_level(qn, dc)
     u = np.random.default_rng(seed).uniform(-2.0, 2.0, (n_points, 4))
@@ -539,9 +484,8 @@ def cmd_wigner(args) -> int:
                 "rel": rel,
             }
         )
-    res_path = outdir / "wigner_residuals.json"
-    write_json(res_path, {"energy": energy, "n1": qn.n1, "n2": qn.n2, "records": records})
-    _add_output(man, res_path)
+    report = {"energy": energy, "n1": qn.n1, "n2": qn.n2, "records": records}
+    out.write(man, "wigner_residuals.json", write_json, report)
     # np.max, unlike max(), carries a NaN residual through to the check.
     worst = float(np.max([r["rel"] for r in records]))
     man.check("stargen_residual_bound", worst, 1e-6)
@@ -560,15 +504,13 @@ def cmd_wigner(args) -> int:
     man.check("normalization_stable", max(norms) - min(norms), 1e-6)
     # Stability alone would pass a prefactor that is off by a constant.
     man.check("normalization_unit", abs(norms[1] - 1.0), 1e-9)
+    out.finish(man, "wigner_manifest.json")
 
-    return _finish(man, outdir / "wigner_manifest.json")
 
-
-def cmd_figure(args) -> int:
-    s = _resolve(args)
+def cmd_figure(s, out: RunOutput) -> None:
     if s["ratio"] is None and s["theta"] == 0.0 and s["eta"] == 0.0:
         s["ratio"] = 0.002
-    which = int(args.which)
+    which = s["which"]
     n = _grid_points(s, 200000 if which == 1 else 4000)
     if s["t_max"] is not None:
         _positive_finite(s, "t_max")
@@ -576,23 +518,18 @@ def cmd_figure(args) -> int:
     params = dc.params
     if dc.gamma == 0.0:
         raise ValueError("figure data needs gamma > 0; set --ratio or deformations")
-    outdir = _out_dir(s)
-    man = RunManifest("figure", dict(_manifest_args(s), which=which), dc)
+    man = RunManifest("figure", s, dc)
 
     if which == 1:
         beat = math.pi * dc.omega_big / dc.gamma
         full_t = np.linspace(0.0, 3.0 * beat, n)
         full = sector_energy_series(dc, full_t, "closed_form")
-        path = outdir / "figure1_full.csv"
-        full.write_csv(path)
-        _add_output(man, path)
+        out.write(man, "figure1_full.csv", full.write_csv)
 
         t_max = 40.0 if s["t_max"] is None else float(s["t_max"])
         zoom_t = np.linspace(0.0, min(t_max, 3.0 * beat), 4000)
         zoom = sector_energy_series(dc, zoom_t, "closed_form")
-        path = outdir / "figure1_zoom.csv"
-        zoom.write_csv(path)
-        _add_output(man, path)
+        out.write(man, "figure1_zoom.csv", zoom.write_csv)
 
         one_beat = full_t <= beat
         env_max = float(np.max(full.xi1[one_beat]))
@@ -618,9 +555,7 @@ def cmd_figure(args) -> int:
             / (dc.hbar * dc.omega_big**2)
         )
         target = dc.gamma / dc.omega_big
-        path = outdir / "figure2.csv"
-        write_csv(path, FIG2_HEADER, [omega_t, rate, target])
-        _add_output(man, path)
+        out.write(man, "figure2.csv", write_csv, FIG2_HEADER, [omega_t, rate, target])
 
         amplitude = 0.5 * float(np.max(rate) - np.min(rate))
         man.add_measured("rate_amplitude", amplitude)
@@ -637,12 +572,10 @@ def cmd_figure(args) -> int:
                 errs.append(_first_order_rel_err(first, closed))
             man.add_measured("first_order_rel_err", errs[0])
             man.check("first_order_truncation_ratio", errs[0] / errs[1], 4.8, 3.2)
+    out.finish(man, "figure%d_manifest.json" % which)
 
-    return _finish(man, outdir / ("figure%d_manifest.json" % which))
 
-
-def cmd_sweep(args) -> int:
-    s = _resolve(args)
+def cmd_sweep(s, out: RunOutput) -> None:
     raw = s["ratios"]
     if isinstance(raw, str):
         raw = raw.split(",")
@@ -660,30 +593,22 @@ def cmd_sweep(args) -> int:
     s["ratios"] = ratios
     n = _grid_points(s)
     _positive_finite(s, "t_max")
-    outdir = _out_dir(s)
     omega_t = np.linspace(0.0, float(s["t_max"]), n)
 
     cells = []
-    codes = []
     for r, name, dc in zip(ratios, names, physics):
-        cell_dir = outdir / name
-        cell_dir.mkdir(parents=True, exist_ok=True)
-        cman = RunManifest("sweep-cell", dict(_manifest_args(s), ratio=r), dc)
+        cman = RunManifest("sweep-cell", dict(s, ratio=r), dc)
         closed = sector_energy_series(dc, omega_t, "closed_form")
         first = sector_energy_series(dc, omega_t, "first_order")
-        path = cell_dir / "xi_closed_form.csv"
-        closed.write_csv(path)
-        cman.add_output(path)
-        path = cell_dir / "xi_first_order.csv"
-        first.write_csv(path)
-        cman.add_output(path)
+        out.write(cman, name + "/xi_closed_form.csv", closed.write_csv)
+        out.write(cman, name + "/xi_first_order.csv", first.write_csv)
 
         part = float(np.max(np.abs(closed.xi1 + closed.xi2 - 1.0)))
         cman.check("energy_partition", part, 1e-12)
         err = _first_order_rel_err(first, closed)
         cman.add_measured("first_order_rel_err", err)
         cman.add_measured("gamma_over_omega_big", dc.gamma / dc.omega_big)
-        codes.append(_finish(cman, cell_dir / "manifest.json"))
+        out.finish(cman, name + "/manifest.json")
         cells.append(
             {
                 "ratio": r,
@@ -694,7 +619,7 @@ def cmd_sweep(args) -> int:
         )
         print("cell %s: first_order_rel_err = %.6g" % (name, err))
 
-    man = RunManifest("sweep", _manifest_args(s))
+    man = RunManifest("sweep", s)
     if s["mode"] == "single_theta":
         # Truncation error grows as the square of the ratio; adjacent
         # cells must reproduce that power law.
@@ -705,8 +630,7 @@ def cmd_sweep(args) -> int:
             got = high["first_order_rel_err"] / low_err if low_err else math.inf
             label = "error_scaling_%s_to_%s" % (low["dir"], high["dir"])
             man.check(label, got, 1.2 * expected, 0.8 * expected)
-    codes.append(_finish(man, outdir / "index.json", cells=cells))
-    return max(codes)
+    out.finish(man, "index.json", cells=cells)
 
 
 # name -> (function, help, the settings it reads beyond _PHYSICS with their
@@ -777,7 +701,12 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        s = _resolve(args)
+        # The output location is where the run lands, not what it computes.
+        root = s.pop("out") or os.environ.get("NCLAB_OUT") or "nclab_out"
+        with RunOutput(root) as out:
+            args.func(s, out)
+            return out.commit()
     except NCLabError as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return exit_code_for(exc)

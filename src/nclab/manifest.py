@@ -17,6 +17,8 @@ it cannot settle exactly (zeros, non-finite values, magnitudes outside
 by one with ``'%.17g' % x``, so every byte is that of the per-value form.
 Each data file and each JSON report is written to a temp file beside its
 target and renamed onto it, so a write that fails leaves no partial file.
+``RunOutput`` does the same for a whole run, so a command that raises
+leaves no file and no directory behind.
 """
 from __future__ import annotations
 
@@ -27,13 +29,17 @@ import functools
 import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .algebra import DerivedConstants
+from .errors import CHECKS_FAILED_EXIT
 
-__all__ = ["TOOL_VERSION", "RunManifest", "file_sha256", "write_csv", "write_json"]
+__all__ = ["TOOL_VERSION", "RunManifest", "RunOutput", "file_sha256", "write_csv",
+           "write_json"]
 
 TOOL_VERSION = "0.1.0"
 
@@ -283,9 +289,9 @@ class RunManifest:
 
     ``arguments`` holds the fully resolved settings (defaults, config file
     and flags already merged) so the manifest alone reproduces the run.
-    Output paths are recorded by basename: manifests must not depend on
-    where the output directory happened to live.  ``dc`` supplies the
-    params, gauge and derived_constants blocks.
+    ``RunOutput`` records each output by basename and hash: manifests must
+    not depend on where the output directory happened to live.  ``dc``
+    supplies the params, gauge and derived_constants blocks.
     """
 
     command: str
@@ -314,12 +320,6 @@ class RunManifest:
     def add_measured(self, name: str, value: float) -> None:
         self.measured_constants[name] = float(value)
 
-    def add_output(self, path) -> None:
-        """Hash an already-written data file into the outputs list."""
-        self.outputs.append(
-            {"path": os.path.basename(str(path)), "sha256": file_sha256(path)}
-        )
-
     def all_passed(self) -> bool:
         return all(c["passed"] for c in self.checks)
 
@@ -344,3 +344,71 @@ class RunManifest:
     def write(self, path, **blocks) -> None:
         """Write the manifest, with ``blocks`` as further top-level keys."""
         write_json(path, dict(self.to_dict(), **blocks))
+
+
+class RunOutput:
+    """The output directory of one run, committed whole or not at all.
+
+    ``write`` and ``finish`` stage each file under a temp name beside its
+    target, ``root / name``; ``commit`` renames the data files into place,
+    then the manifests, prints the checks and returns the exit code.  As a
+    context manager it removes every staged file and every directory it
+    made if its block raises.
+    """
+
+    def __init__(self, root):
+        self.root = Path(root)
+        self._data, self._manifests, self._made = [], [], []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if exc is not None:
+            for tmp, _, _ in self._data + self._manifests:
+                tmp.unlink(missing_ok=True)
+            for made in reversed(self._made):
+                with contextlib.suppress(OSError):
+                    made.rmdir()
+
+    def _stage(self, name, staged: list, man=None) -> Path:
+        path = self.root / name
+        try:
+            self._mkdir(path.parent)
+        except OSError as exc:
+            raise ValueError("cannot make output directory %s: %s" % (path.parent, exc))
+        tmp = path.with_name("%s.%s.tmp" % (path.name, os.urandom(6).hex()))
+        staged.append((tmp, path, man))
+        return tmp
+
+    def _mkdir(self, path: Path) -> None:
+        if not path.is_dir():
+            self._mkdir(path.parent)
+            path.mkdir()
+            self._made.append(path)
+
+    def write(self, man: RunManifest, name, writer, *args) -> None:
+        """Stage data file ``name``, written by ``writer(path, *args)``."""
+        tmp = self._stage(name, self._data)
+        writer(tmp, *args)
+        man.outputs.append({"path": Path(name).name, "sha256": file_sha256(tmp)})
+
+    def finish(self, man: RunManifest, name, **blocks) -> None:
+        """Stage ``man``, with ``blocks`` as further top-level keys."""
+        man.write(self._stage(name, self._manifests, man), **blocks)
+
+    def commit(self) -> int:
+        """Rename staged files into place, print checks, and return the exit code."""
+        for tmp, path, man in self._data + self._manifests:
+            os.replace(tmp, path)
+            print("wrote", path)
+            for c in man.checks if man else ():
+                lo, hi = c["bound"]
+                bound = "<= %.6g" % hi if lo is None else "in [%.6g, %.6g]" % (lo, hi)
+                status = "pass" if c["passed"] else "FAIL"
+                print("check %s: %s (%.6g, bound %s)"
+                      % (c["name"], status, c["value"], bound))
+        if not all(man.all_passed() for _, _, man in self._manifests):
+            print("one or more checks failed", file=sys.stderr)
+            return CHECKS_FAILED_EXIT
+        return 0

@@ -302,6 +302,16 @@ def test_algebra_residual_detects_off_shell_product():
     assert algebra_residual(p, bad) > 1e-3
 
 
+def test_algebra_residual_detects_off_shell_product_at_any_scale():
+    # A product off by 1e-9 once read 9.7e-110 at hbar = 1e-100 and passed.
+    for hbar in (1e-100, 1.0, 1e6):
+        p = PhysicalParams(1.0, 1.0, hbar, 0.3 * hbar, 0.2 * hbar)
+        g = make_gauge(p)
+        assert algebra_residual(p, g) < 1e-15
+        residual = algebra_residual(p, GaugeChoice(g.lam * (1.0 + 1e-9), g.mu))
+        assert 5e-10 < residual < 2e-9, hbar
+
+
 def test_commutative_residual_is_zero():
     p = PhysicalParams(1.0, 1.0, 1.0)
     assert algebra_residual(p, make_gauge(p)) == 0.0

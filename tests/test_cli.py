@@ -15,6 +15,7 @@ import pytest
 
 import nclab
 import nclab.cli
+import nclab.manifest
 from nclab import (
     TOOL_VERSION,
     PhysicalParams,
@@ -748,6 +749,76 @@ def test_exit_code_checks_failed(tmp_path):
         ]
     )
     assert rc == 1
+
+
+# A run whose RK4 leg blows up after its analytic file is staged.
+NONFINITE_BOTH = ["simulate", "--method", "both", "--dt", "200", "--t-max", "8000"]
+
+
+def test_a_run_that_raises_after_its_first_file_writes_nothing(tmp_path):
+    out = tmp_path / "out" / "deeper"
+    assert main(NONFINITE_BOTH + ["--out", str(out)]) == 8
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failing_run_leaves_an_existing_out_as_it_was(tmp_path):
+    argv, _ = GOLDEN["simulate_both"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(NONFINITE_BOTH + ["--out", str(tmp_path)]) == 8
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_a_sweep_whose_last_cell_raises_writes_nothing(tmp_path, monkeypatch):
+    real = nclab.cli.sector_energy_series
+    calls = []
+
+    def last_cell_raises(dc, omega_t, source):
+        calls.append(source)
+        if len(calls) == 5:  # the third cell's closed form
+            raise RuntimeError("forced")
+        return real(dc, omega_t, source)
+
+    monkeypatch.setattr(nclab.cli, "sector_energy_series", last_cell_raises)
+    with pytest.raises(RuntimeError):
+        main(["sweep", "--grid-points", "300", "--out", str(tmp_path)])
+    assert len(calls) == 5
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_second_file_that_fails_to_write_leaves_nothing(tmp_path, monkeypatch):
+    # figure 1's full series has 1000 rows, one block; its zoom has 4000,
+    # so the first full block formatted belongs to the second file.
+    format_floats = nclab.manifest._format_floats
+
+    def fail_on_full_block(x, out):
+        if len(x) == nclab.manifest.CSV_BLOCK_ROWS:
+            raise MemoryError("forced")
+        format_floats(x, out)
+
+    monkeypatch.setattr(nclab.manifest, "_format_floats", fail_on_full_block)
+    with pytest.raises(MemoryError):
+        main(["figure", "1", "--grid-points", "1000", "--out", str(tmp_path / "out")])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "file-sub"])
+def test_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, capsys, below):
+    blocker = tmp_path / "taken"
+    blocker.write_bytes(b"kept")
+    assert main(["constants", "--out", str(blocker / below)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot make output directory"), err
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_bytes() == b"kept"
+
+
+def test_algebra_residual_is_relative_to_the_bracket_scale(tmp_path):
+    # Roundoff in brackets of order hbar = 1e6 once failed the absolute bound.
+    argv = ["constants", "--hbar", "1e6", "--theta", "0.3", "--eta", "0.2"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    check = check_map(read_manifest(tmp_path / "constants_manifest.json"))["algebra_residual"]
+    assert check["passed"] and check["value"] < 1e-15
 
 
 def assert_rejected_up_front(capsys, out, argv):

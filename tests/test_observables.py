@@ -1,9 +1,11 @@
 """Mode energies, beating laws, closed forms and the first-order window."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nclab import (
     DegenerateFormMisuse,
@@ -391,6 +393,33 @@ def test_xi_trajectory_does_not_depend_on_the_gauge_ratio(dc):
     state = propagate_analytic(ground_mode_ic(dc), dc, ts)
     total = mode_energy(state, dc, 1) + mode_energy(state, dc, 2)
     assert np.max(np.abs(total - scale)) <= 1e-12 * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(admissible_physics())
+@with_hand_picked
+def test_closed_and_first_order_series_do_not_depend_on_the_gauge_ratio(dc):
+    # In units of hbar*Omega, against the ratio-1 constants of the same params.
+    unit = derived_constants(dc.params)
+    omega_t = np.linspace(0.0, 40.0, 201)
+    for source in ("closed_form", "first_order"):
+        got = sector_energy_series(dc, omega_t, source)
+        want = sector_energy_series(unit, omega_t, source)
+        assert np.max(np.abs(got.xi1 - want.xi1)) <= 1e-12, source
+        assert np.max(np.abs(got.xi2 - want.xi2)) <= 1e-12, source
+
+
+@settings(max_examples=150, deadline=None)
+@given(admissible_physics(), st.sampled_from(["theta", "eta"]))
+def test_degenerate_series_does_not_depend_on_the_gauge_ratio(dc, zeroed):
+    # The drawn point moved onto the theta*eta = 0 surface, drawn gauge kept.
+    p = replace(dc.params, **{zeroed: 0.0})
+    on_surface = derived_constants(p, make_gauge(p, dc.gauge.ratio))
+    omega_t = np.linspace(0.0, 40.0, 201)
+    got = sector_energy_series(on_surface, omega_t, "degenerate_form")
+    want = sector_energy_series(derived_constants(p), omega_t, "degenerate_form")
+    assert np.max(np.abs(got.xi1 - want.xi1)) <= 1e-12
+    assert np.max(np.abs(got.xi2 - want.xi2)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

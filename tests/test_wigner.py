@@ -143,6 +143,19 @@ def test_energy_levels_gauge_invariant():
     assert np.max(np.abs(a - a[0])) < 1e-12 * np.max(np.abs(a))
 
 
+@settings(max_examples=150, deadline=None)
+@given(admissible_physics())
+def test_spectrum_does_not_depend_on_the_gauge_ratio(dc):
+    # Every level up to (6, 6), in units of hbar*Omega, against ratio 1.
+    unit = derived_constants(dc.params)
+    scale = dc.hbar * dc.omega_big
+    for n1 in range(7):
+        for n2 in range(7):
+            qn = QuantumNumbers(n1, n2)
+            gap = abs(energy_level(qn, dc) - energy_level(qn, unit))
+            assert gap <= 1e-12 * scale, (n1, n2)
+
+
 def test_hamiltonian_weyl_frozen():
     dc = physics(0.0, 0.0)
     assert hamiltonian_weyl(PhaseState(0.0, 0.0, 0.0, 0.0), dc) == 0.0
