@@ -25,7 +25,9 @@ differ only in the timestamp field.
 
 Times and steps are given on the command line in dimensionless Omega*t
 units so windows transfer between parameter sets.  The output directory is
---out, else the config key "out", else $NCLAB_OUT, else ./nclab_out.  No
+--out, else the config key "out", else $NCLAB_OUT, else ./nclab_out; one
+whose nearest existing ancestor is not a directory is refused (exit 2)
+before the command computes anything.  No
 array may have more than MAX_ROWS rows; larger sizes are refused before
 anything is allocated or written.
 """

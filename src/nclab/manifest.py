@@ -43,13 +43,20 @@ __all__ = ["TOOL_VERSION", "RunManifest", "RunOutput", "file_sha256", "write_csv
 
 TOOL_VERSION = "0.1.0"
 
-# Rows formatted per block.  A block is a bytes x rows uint8 array with 29
-# bytes per float column, and each column is formatted through some twenty
-# float64 and int64 arrays of the block's length.  Writing figure 1's 50k
-# rows of three floats allocates at most 0.67 MiB at once with 2048-row
-# blocks (tracemalloc, once the tables are built), 0.34 MiB with 1024 and
-# 1.32 MiB with 4096; 1024 writes more slowly, 4096 no faster.
-CSV_BLOCK_ROWS = 2048
+# Rows formatted per block.  Each float column of a block is formatted
+# bytes x rows into a cell, through some twenty arrays of the block's
+# length, and copied transposed into a rows x bytes buffer filled once from
+# the row template; each half block is then compressed and written.  No
+# bytes x rows array may have rows a multiple of 512 bytes apart: on a 48
+# KiB, 12-way L1d, rows 2 KiB apart share 2 of its 64 sets, so every walk
+# down a column thrashes (transposing a 99-byte x 2048-row block took 85 us
+# per 1k rows, at 2000 rows 23 us; 1024 and 4096 behave like 2048).
+# _byte_major pads each to an odd number of 64-byte lines, the last partial
+# block's too.  Figure 1's 50k rows of three floats then peak at about 200
+# B a row (tracemalloc, once the tables are built): 0.67 MiB at 3500 rows,
+# 0.76 MiB at 4000.  Writing them took 14.7 ms at 3500 rows, 17.0 ms at
+# 2000 and 22.0 ms in the unpadded 2048-row layout (2-core Xeon VM).
+CSV_BLOCK_ROWS = 3500
 
 # Exact %.17g.  A finite x with 1e-250 <= |x| < 1e250 has the decimal
 # exponent X = floor(log10|x|) and the 17 significant digits N = round(q),
@@ -75,6 +82,8 @@ _E16, _E17 = 10**16, 10**17
 # no character, so '%.17g' text (at most 24 bytes) fits left-aligned.
 _CELL = 28
 _J = np.arange(22, dtype=np.uint8)[:, None]  # byte index in the 22-byte row
+# The digits before group h of half i, for _format_floats' groups[h, i].
+_GROUP_START = np.array([[0, 8], [4, 12]], np.uint8)[..., None]
 
 
 @functools.cache
@@ -104,6 +113,13 @@ def _groups():
     return (quads + 48).astype(np.uint8).view(np.uint32).ravel(), places
 
 
+def _byte_major(n_bytes: int, n: int):
+    """An empty (n_bytes, n) uint8 array whose row stride is an odd number
+    of 64-byte lines, so that a walk down a column meets no two rows in one
+    L1 cache set."""
+    return np.empty((n_bytes, (-(-n // 64) | 1) * 64), np.uint8)[:, :n]
+
+
 def _g17(x: float) -> bytes:
     return b"%.17g" % x
 
@@ -115,64 +131,102 @@ def _decimal(x):
     a = np.abs(x)
     exact = (a >= _WINDOW[0]) & (a < _WINDOW[1])  # NaN compares false
     a[~exact] = 1.0
-    e10 = np.floor(np.log10(a)).astype(np.int64)
+    e10 = np.log10(a)
+    e10 = np.floor(e10, out=e10).astype(np.int64)
     k = 16 - _K_MIN - e10
     hh, hl = heads_hi[k], heads_lo[k]
-    prod = a * (hh + hl)
-    s = a * _SPLIT
-    ah = s - (s - a)
-    al = a - ah
-    t = (((ah * hh - prod) + ah * hl + al * hh) + al * hl) + a * tails[k]
-    qh = prod + t
-    ql = t - (qh - prod)
-    fl = np.floor(ql)
-    frac = ql - fl
+    # The double-double product in place, in the order of
+    # t = (((ah*hh - prod) + ah*hl + al*hh) + al*hl) + a*tails[k].
+    prod = hh + hl
+    prod *= a
+    ah = a * _SPLIT
+    al = ah - a
+    ah -= al
+    np.subtract(a, ah, out=al)
+    a *= tails[k]
+    del k
+    t = ah * hh
+    t -= prod
+    ah *= hl
+    t += ah
+    hh *= al
+    t += hh
+    al *= hl
+    t += al
+    t += a
+    qh = np.add(prod, t, out=hh)
+    ql = np.subtract(t, np.subtract(qh, prod, out=prod), out=t)
+    fl = np.floor(ql, out=prod)
+    frac = np.subtract(ql, fl, out=ql)
     # floor(q): qh is an integer wherever that is >= 10**16 > 2**53.
-    digits = qh.astype(np.int64) + fl.astype(np.int64)
+    digits = qh.astype(np.int64)
+    digits += fl.astype(np.int64)
     exact &= digits >= _E16
     digits += frac > 0.5
-    exact &= (digits < _E17) & (np.abs(frac - 0.5) > _GUARD)
+    frac -= 0.5
+    exact &= (digits < _E17) & (np.abs(frac, out=frac) > _GUARD)
     digits[~exact] = _E16
     return e10, digits, exact
 
 
 def _format_floats(x, out) -> None:
     """Write the %.17g text of each value of ``x`` into the columns of
-    ``out``, a (_CELL, len(x)) uint8 array; zero bytes are no character."""
+    ``out``, a (_CELL, len(x)) uint8 array; zero bytes are no character.
+
+    Each temporary is dropped once spent, since the peak of this and of
+    ``_decimal`` sets how many rows a block can hold (CSV_BLOCK_ROWS).
+    """
     quads, places = _groups()
     n = len(x)
     e10, digits, exact = _decimal(x)
 
     # Rows 1-21 hold "0000" and the 17 digits: the lead digit, then four
     # groups of four.  Rows 0 and 22 are zero, for the shifts below.
-    top = digits // 10**8
-    bottom = digits - top * 10**8
-    lead = top // 10**8
-    top -= lead * 10**8
-    high, low = top // 10000, bottom // 10000
-    text = np.empty((23, n), np.uint8)
+    text = _byte_major(23, n)
     text[0] = text[22] = 0
     text[1:5] = 48
-    text[5] = lead + 48
-    last_digit = np.zeros(n, np.uint8)
-    for i, g in enumerate((high, top - high * 10000, low, bottom - low * 10000)):
-        text[6 + 4 * i : 10 + 4 * i] = quads[g].view(np.uint8).reshape(n, 4).T
-        place = places[g]
-        np.maximum(last_digit, (place > 0) * (4 * i + place), out=last_digit)
+    lead = digits // _E16
+    np.add(lead, 48, out=text[5], casting="unsafe")
+    # The other 16 digits as two halves of eight, then four groups.
+    halves = np.empty((2, n), np.int64)
+    np.multiply(lead, -_E16, out=halves[1])
+    halves[1] += digits
+    del lead, digits
+    np.floor_divide(halves[1], 10**8, out=halves[0])
+    halves[1] -= halves[0] * 10**8
+    # groups[h, i] is the high (h = 0) or low (h = 1) group of half i.
+    groups = np.empty((2, 2, n), np.intp)
+    np.floor_divide(halves, 10000, out=groups[0])
+    np.multiply(groups[0], -10000, out=groups[1])
+    groups[1] += halves
+    del halves
+    text[6:22].reshape(2, 2, 4, n).transpose(1, 0, 2, 3)[...] = (
+        quads[groups].view(np.uint8).reshape(2, 2, n, 4).transpose(0, 1, 3, 2)
+    )
+    # The place of the last nonzero digit among the 16, 0 if there is none.
+    place = places[groups]
+    del groups
+    place += (place > 0) * _GROUP_START
+    last_digit = place.reshape(4, n).max(axis=0)
+    del place
 
     # %g layout: the point follows byte p of "0000" + digits, and the text
     # runs from byte `first` to byte `last` of that 22-byte row.
     fixed = (e10 >= -4) & (e10 < 17)
     p = np.where(fixed, e10 + 5, 5).astype(np.uint8)
-    last = np.maximum(p - 1, 4 + last_digit + (4 + last_digit >= p))
-    first = np.minimum(4, p - 1)
+    before = p - 1
+    last_digit += 4
+    last = np.maximum(before, last_digit + (last_digit >= p))
+    first = np.minimum(before, 4)
     row = out[1:23]
     np.subtract(text[1:], text[:-1], out=row)
-    row *= _J < p
+    row *= (_J < p).view(np.uint8)
     row += text[:-1]
-    row.reshape(-1)[p * np.intp(n) + np.arange(n)] = 46
-    row *= (_J >= first) & (_J <= last)
-    out[0] = np.signbit(x) * 45
+    row[p, np.arange(n)] = 46
+    # first <= 4 <= last
+    row[:4] *= (_J[:4] >= first).view(np.uint8)
+    row[5:] *= (_J[5:] <= last).view(np.uint8)
+    np.multiply(np.signbit(x), np.uint8(45), out=out[0])
     out[23:] = 0
     expo = np.flatnonzero(~fixed)
     if expo.size:
@@ -255,17 +309,26 @@ def write_csv(path, header, columns) -> None:
         template.append(b"," if i < len(columns) - 1 else b"\r\n")
     if not arrays or any(a.ndim != 1 or len(a) != len(arrays[0]) for a in arrays):
         raise ValueError("columns need at least one array, all 1-D of one length")
-    template = np.frombuffer(b"".join(template), np.uint8)[:, None]
+    n_rows = len(arrays[0])
+    template = np.frombuffer(b"".join(template), np.uint8)
+    rows = np.empty((min(n_rows, CSV_BLOCK_ROWS), len(template)), np.uint8)
+    rows[:] = template
+    # Each cell is formatted bytes x rows, so that each operation runs
+    # along the rows; the bytes outside the cells keep the template's.
+    cell = _byte_major(_CELL, len(rows))
     with _replacing(path) as fh:
         fh.write(head)
-        for start in range(0, len(arrays[0]), CSV_BLOCK_ROWS):
-            block = [a[start : start + CSV_BLOCK_ROWS] for a in arrays]
-            # bytes x rows, so that each operation runs along the rows
-            buf = np.repeat(template, len(block[0]), axis=1)
-            for off, values in zip(offsets, block):
-                _format_floats(values, buf[off : off + _CELL])
-            flat = buf.T.ravel()
-            fh.write(flat[flat != 0])
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            n = min(CSV_BLOCK_ROWS, n_rows - start)
+            cells = cell[:, :n]
+            for off, a in zip(offsets, arrays):
+                _format_floats(a[start : start + n], cells)
+                rows[:n, off : off + _CELL] = cells.T
+            # Half a block at a time, so that the mask and the kept bytes
+            # of only half a block are held at once.
+            for part in (rows[: n // 2], rows[n // 2 : n]):
+                flat = part.ravel()
+                fh.write(flat[flat != 0])
 
 
 def write_json(path, obj) -> None:
@@ -353,12 +416,20 @@ class RunOutput:
     target, ``root / name``; ``commit`` renames the data files into place,
     then the manifests, prints the checks and returns the exit code.  As a
     context manager it removes every staged file and every directory it
-    made if its block raises.
+    made if its block raises.  A ``root`` whose nearest existing ancestor
+    is not a directory raises ValueError at once, before any run computes
+    what it would write.
     """
 
     def __init__(self, root):
         self.root = Path(root)
         self._data, self._manifests, self._made = [], [], []
+        ancestor = self.root
+        while not ancestor.exists() and ancestor != ancestor.parent:
+            ancestor = ancestor.parent
+        if not ancestor.is_dir():
+            raise ValueError("cannot make output directory %s: %s is not a directory"
+                             % (self.root, ancestor))
 
     def __enter__(self):
         return self

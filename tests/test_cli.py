@@ -789,16 +789,22 @@ def test_a_sweep_whose_last_cell_raises_writes_nothing(tmp_path, monkeypatch):
 def test_a_second_file_that_fails_to_write_leaves_nothing(tmp_path, monkeypatch):
     # figure 1's full series has 1000 rows, one block; its zoom has 4000,
     # so the first full block formatted belongs to the second file.
+    block = nclab.manifest.CSV_BLOCK_ROWS
+    assert 1000 < block <= 4000
     format_floats = nclab.manifest._format_floats
+    lengths = []
 
     def fail_on_full_block(x, out):
-        if len(x) == nclab.manifest.CSV_BLOCK_ROWS:
+        lengths.append(len(x))
+        if len(x) == block:
             raise MemoryError("forced")
         format_floats(x, out)
 
     monkeypatch.setattr(nclab.manifest, "_format_floats", fail_on_full_block)
     with pytest.raises(MemoryError):
         main(["figure", "1", "--grid-points", "1000", "--out", str(tmp_path / "out")])
+    # The first file's three float columns were formatted whole.
+    assert lengths == [1000, 1000, 1000, block]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -807,8 +813,27 @@ def test_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, capsys, below
     blocker = tmp_path / "taken"
     blocker.write_bytes(b"kept")
     assert main(["constants", "--out", str(blocker / below)]) == 2
-    err = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot make output directory"), err
+    # Refused before the command ran: no constants table was printed.
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_bytes() == b"kept"
+
+
+def test_out_below_a_file_is_refused_before_the_series_is_built(tmp_path, monkeypatch):
+    blocker = tmp_path / "taken"
+    blocker.write_bytes(b"kept")
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("the series was built")
+
+    monkeypatch.setattr(nclab.cli, "sector_energy_series", spy)
+    assert main(["figure", "1", "--out", str(blocker / "sub")]) == 2
+    assert calls == []
     assert list(tmp_path.iterdir()) == [blocker]
     assert blocker.read_bytes() == b"kept"
 

@@ -200,6 +200,38 @@ def test_write_csv_matches_csv_writer_on_raw_bits(tmp_path_factory, seed, n_rows
     assert_matches_reference(out, ["a", "s", "b", "c"], columns, n_rows)
 
 
+@pytest.mark.parametrize(
+    "n_rows", [2048, 4000, 4096, 6561, 50000, BLOCK - 1, BLOCK + 1]
+)
+def test_write_csv_matches_csv_writer_at_the_lengths_written(tmp_path, n_rows):
+    # Figure 1's full series (50k), its zoom, figure 2 and xi (4000), the
+    # 81**2 wigner slice, powers of two, and one row either side of a block.
+    rng = np.random.default_rng(n_rows)
+    bits = rng.integers(-(2**63), 2**63, n_rows, dtype=np.int64).view(np.float64)
+    data = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-8, 20, n_rows)
+    columns = [bits, data, "closed_form"]
+    assert_matches_reference(tmp_path, ["a", "b", "s"], columns, n_rows)
+
+
+def test_byte_major_rows_are_an_odd_number_of_cache_lines_apart(tmp_path, monkeypatch):
+    # Rows a power of two apart share L1 sets, so a walk down a column of
+    # cells would evict its own lines; every block, the last one too, and
+    # every formatter temporary keeps an odd number of 64-byte lines.
+    strides = []
+    byte_major = manifest._byte_major
+
+    def spy(n_bytes, n):
+        array = byte_major(n_bytes, n)
+        strides.append(array.strides[0])
+        return array
+
+    monkeypatch.setattr(manifest, "_byte_major", spy)
+    for n_rows in (1, 512, 2048, BLOCK, BLOCK + 2048):
+        write_csv(tmp_path / "a.csv", ("t",), [np.arange(n_rows, dtype=float)])
+    assert len(strides) == 5 + 6  # a cell per file, a digit array per block
+    assert all(s % 128 == 64 for s in strides), strides
+
+
 def test_write_csv_edge_values_take_the_per_value_path(tmp_path, monkeypatch):
     formatted = []
 
@@ -240,8 +272,8 @@ def test_write_csv_encodes_text_as_utf8(tmp_path):
 
 def test_write_csv_memory_peak(tmp_path):
     # Figure 1's full file: 50k rows of three floats.  Each block's
-    # transients stay bounded, whatever the length of the file (0.67 MiB
-    # at 2048 rows per block).
+    # transients stay bounded, whatever the length of the file (0.67 MiB,
+    # about 200 B a row, at 3500 rows per block).
     n = 50000
     columns = [np.linspace(0.0, 100.0, n), np.linspace(0.0, 1.0, n) ** 2, np.cos(np.arange(n))]
     path = tmp_path / "big.csv"
@@ -268,7 +300,7 @@ def test_a_write_that_fails_leaves_no_file(tmp_path, monkeypatch):
     monkeypatch.setattr(manifest, "_format_floats", fail_on_second_block)
     with pytest.raises(MemoryError):
         write_csv(tmp_path / "data.csv", ("t",), [np.arange(2 * BLOCK, dtype=float)])
-    assert len(blocks) == 2
+    assert blocks == [BLOCK, BLOCK]
     with pytest.raises(TypeError):
         write_json(tmp_path / "report.json", {"value": object()})
     assert os.listdir(tmp_path) == []
