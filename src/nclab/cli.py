@@ -9,12 +9,15 @@ wigner      stargenfunction slice, eigen-equation residuals, normalization
 figure      plot-ready data behind the two report figures
 sweep       gamma/Omega grid with per-cell manifests and an index
 
-Every setting is declared once: ``_SETTINGS`` gives its flag type and
-help, and each command in ``_COMMANDS`` lists the settings it reads
+Every setting is declared once: ``_SETTINGS`` gives its parser and its
+flag's help, and each command in ``_COMMANDS`` lists the settings it reads
 beyond the shared physics block, with their defaults.  A command takes
 a flag, and a config-file key, for exactly the settings it reads.  It
 resolves them from the defaults, then an optional JSON config file, then
-command-line flags (most specific wins).  A command then computes,
+command-line flags (most specific wins), each value through the parser
+of its setting, so a config value is refused (exit 2) wherever its flag
+would be.  A count takes 4000 or 4000.0, never 1.5 or true; a JSON null
+unsets only a setting whose default is unset.  A command then computes,
 records its checks (each with its value and its bound) and hands each data
 file and manifest to ``main``'s ``RunOutput``, which stages them and, once
 the command has returned, commits them all into the output directory.  A
@@ -159,32 +162,97 @@ def params_from_ratio(
     return replace(base, theta=theta, eta=eta)
 
 
-# Every setting a command can read: its flag's type, or its choices, and
-# the flag's help.  "config" names the settings file and is a flag only.
+def _text(val) -> str:
+    if not isinstance(val, str):
+        raise ValueError("must be text")
+    return val
+
+
+def _real(val) -> float:
+    """A float from text or a JSON number; true, false, null and lists raise."""
+    if isinstance(val, str) or type(val) in (int, float):
+        try:
+            return float(val)
+        except (ValueError, OverflowError):  # bad text, or an int past 1e308
+            pass
+    raise ValueError("must be a number")
+
+
+def _positive(val) -> float:
+    x = _real(val)
+    if not 0.0 < x < math.inf:
+        raise ValueError("must be positive and finite")
+    return x
+
+
+def _count(lo, hi=math.inf):
+    """Parser of a whole number from lo to hi: 4000 or 4000.0, not 1.5 or true."""
+    span = "of at least %d" % lo if hi == math.inf else "from %d to %d" % (lo, hi)
+
+    def parse(val) -> int:
+        x = _real(val)
+        if not (x.is_integer() and lo <= x <= hi):
+            raise ValueError("must be a whole number %s" % span)
+        try:
+            return int(val)  # exact, where text has more digits than a float
+        except ValueError:  # "4000.0"
+            return int(x)
+    return parse
+
+
+def _one_of(options):
+    def parse(val) -> str:
+        if val not in options:
+            raise ValueError("must be one of %s" % ", ".join(options))
+        return val
+    return parse
+
+
+def _reals(val) -> tuple:
+    """Floats from comma-separated text or a nonempty JSON list."""
+    if isinstance(val, str):
+        val = val.split(",")
+    if not isinstance(val, (list, tuple)) or not val:
+        raise ValueError("must be comma-separated numbers or a list of them")
+    return tuple(map(_real, val))
+
+
+def _initial_state(val) -> tuple:
+    xs = _reals(val)
+    if len(xs) != 4 or not all(map(math.isfinite, xs)):
+        raise ValueError("must be four finite numbers x,y,pi_x,pi_y")
+    return xs
+
+
+# Every setting a command can read: its parser, which turns a flag's text
+# or a config file's JSON value into the value the commands read, and its
+# flag's help.  PhysicalParams, make_gauge and RatioSpec check their own
+# values, with their own exit codes.  "config" is a flag only.
 _SETTINGS = {
-    "config": (str, "JSON settings file; flags override its keys"),
-    "out": (str, "output directory (default $NCLAB_OUT or ./nclab_out)"),
-    "m": (float, "mass"),
-    "omega": (float, "trap frequency"),
-    "hbar": (float, "Planck constant"),
-    "theta": (float, "position-position deformation"),
-    "eta": (float, "momentum-momentum deformation"),
-    "ratio": (float, "target gamma/Omega; takes precedence over theta/eta"),
-    "mode": (MODES, "how --ratio picks the deformations"),
-    "gauge_ratio": (float, "lambda/mu of the frame map"),
-    "t_max": (float, "time span, in Omega*t units"),
-    "dt": (float, "time step, in Omega*t units"),
-    "grid_points": (int, "number of time samples (wigner: per slice axis)"),
-    "method": (METHODS, "exact flow, Runge-Kutta, or both"),
-    "ic": (str, "initial conditions x,y,pi_x,pi_y (default ground mode)"),
-    "source": (SOURCES, "expression the series is evaluated from"),
-    "seed": (int, "seed for sampled phase-space points"),
-    "n1": (int, "first quantum number"),
-    "n2": (int, "second quantum number"),
-    "extent": (float, "slice half-width, in Gaussian widths"),
-    "residual_points": (int, "number of sampled residual points"),
-    "nodes": (int, "Gauss-Laguerre nodes per mode action"),
-    "ratios": (str, "comma-separated gamma/Omega grid (sorted ascending)"),
+    "config": (_text, "JSON settings file; flags override its keys"),
+    "out": (_text, "output directory (default $NCLAB_OUT or ./nclab_out)"),
+    "m": (_real, "mass"),
+    "omega": (_real, "trap frequency"),
+    "hbar": (_real, "Planck constant"),
+    "theta": (_real, "position-position deformation"),
+    "eta": (_real, "momentum-momentum deformation"),
+    "ratio": (_real, "target gamma/Omega; takes precedence over theta/eta"),
+    "mode": (_one_of(MODES), "how --ratio picks theta and eta: " + ", ".join(MODES)),
+    "gauge_ratio": (_real, "lambda/mu of the frame map"),
+    "t_max": (_positive, "time span, in Omega*t units"),
+    "dt": (_positive, "time step, in Omega*t units"),
+    "grid_points": (_count(2, MAX_ROWS), "time samples (wigner: per slice axis)"),
+    "method": (_one_of(METHODS), "exact flow, RK4 or both: " + ", ".join(METHODS)),
+    "ic": (_initial_state, "initial conditions x,y,pi_x,pi_y (default ground mode)"),
+    "source": (_one_of(SOURCES), "expression for the series: " + ", ".join(SOURCES)),
+    "seed": (_count(0), "seed for sampled phase-space points"),
+    "n1": (_count(0), "first quantum number"),
+    "n2": (_count(0), "second quantum number"),
+    "extent": (_positive, "slice half-width, in Gaussian widths"),
+    "residual_points": (_count(1, MAX_ROWS), "number of sampled residual points"),
+    # The three normalization rules have nodes - 10, nodes and nodes + 10.
+    "nodes": (_count(11, MAX_NODES - 10), "Gauss-Laguerre nodes per mode action"),
+    "ratios": (_reals, "comma-separated gamma/Omega grid (sorted ascending)"),
 }
 
 # Settings every command reads, with their defaults; each command's own
@@ -204,64 +272,52 @@ _PHYSICS = {
 
 def _load_config(path) -> dict:
     try:
-        fh = open(path)
+        with open(path) as fh:
+            cfg = json.load(fh)
     except OSError as exc:
         raise ValueError("cannot read config %s: %s" % (path, exc))
-    with fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError("config %s is not valid JSON: %s" % (path, exc))
+    except json.JSONDecodeError as exc:
+        raise ValueError("config %s is not valid JSON: %s" % (path, exc))
     if not isinstance(cfg, dict):
         raise ValueError("config %s must hold a JSON object" % path)
     return cfg
 
 
 def _resolve(args) -> dict:
-    """Merge defaults, config file and flags; flags win, then the file."""
-    settings = dict(_PHYSICS, **_COMMANDS[args.command][2])
-    if args.config:
-        cfg = _load_config(args.config)
-        unknown = sorted(set(cfg) - set(settings))
-        if unknown:
-            raise ValueError("unknown config keys: %s" % ", ".join(unknown))
-        settings.update(cfg)
-    for key in settings:
+    """Merge defaults, config file and flags; flags win, then the file.
+
+    Each value given goes through its setting's parser, and a null is kept
+    only where the default is None.  A refusal names the key.
+    """
+    defaults = dict(_PHYSICS, **_COMMANDS[args.command][2])
+    given = _load_config(args.config) if args.config else {}
+    unknown = sorted(set(given) - set(defaults))
+    if unknown:
+        raise ValueError("unknown config keys: %s" % ", ".join(unknown))
+    for key in defaults:
         val = getattr(args, key)
         if val is not None:
-            settings[key] = val
+            given[key] = val
+    settings = dict(defaults)
+    for key, val in given.items():
+        if val is None and defaults[key] is None:
+            continue
+        try:
+            settings[key] = _SETTINGS[key][0](val)
+        except ValueError as exc:
+            raise ValueError("%s %s, got %r" % (key, exc, val)) from None
     if "which" in args:
         settings["which"] = args.which
     return settings
 
 
-def _build_params(settings) -> PhysicalParams:
-    if settings["ratio"] is not None:
-        spec = RatioSpec(ratio=float(settings["ratio"]), mode=settings["mode"])
-        base = PhysicalParams(
-            float(settings["m"]), float(settings["omega"]), float(settings["hbar"])
-        )
-        return params_from_ratio(spec, base)
-    return PhysicalParams(
-        float(settings["m"]),
-        float(settings["omega"]),
-        float(settings["hbar"]),
-        float(settings["theta"]),
-        float(settings["eta"]),
-    )
-
-
-def _physics(settings) -> DerivedConstants:
-    params = _build_params(settings)
-    return derived_constants(params, make_gauge(params, float(settings["gauge_ratio"])))
-
-
-def _positive_finite(settings, *keys) -> None:
-    for key in keys:
-        if not 0.0 < float(settings[key]) < math.inf:
-            raise ValueError(
-                "%s must be positive and finite, got %r" % (key, settings[key])
-            )
+def _physics(s) -> DerivedConstants:
+    if s["ratio"] is None:
+        params = PhysicalParams(s["m"], s["omega"], s["hbar"], s["theta"], s["eta"])
+    else:
+        base = PhysicalParams(s["m"], s["omega"], s["hbar"])
+        params = params_from_ratio(RatioSpec(s["ratio"], s["mode"]), base)
+    return derived_constants(params, make_gauge(params, s["gauge_ratio"]))
 
 
 def _cap_rows(what, rows: int) -> None:
@@ -269,16 +325,6 @@ def _cap_rows(what, rows: int) -> None:
         raise ValueError(
             "%s would need %d rows, more than MAX_ROWS = %d" % (what, rows, MAX_ROWS)
         )
-
-
-def _grid_points(settings, default=None) -> int:
-    """The resolved number of time samples; a time grid needs at least two."""
-    n = settings["grid_points"]
-    n = int(default if n is None else n)
-    if n < 2:
-        raise ValueError("grid_points must be at least 2, got %d" % n)
-    _cap_rows("grid_points", n)
-    return n
 
 
 def cmd_constants(s, out: RunOutput) -> None:
@@ -304,7 +350,7 @@ def cmd_constants(s, out: RunOutput) -> None:
         comm = abs(dc.omega_big - params.omega) / params.omega
         man.check("commutative_limit", comm, 1e-15)
     if s["ratio"] is not None:
-        r_err = abs(dc.gamma / dc.omega_big - float(s["ratio"]))
+        r_err = abs(dc.gamma / dc.omega_big - s["ratio"])
         man.check("ratio_match", r_err, 1e-12)
 
     g_theta, g_eta = gamma_components(params)
@@ -329,18 +375,6 @@ def cmd_constants(s, out: RunOutput) -> None:
     out.finish(man, "constants_manifest.json")
 
 
-def _initial_conditions(settings, dc) -> InitialConditions:
-    raw = settings.get("ic")
-    if raw is None:
-        return ground_mode_ic(dc)
-    if isinstance(raw, str):
-        raw = raw.split(",")
-    vals = [float(v) for v in raw]
-    if len(vals) != 4:
-        raise ValueError("ic needs exactly four values x,y,pi_x,pi_y")
-    return InitialConditions(*vals)
-
-
 def _invariant_drift(states: np.ndarray, dc) -> tuple[float, float]:
     """Spreads of the two flow invariants over rows (Q1, Q2, P1, P2), over |X(0)|."""
     i1, i2 = invariant_pair(PhaseState(*states.T), dc)
@@ -350,13 +384,10 @@ def _invariant_drift(states: np.ndarray, dc) -> tuple[float, float]:
 
 def cmd_simulate(s, out: RunOutput) -> None:
     method = s["method"]
-    if method not in METHODS:
-        raise ValueError("method must be analytic, rk4 or both, got %r" % (method,))
-    _positive_finite(s, "t_max", "dt")
     dc = _physics(s)
-    ic = _initial_conditions(s, dc)
-    t_end = float(s["t_max"]) / dc.omega_big
-    dt = float(s["dt"]) / dc.omega_big
+    ic = ground_mode_ic(dc) if s["ic"] is None else InitialConditions(*s["ic"])
+    t_end = s["t_max"] / dc.omega_big
+    dt = s["dt"] / dc.omega_big
     n_steps = step_count(t_end, dt)
     _cap_rows("t_max / dt", n_steps + 1)
     man = RunManifest("simulate", s, dc)
@@ -371,7 +402,7 @@ def cmd_simulate(s, out: RunOutput) -> None:
         man.check("invariant_quadratic_drift", d1, 1e-10)
         man.check("invariant_angular_drift", d2, 1e-10)
         if dc.gamma == 0.0:
-            periods = float(s["t_max"]) / (2.0 * math.pi)
+            periods = s["t_max"] / (2.0 * math.pi)
             if round(periods) >= 1 and abs(periods - round(periods)) < 1e-9:
                 gap = float(np.max(np.abs(analytic_states[-1] - analytic_states[0])))
                 man.check("periodic_return", gap, 1e-8)
@@ -403,14 +434,8 @@ def _first_order_rel_err(first, closed) -> float:
 
 def cmd_xi(s, out: RunOutput) -> None:
     source = s["source"]
-    if source not in SOURCES:
-        raise ValueError(
-            "source must be one of %s, got %r" % (", ".join(SOURCES), source)
-        )
-    n = _grid_points(s)
-    _positive_finite(s, "t_max")
     dc = _physics(s)
-    omega_t = np.linspace(0.0, float(s["t_max"]), n)
+    omega_t = np.linspace(0.0, s["t_max"], s["grid_points"])
     series = sector_energy_series(dc, omega_t, source)
     man = RunManifest("xi", s, dc)
     out.write(man, "xi_%s.csv" % source, series.write_csv)
@@ -435,24 +460,10 @@ def cmd_xi(s, out: RunOutput) -> None:
 
 
 def cmd_wigner(s, out: RunOutput) -> None:
-    n = _grid_points(s)
+    n, nodes, n_points = s["grid_points"], s["nodes"], s["residual_points"]
     _cap_rows("grid_points**2", n * n)
-    nodes = int(s["nodes"])
-    if not 11 <= nodes <= MAX_NODES - 10:
-        # The three rules have nodes - 10, nodes and nodes + 10 nodes per action.
-        raise ValueError(
-            "nodes must be from 11 to %d, got %d" % (MAX_NODES - 10, nodes)
-        )
-    n_points = int(s["residual_points"])
-    if n_points < 1:
-        raise ValueError("residual_points must be at least 1, got %d" % n_points)
-    _cap_rows("residual_points", n_points)
-    _positive_finite(s, "extent")
-    extent = float(s["extent"])
-    seed = int(s["seed"])
-    if seed < 0:
-        raise ValueError("seed must be nonnegative, got %d" % seed)
-    qn = QuantumNumbers(int(s["n1"]), int(s["n2"]))
+    extent = s["extent"]
+    qn = QuantumNumbers(s["n1"], s["n2"])
     dc = _physics(s)
     params, hb = dc.params, dc.hbar
     man = RunManifest("wigner", s, dc)
@@ -467,7 +478,7 @@ def cmd_wigner(s, out: RunOutput) -> None:
     out.write(man, "wigner_slice.csv", write_csv, WIGNER_SLICE_HEADER, columns)
 
     energy = energy_level(qn, dc)
-    u = np.random.default_rng(seed).uniform(-2.0, 2.0, (n_points, 4))
+    u = np.random.default_rng(s["seed"]).uniform(-2.0, 2.0, (n_points, 4))
     z = u * np.array([w_q, w_q, w_p, w_p])
     pts = PhaseState(*z.T)
     residuals = np.broadcast_to(stargen_residual(pts, qn, dc), n_points)
@@ -513,9 +524,7 @@ def cmd_figure(s, out: RunOutput) -> None:
     if s["ratio"] is None and s["theta"] == 0.0 and s["eta"] == 0.0:
         s["ratio"] = 0.002
     which = s["which"]
-    n = _grid_points(s, 200000 if which == 1 else 4000)
-    if s["t_max"] is not None:
-        _positive_finite(s, "t_max")
+    n = s["grid_points"] or (200000 if which == 1 else 4000)
     dc = _physics(s)
     params = dc.params
     if dc.gamma == 0.0:
@@ -528,7 +537,7 @@ def cmd_figure(s, out: RunOutput) -> None:
         full = sector_energy_series(dc, full_t, "closed_form")
         out.write(man, "figure1_full.csv", full.write_csv)
 
-        t_max = 40.0 if s["t_max"] is None else float(s["t_max"])
+        t_max = 40.0 if s["t_max"] is None else s["t_max"]
         zoom_t = np.linspace(0.0, min(t_max, 3.0 * beat), 4000)
         zoom = sector_energy_series(dc, zoom_t, "closed_form")
         out.write(man, "figure1_zoom.csv", zoom.write_csv)
@@ -549,7 +558,7 @@ def cmd_figure(s, out: RunOutput) -> None:
         man.check("zoom_start_xi1_match", abs(start1 - 0.5 * (1.0 + r_eff)), 1e-9)
         man.check("zoom_start_xi2_match", abs(start2 - 0.5 * (1.0 - r_eff)), 1e-9)
     else:
-        span = 4.0 * math.pi if s["t_max"] is None else float(s["t_max"])
+        span = 4.0 * math.pi if s["t_max"] is None else s["t_max"]
         omega_t = np.linspace(0.0, span, n)
         t = omega_t / dc.omega_big
         rate = np.asarray(
@@ -578,12 +587,7 @@ def cmd_figure(s, out: RunOutput) -> None:
 
 
 def cmd_sweep(s, out: RunOutput) -> None:
-    raw = s["ratios"]
-    if isinstance(raw, str):
-        raw = raw.split(",")
-    ratios = sorted(float(r) for r in raw)
-    if not ratios:
-        raise ValueError("empty ratio grid")
+    ratios = s["ratios"] = sorted(s["ratios"])
     physics = [_physics(dict(s, ratio=r)) for r in ratios]
     if ratios[0] == 0.0:
         # Each cell's error is relative to the beat amplitude, zero at ratio 0.
@@ -592,10 +596,7 @@ def cmd_sweep(s, out: RunOutput) -> None:
     if len(set(names)) < len(names):
         # Two cells would share one directory and be checked against each other.
         raise ValueError("sweep ratios must be distinct cells, got %s" % ", ".join(names))
-    s["ratios"] = ratios
-    n = _grid_points(s)
-    _positive_finite(s, "t_max")
-    omega_t = np.linspace(0.0, float(s["t_max"]), n)
+    omega_t = np.linspace(0.0, s["t_max"], s["grid_points"])
 
     cells = []
     for r, name, dc in zip(ratios, names, physics):
@@ -686,11 +687,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         if name == "figure":
             p.add_argument("which", type=int, choices=(1, 2))
+        # Flags collect text; _resolve parses it like a config value.
         for key in ("config", *_PHYSICS, *defaults):
-            kind, flag_help = _SETTINGS[key]
-            typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
-            flag = "--" + key.replace("_", "-")
-            p.add_argument(flag, dest=key, help=flag_help, **typed)
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=_SETTINGS[key][1])
         p.set_defaults(func=func)
     return parser
 

@@ -1,5 +1,6 @@
 """Command surface: settings, artifacts, manifests and exit codes."""
 import argparse
+import contextlib
 import dataclasses
 import inspect
 import json
@@ -28,8 +29,9 @@ from nclab import (
     params_from_ratio,
     stargen_residual,
 )
-from nclab.cli import MAX_ROWS, build_parser, main
+from nclab.cli import MAX_ROWS, METHODS, MODES, build_parser, main
 from nclab.manifest import RunManifest
+from nclab.observables import SOURCES
 from nclab.states import PhaseState
 from test_output_bytes import GOLDEN
 
@@ -511,6 +513,108 @@ def test_determinism_across_runs(tmp_path):
         assert a == b
 
 
+def manifest_text(path):
+    """The manifest without its timestamp, as JSON text: 2 and 2.0 differ."""
+    man = read_manifest(path)
+    man.pop("timestamp")
+    return json.dumps(man, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "command,config,flags",
+    [
+        (
+            "wigner",
+            {
+                "m": "1.5", "theta": "0.04", "eta": 0.01, "gauge_ratio": 2, "n1": 1,
+                "n2": "0", "grid_points": 11.0, "residual_points": "2", "nodes": 20,
+                "seed": "3", "extent": 2,
+            },
+            [
+                "--m", "1.5", "--theta", "0.04", "--eta", "0.01", "--gauge-ratio", "2",
+                "--n1", "1", "--n2", "0", "--grid-points", "11", "--residual-points", "2",
+                "--nodes", "20", "--seed", "3", "--extent", "2",
+            ],
+        ),
+        (
+            "simulate",
+            {"m": "1.5", "t_max": 4, "dt": "0.01", "method": "both", "ic": ["1", 0, 0.5, "0"]},
+            ["--m", "1.5", "--t-max", "4", "--dt", "0.01", "--method", "both", "--ic", "1,0,0.5,0"],
+        ),
+    ],
+    ids=["wigner", "simulate"],
+)
+def test_config_and_flags_record_the_same_manifest(tmp_path, command, config, flags):
+    # Numbers in the config file come as JSON text and as integers; the
+    # manifest records the parsed values, not the text.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    outs = tmp_path / "config", tmp_path / "flags"
+    assert main([command, "--config", str(cfg), "--out", str(outs[0])]) == 0
+    assert main([command, *flags, "--out", str(outs[1])]) == 0
+    name = "%s_manifest.json" % command
+    assert manifest_text(outs[0] / name) == manifest_text(outs[1] / name)
+    args = read_manifest(outs[0] / name)["arguments"]
+    assert args["m"] == 1.5
+    if command == "wigner":
+        assert [args[k] for k in ("grid_points", "n2", "seed")] == [11, 0, 3]
+        assert all(type(args[k]) is int for k in ("grid_points", "n2", "seed"))
+    else:
+        assert args["ic"] == [1.0, 0.0, 0.5, 0.0]
+
+
+def test_config_null_leaves_unset_only_what_is_unset_by_default(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ratio": None, "out": None}))
+    out = tmp_path / "out"
+    assert main(["constants", "--config", str(cfg), "--out", str(out)]) == 0
+    assert read_manifest(out / "constants_manifest.json")["arguments"]["ratio"] is None
+    cfg.write_text(json.dumps({"mode": None}))
+    line = assert_rejected_up_front(capsys, tmp_path / "out2", ["constants", "--config", str(cfg)])
+    assert line == "error: mode must be one of single_theta, symmetric, got None"
+
+
+def test_config_out_that_is_not_text_is_refused(tmp_path, capsys, monkeypatch):
+    # It once ended in a TypeError traceback from the output path.
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": 5}))
+    assert main(["constants", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: out must be text, got 5"]
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_every_default_comes_back_through_its_own_parser():
+    # So no default is a value its own flag would refuse.
+    tables = [nclab.cli._PHYSICS] + [own for _, _, own in nclab.cli._COMMANDS.values()]
+    checked = set()
+    for table in tables:
+        for key, value in table.items():
+            if value is not None:
+                parsed = nclab.cli._SETTINGS[key][0](value)
+                assert parsed == value and type(parsed) is type(value), key
+                checked.add(key)
+    assert {"m", "mode", "dt", "grid_points", "nodes", "ratios"} <= checked
+
+
+def test_flags_collect_text_and_the_help_names_the_allowed_values():
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    allowed = {"--mode": MODES, "--method": METHODS, "--source": SOURCES}
+    seen = set()
+    for name, p in sub.choices.items():
+        for option, action in p._option_string_actions.items():
+            if option.startswith("--") and option != "--help":
+                assert action.type is None and action.choices is None, (name, option)
+            if option in allowed:
+                assert all(v in action.help for v in allowed[option]), (name, action.help)
+                seen.add(option)
+    assert seen == set(allowed)
+
+
 # Settings every command reads, and each command's own, with a value that
 # parses; together they are every flag of every subcommand.
 SHARED_SETTINGS = {
@@ -852,6 +956,27 @@ def assert_rejected_up_front(capsys, out, argv):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert not out.exists()
+    return err[0]
+
+
+def assert_refused_as_flag_and_in_config(tmp_path, capsys, argv, *flag_argv):
+    """Rejected up front, naming the key, as a flag and in a config file.
+
+    flag_argv is ["--key", text] or ["--key=text"]; the config file holds
+    the text as a JSON number where it reads as one.
+    """
+    name, _, value = flag_argv[0].partition("=")
+    key = name[2:].replace("-", "_")
+    value = value or flag_argv[1]
+    for parse in (json.loads, float):  # float reads nan and inf
+        with contextlib.suppress(ValueError):
+            value = parse(value)
+            break
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    for setting in (list(flag_argv), ["--config", str(cfg)]):
+        line = assert_rejected_up_front(capsys, tmp_path / "out", argv + setting)
+        assert line.startswith("error: %s " % key), (setting, line)
 
 
 @pytest.mark.parametrize(
@@ -861,7 +986,7 @@ def assert_rejected_up_front(capsys, out, argv):
 )
 @pytest.mark.parametrize("points", ["0", "1", "-5"])
 def test_grid_points_below_two_rejected(tmp_path, capsys, argv, points):
-    assert_rejected_up_front(capsys, tmp_path / "out", argv + ["--grid-points", points])
+    assert_refused_as_flag_and_in_config(tmp_path, capsys, argv, "--grid-points", points)
 
 
 @pytest.mark.parametrize(
@@ -882,7 +1007,7 @@ def test_simulate_rejects_nonpositive_step_or_span(tmp_path, capsys, flag, value
 def test_t_max_rejected_up_front(tmp_path, capsys, argv, t_max):
     # xi once wrote a backward or all-zero grid, xi and figure NaN data, and
     # sweep its cells followed by a ZeroDivisionError traceback.
-    assert_rejected_up_front(capsys, tmp_path / "out", argv + ["--t-max", t_max])
+    assert_refused_as_flag_and_in_config(tmp_path, capsys, argv, "--t-max", t_max)
 
 
 @pytest.mark.parametrize(
@@ -903,7 +1028,7 @@ def test_t_max_rejected_up_front(tmp_path, capsys, argv, t_max):
     ],
 )
 def test_wigner_rejects_bad_sizes(tmp_path, capsys, flag, value):
-    assert_rejected_up_front(capsys, tmp_path / "out", ["wigner", flag, value])
+    assert_refused_as_flag_and_in_config(tmp_path, capsys, ["wigner"], flag, value)
 
 
 def test_wigner_accepts_the_largest_node_count(tmp_path):
@@ -921,8 +1046,8 @@ def test_figure_rejects_zero_gamma_before_any_output(tmp_path, capsys):
 @pytest.mark.parametrize("field", ["m", "omega", "hbar", "theta", "eta"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_nonfinite_parameter_rejected(tmp_path, capsys, field, value):
-    argv = ["constants", "--%s=%s" % (field, value)]
-    assert_rejected_up_front(capsys, tmp_path / "out", argv)
+    setting = "--%s=%s" % (field, value)
+    assert_refused_as_flag_and_in_config(tmp_path, capsys, ["constants"], setting)
 
 
 @pytest.mark.parametrize(
@@ -935,7 +1060,41 @@ def test_every_command_checks_physics_before_output(tmp_path, capsys, argv):
 
 
 def test_simulate_rejects_bad_initial_conditions(tmp_path, capsys):
-    assert_rejected_up_front(capsys, tmp_path / "out", ["simulate", "--ic", "1,2"])
+    # nan,0,0,0 once wrote a NaN trajectory and its manifest, then exited 1.
+    for ic in ("1,2", "nan,0,0,0"):
+        assert_refused_as_flag_and_in_config(tmp_path, capsys, ["simulate"], "--ic", ic)
+
+
+@pytest.mark.parametrize(
+    "command,key,value",
+    [
+        # Each ran, computing n1 = 1 on a 10 x 10 slice, a seed of 1, a gauge
+        # ratio of 1 or no ratio mode, and recorded the value as given.
+        ("wigner", "n1", 1.5),
+        ("wigner", "grid_points", 10.7),
+        ("wigner", "seed", True),
+        ("constants", "gauge_ratio", True),
+        ("constants", "mode", "bogus"),
+        # Each ended in a TypeError traceback with exit 1.
+        ("wigner", "residual_points", [3]),
+        ("simulate", "t_max", None),
+        ("constants", "ratio", [0.1]),
+        ("sweep", "ratios", 0.002),
+        # It wrote a NaN trajectory, then exited 1.
+        ("simulate", "ic", [0, 0, 0, math.nan]),
+    ],
+    ids=[
+        "n1-1.5", "grid_points-10.7", "seed-true", "gauge_ratio-true", "mode-bogus",
+        "residual_points-list", "t_max-null", "ratio-list", "ratios-number", "ic-nan",
+    ],
+)
+def test_config_values_are_refused_where_the_flag_would_be(
+    tmp_path, capsys, command, key, value
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    line = assert_rejected_up_front(capsys, tmp_path / "out", [command, "--config", str(cfg)])
+    assert line.startswith("error: %s must be " % key), line
 
 
 def test_sweep_rejects_zero_ratio(tmp_path, capsys):
