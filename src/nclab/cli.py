@@ -462,6 +462,14 @@ def cmd_xi(s, out: RunOutput) -> None:
 def cmd_wigner(s, out: RunOutput) -> None:
     n, nodes, n_points = s["grid_points"], s["nodes"], s["residual_points"]
     _cap_rows("grid_points**2", n * n)
+    # The coarsest normalization rule, nodes - 10 Gauss-Laguerre nodes, is
+    # exact up to degree 2 (nodes - 10) - 1 in each mode action.
+    top = 2 * (nodes - 10) - 1
+    for key in ("n1", "n2"):
+        if s[key] > top:
+            raise ValueError(
+                "%s must be at most 2*(nodes - 10) - 1 = %d, got %d" % (key, top, s[key])
+            )
     extent = s["extent"]
     qn = QuantumNumbers(s["n1"], s["n2"])
     dc = _physics(s)

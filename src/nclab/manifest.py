@@ -43,20 +43,26 @@ __all__ = ["TOOL_VERSION", "RunManifest", "RunOutput", "file_sha256", "write_csv
 
 TOOL_VERSION = "0.1.0"
 
-# Rows formatted per block.  Each float column of a block is formatted
-# bytes x rows into a cell, through some twenty arrays of the block's
-# length, and copied transposed into a rows x bytes buffer filled once from
-# the row template; each half block is then compressed and written.  No
-# bytes x rows array may have rows a multiple of 512 bytes apart: on a 48
-# KiB, 12-way L1d, rows 2 KiB apart share 2 of its 64 sets, so every walk
-# down a column thrashes (transposing a 99-byte x 2048-row block took 85 us
-# per 1k rows, at 2000 rows 23 us; 1024 and 4096 behave like 2048).
-# _byte_major pads each to an odd number of 64-byte lines, the last partial
-# block's too.  Figure 1's 50k rows of three floats then peak at about 200
-# B a row (tracemalloc, once the tables are built): 0.67 MiB at 3500 rows,
-# 0.76 MiB at 4000.  Writing them took 14.7 ms at 3500 rows, 17.0 ms at
-# 2000 and 22.0 ms in the unpadded 2048-row layout (2-core Xeon VM).
-CSV_BLOCK_ROWS = 3500
+# Float values formatted per block.  A file with k float columns is cut
+# into ceil(n_rows / (CSV_BLOCK_VALUES // k)) blocks of equal size, within
+# one row.  A block's k column slices are copied into one float buffer and
+# formatted bytes x values in one _format_floats call, through some twenty
+# arrays of the block's values; each column's (_CELL, rows) slice of that
+# cell is copied transposed into a rows x bytes buffer filled once from the
+# row template, and the block is compacted and written.  A call costs 49 us
+# at 10 values and 175 us at 3500 (2-core Xeon VM), so the fewer calls the
+# better; but the formatter's temporaries grow with the values per call
+# and the row buffer with the rows per block.  A budget in values, not
+# rows, keeps both in hand for every column count: figure 1's 50k rows of
+# three floats peak at 0.669 MiB at 4800 values (tracemalloc, once the
+# tables are built), 0.762 MiB at 5400, and six floats stay under 0.75
+# MiB too, where 3500 rows per block gave them 1.187 MiB.  No bytes x rows
+# array may have rows a multiple of 512 bytes apart: on a 48 KiB, 12-way
+# L1d, rows 2 KiB apart share 2 of its 64 sets, so every walk down a
+# column thrashes (transposing a 99-byte x 2048-row block took 85 us per
+# 1k rows, at 2000 rows 23 us).  _byte_major pads each to an odd number of
+# 64-byte lines.
+CSV_BLOCK_VALUES = 4800
 
 # Exact %.17g.  A finite x with 1e-250 <= |x| < 1e250 has the decimal
 # exponent X = floor(log10|x|) and the 17 significant digits N = round(q),
@@ -173,8 +179,10 @@ def _format_floats(x, out) -> None:
     """Write the %.17g text of each value of ``x`` into the columns of
     ``out``, a (_CELL, len(x)) uint8 array; zero bytes are no character.
 
-    Each temporary is dropped once spent, since the peak of this and of
-    ``_decimal`` sets how many rows a block can hold (CSV_BLOCK_ROWS).
+    ``write_csv`` makes one call per block, over all of the block's float
+    columns.  Each temporary is dropped once spent, since the peak of this
+    and of ``_decimal`` sets how many values a block can hold
+    (CSV_BLOCK_VALUES).
     """
     quads, places = _groups()
     n = len(x)
@@ -309,26 +317,30 @@ def write_csv(path, header, columns) -> None:
         template.append(b"," if i < len(columns) - 1 else b"\r\n")
     if not arrays or any(a.ndim != 1 or len(a) != len(arrays[0]) for a in arrays):
         raise ValueError("columns need at least one array, all 1-D of one length")
-    n_rows = len(arrays[0])
+    n_rows, k = len(arrays[0]), len(arrays)
     template = np.frombuffer(b"".join(template), np.uint8)
-    rows = np.empty((min(n_rows, CSV_BLOCK_ROWS), len(template)), np.uint8)
-    rows[:] = template
-    # Each cell is formatted bytes x rows, so that each operation runs
-    # along the rows; the bytes outside the cells keep the template's.
-    cell = _byte_major(_CELL, len(rows))
     with _replacing(path) as fh:
         fh.write(head)
-        for start in range(0, n_rows, CSV_BLOCK_ROWS):
-            n = min(CSV_BLOCK_ROWS, n_rows - start)
-            cells = cell[:, :n]
-            for off, a in zip(offsets, arrays):
-                _format_floats(a[start : start + n], cells)
-                rows[:n, off : off + _CELL] = cells.T
-            # Half a block at a time, so that the mask and the kept bytes
-            # of only half a block are held at once.
-            for part in (rows[: n // 2], rows[n // 2 : n]):
-                flat = part.ravel()
-                fh.write(flat[flat != 0])
+        if not n_rows:
+            return
+        n_blocks = -(-n_rows // max(1, CSV_BLOCK_VALUES // k))
+        size = -(-n_rows // n_blocks)
+        rows = np.empty((size, len(template)), np.uint8)
+        rows[:] = template
+        values = np.empty(k * size)
+        # The cell is formatted bytes x values, so that each operation runs
+        # along the values; the bytes outside the cells keep the template's.
+        cell = _byte_major(_CELL, k * size)
+        for b in range(n_blocks):
+            start, stop = b * n_rows // n_blocks, (b + 1) * n_rows // n_blocks
+            n = stop - start
+            x, cells = values[: k * n], cell[:, : k * n]
+            for j, a in enumerate(arrays):
+                x[j * n : (j + 1) * n] = a[start:stop]
+            _format_floats(x, cells)
+            for j, off in enumerate(offsets):
+                rows[:n, off : off + _CELL] = cells[:, j * n : (j + 1) * n].T
+            fh.write(rows[:n].tobytes().translate(None, b"\0"))
 
 
 def write_json(path, obj) -> None:

@@ -74,7 +74,11 @@ class QuantumNumbers:
 
     Nonnegative integers; n1 counts the mode that gains energy with gamma,
     n2 the one that loses it.  Values up to 6 are validated by the test
-    suite; larger ones work but are unverified.
+    suite; larger ones work but are unverified.  A Gauss-Laguerre rule of
+    k nodes integrates the normalization exactly only while n1 and n2 are
+    at most 2k - 1, so ``nclab wigner``, whose coarsest rule has
+    ``nodes - 10`` nodes, refuses either above 2 (nodes - 10) - 1 (59 at
+    the default 40 nodes).
     """
 
     n1: int

@@ -891,24 +891,26 @@ def test_a_sweep_whose_last_cell_raises_writes_nothing(tmp_path, monkeypatch):
 
 
 def test_a_second_file_that_fails_to_write_leaves_nothing(tmp_path, monkeypatch):
-    # figure 1's full series has 1000 rows, one block; its zoom has 4000,
-    # so the first full block formatted belongs to the second file.
-    block = nclab.manifest.CSV_BLOCK_ROWS
-    assert 1000 < block <= 4000
+    # figure 1's full series has 1000 rows of three floats, one block; its
+    # zoom has 4000 rows, more than one block, so the second call formats
+    # the first block of the second file.
+    block = nclab.manifest.CSV_BLOCK_VALUES // 3
+    assert 1000 <= block < 4000
     format_floats = nclab.manifest._format_floats
     lengths = []
 
-    def fail_on_full_block(x, out):
+    def fail_on_second_call(x, out):
         lengths.append(len(x))
-        if len(x) == block:
+        if len(lengths) == 2:
             raise MemoryError("forced")
         format_floats(x, out)
 
-    monkeypatch.setattr(nclab.manifest, "_format_floats", fail_on_full_block)
+    monkeypatch.setattr(nclab.manifest, "_format_floats", fail_on_second_call)
     with pytest.raises(MemoryError):
         main(["figure", "1", "--grid-points", "1000", "--out", str(tmp_path / "out")])
-    # The first file's three float columns were formatted whole.
-    assert lengths == [1000, 1000, 1000, block]
+    # The first file's three float columns were formatted whole, in one
+    # call; the second call was the first of the zoom's equal blocks.
+    assert lengths == [3 * 1000, 3 * (4000 // math.ceil(4000 / block))]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1029,6 +1031,21 @@ def test_t_max_rejected_up_front(tmp_path, capsys, argv, t_max):
 )
 def test_wigner_rejects_bad_sizes(tmp_path, capsys, flag, value):
     assert_refused_as_flag_and_in_config(tmp_path, capsys, ["wigner"], flag, value)
+
+
+@pytest.mark.parametrize("key", ["n1", "n2"])
+@pytest.mark.parametrize("nodes,top", [(40, 59), (20, 19)], ids=["default-nodes", "nodes-20"])
+def test_wigner_refuses_quantum_numbers_its_rules_cannot_resolve(
+    tmp_path, capsys, key, nodes, top
+):
+    # The coarsest rule, nodes - 10 nodes, is exact up to degree
+    # 2 (nodes - 10) - 1 in each action; one above it fails
+    # normalization_stable (9.75 at the default 40 nodes), so it is refused.
+    argv = ["wigner", "--grid-points", "5", "--residual-points", "2"]
+    if nodes != 40:
+        argv += ["--nodes", str(nodes)]
+    assert_refused_as_flag_and_in_config(tmp_path, capsys, argv, "--" + key, str(top + 1))
+    assert main(argv + ["--" + key, str(top), "--out", str(tmp_path / "top")]) == 0
 
 
 def test_wigner_accepts_the_largest_node_count(tmp_path):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from nclab.cli import main
 from nclab import manifest
-from nclab.manifest import CSV_BLOCK_ROWS, write_csv, write_json
+from nclab.manifest import CSV_BLOCK_VALUES, write_csv, write_json
 
 RATIO_XI = ["xi", "--ratio", "0.002", "--t-max", "20", "--grid-points", "300"]
 
@@ -101,7 +101,12 @@ def test_golden_output_bytes(tmp_path, name):
 # ---------------------------------------------------------------------------
 # the shared writer against csv.writer
 
-BLOCK = CSV_BLOCK_ROWS
+
+def block_rows(k):
+    """The most rows a block of a file with k float columns holds."""
+    return CSV_BLOCK_VALUES // k
+
+
 SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1e308, 0.1]
 TEXT = st.text(alphabet=',"\r\nab %x0', max_size=6)
 
@@ -122,11 +127,13 @@ def reference_csv(path, header, columns, n_rows):
 
 @st.composite
 def tables(draw):
-    n_rows = draw(st.sampled_from([0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]))
-    pool = np.array(SPECIALS + draw(st.lists(st.floats(), min_size=1, max_size=8)))
     kinds = draw(st.lists(st.sampled_from(["array", "text", "float"]), min_size=1, max_size=6))
     if "array" not in kinds:
         kinds[draw(st.integers(0, len(kinds) - 1))] = "array"
+    # Up to and across a block boundary for the number of float columns.
+    block = block_rows(kinds.count("array"))
+    n_rows = draw(st.sampled_from([0, 1, 2, block - 1, block, block + 1, 2 * block + 3]))
+    pool = np.array(SPECIALS + draw(st.lists(st.floats(), min_size=1, max_size=8)))
     columns = []
     for kind in kinds:
         if kind == "array":
@@ -186,12 +193,12 @@ def assert_matches_reference(out, header, columns, n_rows):
 @settings(max_examples=10, deadline=None)
 @given(
     st.integers(0, 2**63 - 1),
-    st.sampled_from([2 * BLOCK - 1, 2 * BLOCK + 1, 3 * BLOCK]),
+    st.sampled_from([5 * block_rows(3) - 1, 5 * block_rows(3) + 1, 7 * block_rows(3)]),
 )
 def test_write_csv_matches_csv_writer_on_raw_bits(tmp_path_factory, seed, n_rows):
     # Every float64 bit pattern is equally likely in the first two columns;
     # the third has the magnitudes of data, in both notations.  Each
-    # example writes 3 * n_rows >= 12k values over two or three blocks.
+    # example writes 3 * n_rows >= 12k values over five to seven blocks.
     rng = np.random.default_rng(seed)
     bits = rng.integers(-(2**63), 2**63, (2, n_rows), dtype=np.int64).view(np.float64)
     data = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-8, 20, n_rows)
@@ -201,11 +208,13 @@ def test_write_csv_matches_csv_writer_on_raw_bits(tmp_path_factory, seed, n_rows
 
 
 @pytest.mark.parametrize(
-    "n_rows", [2048, 4000, 4096, 6561, 50000, BLOCK - 1, BLOCK + 1]
+    "n_rows",
+    [2048, 3499, 3501, 4000, 4096, 6561, 50000, block_rows(2) - 1, block_rows(2) + 1],
 )
 def test_write_csv_matches_csv_writer_at_the_lengths_written(tmp_path, n_rows):
     # Figure 1's full series (50k), its zoom, figure 2 and xi (4000), the
-    # 81**2 wigner slice, powers of two, and one row either side of a block.
+    # 81**2 wigner slice, powers of two, one row either side of a block,
+    # and odd lengths cut into blocks a row apart in size (3499, 3501).
     rng = np.random.default_rng(n_rows)
     bits = rng.integers(-(2**63), 2**63, n_rows, dtype=np.int64).view(np.float64)
     data = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-8, 20, n_rows)
@@ -226,7 +235,8 @@ def test_byte_major_rows_are_an_odd_number_of_cache_lines_apart(tmp_path, monkey
         return array
 
     monkeypatch.setattr(manifest, "_byte_major", spy)
-    for n_rows in (1, 512, 2048, BLOCK, BLOCK + 2048):
+    block = block_rows(1)
+    for n_rows in (1, 512, 2048, block, block + 2048):
         write_csv(tmp_path / "a.csv", ("t",), [np.arange(n_rows, dtype=float)])
     assert len(strides) == 5 + 6  # a cell per file, a digit array per block
     assert all(s % 128 == 64 for s in strides), strides
@@ -241,7 +251,7 @@ def test_write_csv_edge_values_take_the_per_value_path(tmp_path, monkeypatch):
 
     monkeypatch.setattr(manifest, "_g17", spy)
     # Each edge in every row of a block, and across the block boundary.
-    column = np.resize(EDGES, BLOCK + len(EDGES))
+    column = np.resize(EDGES, block_rows(2) + len(EDGES))
     columns = [column, column[::-1].copy()]
     assert_matches_reference(tmp_path, ["v", "w"], columns, len(column))
     # The ties, zeros and non-finite values went through %.17g, each once
@@ -270,24 +280,82 @@ def test_write_csv_encodes_text_as_utf8(tmp_path):
     assert path.read_bytes() == expected.encode("utf-8")
 
 
-def test_write_csv_memory_peak(tmp_path):
-    # Figure 1's full file: 50k rows of three floats.  Each block's
-    # transients stay bounded, whatever the length of the file (0.67 MiB,
-    # about 200 B a row, at 3500 rows per block).
-    n = 50000
-    columns = [np.linspace(0.0, 100.0, n), np.linspace(0.0, 1.0, n) ** 2, np.cos(np.arange(n))]
-    path = tmp_path / "big.csv"
-    write_csv(path, ("t", "a", "b"), columns)  # builds the module's cached tables
+def write_csv_peak(path, header, columns):
+    """The tracemalloc peak of writing a file, once the cached tables exist."""
+    write_csv(path, header, columns)
     tracemalloc.start()
     try:
-        write_csv(path, ("t", "a", "b"), columns)
-        peak = tracemalloc.get_traced_memory()[1]
+        write_csv(path, header, columns)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.75 * 2**20
+
+
+def test_write_csv_memory_peak(tmp_path):
+    # Figure 1's full file: 50k rows of three floats.  Each block's
+    # transients stay bounded, whatever the length of the file (0.67 MiB
+    # at 4800 values, 1600 rows, per block).
+    n = 50000
+    columns = [np.linspace(0.0, 100.0, n), np.linspace(0.0, 1.0, n) ** 2, np.cos(np.arange(n))]
+    assert write_csv_peak(tmp_path / "big.csv", ("t", "a", "b"), columns) <= 0.75 * 2**20
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [
+        ["array"],
+        ["array", "array", "float"],  # figure 2
+        ["array", "array", "array", "text"],  # figure 1
+        ["array", "text", "array", "text", "array"],  # the wigner slice
+        ["array"] * 6,  # a trajectory
+    ],
+    ids=["one-float", "figure2", "figure1", "wigner-slice", "six-floats"],
+)
+def test_write_csv_memory_peak_for_every_shape_written(tmp_path, kinds):
+    # The block is sized in values, so the cap holds whatever the number of
+    # float columns: six floats peaked at 1.19 MiB with 3500-row blocks.
+    # Data in both notations, so that every cell is full.
+    n = 50000
+    rng = np.random.default_rng(len(kinds))
+    columns = [
+        rng.standard_normal(n) * 10.0 ** rng.integers(-8, 20, n) if kind == "array"
+        else "0" if kind == "text" else 0.5
+        for kind in kinds
+    ]
+    header = ["c%d" % i for i in range(len(kinds))]
+    assert write_csv_peak(tmp_path / "big.csv", header, columns) <= 0.75 * 2**20
+
+
+def test_write_csv_formats_each_block_in_one_call(tmp_path, monkeypatch):
+    # Figure 1's full file, 50k rows of three floats: one formatter call per
+    # block over all three columns, in blocks that differ by at most a row.
+    calls = []
+    format_floats = manifest._format_floats
+
+    def spy(x, out):
+        calls.append(len(x))
+        format_floats(x, out)
+
+    monkeypatch.setattr(manifest, "_format_floats", spy)
+    n = 50000
+    columns = [np.linspace(0.0, 100.0, n), np.linspace(0.0, 1.0, n) ** 2, np.cos(np.arange(n))]
+    write_csv(tmp_path / "big.csv", ("t", "a", "b", "s"), columns + ["closed_form"])
+    assert len(calls) == math.ceil(n / block_rows(3))
+    assert all(values % 3 == 0 for values in calls)
+    sizes = [values // 3 for values in calls]
+    assert sum(sizes) == n and max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_write_csv_writes_an_empty_table_for_every_column_count(tmp_path, k):
+    header = ["c%d" % i for i in range(k)] + ["s"]
+    columns = [np.empty(0)] * k + ["text"]
+    assert_matches_reference(tmp_path, header, columns, 0)
+    assert (tmp_path / "bulk.csv").read_bytes() == b",".join(h.encode() for h in header) + b"\r\n"
 
 
 def test_a_write_that_fails_leaves_no_file(tmp_path, monkeypatch):
+    block = block_rows(1)
     blocks = []
     format_floats = manifest._format_floats
 
@@ -299,8 +367,8 @@ def test_a_write_that_fails_leaves_no_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(manifest, "_format_floats", fail_on_second_block)
     with pytest.raises(MemoryError):
-        write_csv(tmp_path / "data.csv", ("t",), [np.arange(2 * BLOCK, dtype=float)])
-    assert blocks == [BLOCK, BLOCK]
+        write_csv(tmp_path / "data.csv", ("t",), [np.arange(2 * block, dtype=float)])
+    assert blocks == [block, block]
     with pytest.raises(TypeError):
         write_json(tmp_path / "report.json", {"value": object()})
     assert os.listdir(tmp_path) == []
@@ -308,6 +376,6 @@ def test_a_write_that_fails_leaves_no_file(tmp_path, monkeypatch):
     (tmp_path / "data.csv").write_bytes(b"old")
     blocks.clear()
     with pytest.raises(MemoryError):
-        write_csv(tmp_path / "data.csv", ("t",), [np.arange(2 * BLOCK, dtype=float)])
+        write_csv(tmp_path / "data.csv", ("t",), [np.arange(2 * block, dtype=float)])
     assert os.listdir(tmp_path) == ["data.csv"]
     assert (tmp_path / "data.csv").read_bytes() == b"old"
