@@ -19,6 +19,7 @@ continuously to the commutative limit theta = eta = 0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "solve_gauge_product",
     "make_gauge",
     "derived_constants",
+    "check_scales",
     "sw_to_nc",
     "sw_to_commutative",
     "algebra_residual",
@@ -67,11 +69,11 @@ class PhysicalParams:
     eta : float
         Momentum-momentum deformation (action**2 over area).  Either sign.
 
-    Every field must be finite; NaN and infinities raise ValueError, and
-    an hbar whose square underflows to zero or overflows raises DomainError.
-
-    The linear maps exist only while theta*eta < hbar**2, so that product
-    is rejected at construction time.
+    Every field must be finite; NaN and infinities raise ValueError.  The
+    model reads m, omega and hbar only through the dimensionless pair (a, b)
+    and the scales that derived_constants checks.  The linear maps exist
+    only while nc_product = a*b = theta*eta/hbar**2 < 1, so a larger
+    product raises MapNotInvertible at construction time.
     """
 
     m: float
@@ -88,25 +90,27 @@ class PhysicalParams:
                 )
         if self.m <= 0.0 or self.omega <= 0.0 or self.hbar <= 0.0:
             raise ValueError("m, omega and hbar must all be positive")
-        try:
-            hbar2 = self.hbar**2
-        except OverflowError:  # float ** raises where * would give inf
-            hbar2 = math.inf
-        if not 0.0 < hbar2 < math.inf:
-            raise DomainError(
-                "hbar = %r: hbar**2 = %r must be positive and finite"
-                % (self.hbar, hbar2)
-            )
-        if self.theta * self.eta >= hbar2:
+        if self.nc_product >= 1.0:
             raise MapNotInvertible(
-                "theta*eta = %g >= hbar**2 = %g: the frame map degenerates"
-                % (self.theta * self.eta, hbar2)
+                "theta*eta/hbar**2 = %g >= 1: the frame map degenerates" % self.nc_product
             )
 
     @property
+    def a(self) -> float:
+        """Dimensionless position deformation theta*m*omega/hbar."""
+        return self.theta * (self.m * self.omega) / self.hbar
+
+    @property
+    def b(self) -> float:
+        """Dimensionless momentum deformation eta/(m*omega*hbar)."""
+        return self.eta / (self.m * self.omega) / self.hbar
+
+    @property
     def nc_product(self) -> float:
-        """Dimensionless deformation strength theta*eta/hbar**2."""
-        return self.theta * self.eta / self.hbar**2
+        """a*b = theta*eta/hbar**2, as (theta/hbar)*(eta/hbar): no m*omega."""
+        if not (self.theta and self.eta):  # not inf * 0 where theta/hbar overflows
+            return self.theta * self.eta
+        return (self.theta / self.hbar) * (self.eta / self.hbar)
 
 
 @dataclass(frozen=True)
@@ -197,29 +201,22 @@ class DerivedConstants:
 def gamma_components(params: PhysicalParams) -> tuple[float, float]:
     """Frequency contributions of the two deformations.
 
-    Returns the pair (position part, momentum part); their sum is the beat
-    frequency gamma and their difference controls which of the two carries
-    the fast oscillation of the sector energies.
+    Returns the pair (position part, momentum part), omega*a/2 and
+    omega*b/2; their sum is the beat frequency gamma and their difference
+    controls which of the two carries the fast oscillation of the sector
+    energies.
     """
-    g_theta = params.m * params.omega**2 * params.theta / (2.0 * params.hbar)
-    g_eta = params.eta / (2.0 * params.m * params.hbar)
-    return g_theta, g_eta
+    return 0.5 * params.omega * params.a, 0.5 * params.omega * params.b
 
 
 def solve_gauge_product(params: PhysicalParams) -> float:
     """Product lambda*mu solving the gauge constraint.
 
     The constraint is quadratic; of its two roots we return
-    (1 + sqrt(1 - theta*eta/hbar**2)) / 2, the branch that tends to 1 in
-    the commutative limit.  Raises MapNotInvertible when theta*eta >=
-    hbar**2, where the square root would leave the real axis.
+    (1 + sqrt(1 - a*b)) / 2, the branch that tends to 1 in the commutative
+    limit.  It is real because PhysicalParams refuses a*b >= 1.
     """
-    x = params.theta * params.eta / params.hbar**2
-    if x >= 1.0:
-        raise MapNotInvertible(
-            "theta*eta/hbar**2 = %g >= 1: no real gauge product" % x
-        )
-    return 0.5 * (1.0 + math.sqrt(1.0 - x))
+    return 0.5 * (1.0 + math.sqrt(1.0 - params.nc_product))
 
 
 def make_gauge(params: PhysicalParams, ratio: float = 1.0) -> GaugeChoice:
@@ -250,9 +247,13 @@ def derived_constants(
 
     With ``gauge=None`` the ratio-1 gauge is used.  A gauge whose product
     disagrees with the constraint is rejected: observables computed from an
-    off-shell gauge would silently depend on the frame.  Parameters so
-    extreme that alpha, beta or Omega = 2*alpha*beta underflows to zero or
-    overflows raise DomainError.
+    off-shell gauge would silently depend on the frame.  alpha =
+    omega sqrt(m/2) sqrt(lambda**2 + (b/2mu)**2), beta = sqrt(1/2m)
+    sqrt(mu**2 + (a/2lambda)**2) and gamma = omega (a + b)/2.  Float range
+    is decided by one rule, check_scales: each scale the commands multiply by
+    (alpha**2, beta**2, Omega = 2 alpha beta, m omega**2, 1/m, hbar**2; figure
+    2 adds hbar*Omega**2) and m*omega, which a and b divide by, must be a
+    normal float, else DomainError.
     """
     if gauge is None:
         gauge = make_gauge(params)
@@ -265,22 +266,14 @@ def derived_constants(
         )
     m, w, hb = params.m, params.omega, params.hbar
     lam, mu = gauge.lam, gauge.mu
-    try:
-        alpha = math.sqrt(
-            0.5 * m * w**2 * lam**2 + params.eta**2 / (8.0 * m * hb**2 * mu**2)
-        )
-        beta = math.sqrt(
-            mu**2 / (2.0 * m) + m * w**2 * params.theta**2 / (8.0 * hb**2 * lam**2)
-        )
-        g_theta, g_eta = gamma_components(params)
-    except OverflowError:  # float ** raises where * would give inf
-        alpha = beta = math.inf
+    mw = m * w
+    check_scales({"m*omega": mw, "m*omega**2": mw * w, "1/m": 1.0 / m, "hbar**2": hb * hb})
+    u, v = params.b / (2.0 * mu), params.a / (2.0 * lam)
+    alpha = w * math.sqrt(0.5 * m) * math.sqrt(lam * lam + u * u)
+    beta = math.sqrt(0.5 / m) * math.sqrt(mu * mu + v * v)
     omega_big = 2.0 * alpha * beta
-    if not all(0.0 < v < math.inf for v in (alpha, beta, omega_big)):
-        raise DomainError(
-            "alpha = %r, beta = %r, Omega = %r: all must be positive and finite"
-            % (alpha, beta, omega_big)
-        )
+    check_scales({"alpha**2": alpha * alpha, "beta**2": beta * beta, "Omega": omega_big})
+    g_theta, g_eta = gamma_components(params)
     return DerivedConstants(
         alpha=alpha,
         beta=beta,
@@ -290,6 +283,13 @@ def derived_constants(
         params=params,
         gauge=gauge,
     )
+
+
+def check_scales(scales: dict) -> None:
+    """The one scale rule: DomainError unless each named scale is a normal float."""
+    for name, value in scales.items():
+        if not sys.float_info.min <= value <= sys.float_info.max:
+            raise DomainError("%s = %r is out of normal float range" % (name, value))
 
 
 def sw_to_nc(state: PhaseState, dc: DerivedConstants) -> NCState:
@@ -312,16 +312,12 @@ def sw_to_commutative(nc: NCState, dc: DerivedConstants) -> PhaseState:
     = sqrt(1 - theta*eta/hbar**2).  So M**-1 is M with its diagonal
     entries swapped within each block and its off-diagonal ones negated,
     over that determinant.  The prefactor (1 - theta*eta/hbar**2)**(-1/2)
-    diverges as the deformation product approaches hbar**2; the map raises
-    MapNotInvertible at and beyond that point but stays finite anywhere
-    inside the domain (even at theta*eta/hbar**2 = 0.99).  As in sw_to_nc,
-    one non-finite component makes the whole mapped point non-finite.
+    diverges as the deformation product approaches hbar**2, which
+    PhysicalParams refuses, but stays finite anywhere inside the domain
+    (even at theta*eta/hbar**2 = 0.99).  As in sw_to_nc, one non-finite
+    component makes the whole mapped point non-finite.
     """
     x = dc.params.nc_product
-    if x >= 1.0:
-        raise MapNotInvertible(
-            "theta*eta/hbar**2 = %g >= 1: inverse map undefined" % x
-        )
     lam, mu = dc.gauge.lam, dc.gauge.mu
     inverse = -dc.M
     inverse[np.diag_indices(4)] = (mu, mu, lam, lam)

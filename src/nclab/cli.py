@@ -50,6 +50,7 @@ from .algebra import (
     DerivedConstants,
     PhysicalParams,
     algebra_residual,
+    check_scales,
     derived_constants,
     gamma_components,
     make_gauge,
@@ -133,27 +134,24 @@ def params_from_ratio(
     """Physical parameters realising gamma/Omega = spec.ratio exactly.
 
     m, omega and hbar are those of ``base``; its theta and eta are replaced.
-    single_theta: gamma = r*omega/sqrt(1 - r**2) and theta = 2*hbar*gamma
-    / (m*omega**2); then Omega**2 = omega**2 + gamma**2 and the ratio comes
-    out to r up to roundoff.  symmetric: theta = eta chosen so the two
-    deformation frequencies are equal; with m = omega = hbar = 1 this
-    reduces to theta = eta = r and Omega = omega exactly.  A base so
-    extreme that theta overflows, underflows to zero or cannot be computed
-    raises DomainError.
+    single_theta: b = 0 and a = 2r/sqrt(1 - r**2), so gamma = omega*a/2 and
+    Omega**2 = omega**2 + gamma**2; theta = a*hbar/m/omega, as m*omega may
+    underflow to 0.  symmetric: theta = eta solved from gamma/Omega = r; at
+    m = omega = hbar = 1 this is theta = eta = r and Omega = omega exactly.
+    A theta that overflows or underflows to zero raises DomainError; the
+    base's scales are derived_constants' rule.
     """
     r, m, omega, hbar = spec.ratio, base.m, base.omega, base.hbar
     if r == 0.0:
         return replace(base, theta=0.0, eta=0.0)
-    try:
-        if spec.mode == "single_theta":
-            gamma = r * omega / math.sqrt(1.0 - r * r)
-            theta, eta = 2.0 * hbar * gamma / (m * omega**2), 0.0
-        else:
-            k = (m * omega**2 + 1.0 / m) / (2.0 * hbar)
-            theta = r * omega / math.sqrt(k * k * (1.0 - r * r) + (r * omega / hbar) ** 2)
-            eta = theta
-    except (OverflowError, ZeroDivisionError):  # float ** and / raise
-        theta = math.nan
+    if spec.mode == "single_theta":
+        a = 2.0 * r / math.sqrt(1.0 - r * r)
+        theta, eta = a * hbar / m / omega, 0.0
+    else:
+        k = (m * omega * omega + 1.0 / m) / (2.0 * hbar)
+        q = r * omega / hbar
+        d = k * k * (1.0 - r * r) + q * q
+        theta = eta = r * omega / math.sqrt(d) if d > 0.0 else math.inf
     if not 0.0 < theta < math.inf:
         raise DomainError(
             "gamma/Omega = %r is out of floating-point range at m = %r, "
@@ -333,18 +331,19 @@ def cmd_constants(s, out: RunOutput) -> None:
     man = RunManifest("constants", s, dc)
 
     x = params.nc_product
+    root = 2.0 * dc.product_lm - 1.0  # = sqrt(1 - a b)
     resid = abs(dc.product_lm * (1.0 - dc.product_lm) - x / 4.0)
     man.check("gauge_product_residual", resid, 1e-14 * max(1.0, abs(x) / 4.0))
-    branch = abs((2.0 * dc.product_lm - 1.0) ** 2 - (1.0 - x)) / (1.0 - x)
+    branch = abs(root * root - (1.0 - x)) / (1.0 - x)
     man.check("gauge_branch_identity", branch, 1e-14)
 
-    w_gauge = math.sqrt(
-        (2.0 * dc.product_lm - 1.0) ** 2 * params.omega**2 + dc.gamma**2
-    )
-    w_plain = math.sqrt(params.omega**2 * (1.0 - x) + dc.gamma**2)
-    w_rel = abs(w_gauge - w_plain) / w_plain
-    man.check("omega_identity", w_rel, 1e-12)
-    man.check("omega_construction", abs(dc.omega_big - w_plain) / w_plain, 1e-12)
+    # Omega/omega from the gauge product and from sqrt(1 - a b + (gamma/omega)**2).
+    g = dc.gamma / params.omega
+    w_gauge = math.sqrt(root * root + g * g)
+    w_plain = math.sqrt(1.0 - x + g * g)
+    man.check("omega_identity", abs(w_gauge - w_plain) / w_plain, 1e-12)
+    w_built = dc.omega_big / params.omega
+    man.check("omega_construction", abs(w_built - w_plain) / w_plain, 1e-12)
     man.check("algebra_residual", algebra_residual(params, dc.gauge), 1e-12)
     if params.theta == 0.0 and params.eta == 0.0:
         comm = abs(dc.omega_big - params.omega) / params.omega
@@ -382,6 +381,13 @@ def _invariant_drift(states: np.ndarray, dc) -> tuple[float, float]:
     return float(i1.max() - i1.min()) / scale, float(i2.max() - i2.min()) / scale
 
 
+def _state_gap(states, exact, trajectory) -> float:
+    """sup|states - exact| over max|z| of the exact trajectory (1 if it is 0):
+    z scales with sqrt(hbar) and the gauge ratio, a relative gap does not."""
+    scale = float(np.max(np.abs(trajectory))) or 1.0
+    return float(np.max(np.abs(states - exact))) / scale
+
+
 def cmd_simulate(s, out: RunOutput) -> None:
     method = s["method"]
     dc = _physics(s)
@@ -404,7 +410,7 @@ def cmd_simulate(s, out: RunOutput) -> None:
         if dc.gamma == 0.0:
             periods = s["t_max"] / (2.0 * math.pi)
             if round(periods) >= 1 and abs(periods - round(periods)) < 1e-9:
-                gap = float(np.max(np.abs(analytic_states[-1] - analytic_states[0])))
+                gap = _state_gap(analytic_states[-1], analytic_states[0], analytic_states)
                 man.check("periodic_return", gap, 1e-8)
 
     if method in ("rk4", "both"):
@@ -415,8 +421,7 @@ def cmd_simulate(s, out: RunOutput) -> None:
         man.check("invariant_angular_drift_rk4", d2, 1e-8)
         if analytic_states is not None:
             ref = propagate_analytic(ic, dc, traj_n.times).as_array()
-            sup = float(np.max(np.abs(traj_n.states - ref)))
-            man.check("rk4_matches_analytic", sup, 1e-8)
+            man.check("rk4_matches_analytic", _state_gap(traj_n.states, ref, ref), 1e-8)
     out.finish(man, "simulate_manifest.json")
 
 
@@ -569,10 +574,9 @@ def cmd_figure(s, out: RunOutput) -> None:
         span = 4.0 * math.pi if s["t_max"] is None else s["t_max"]
         omega_t = np.linspace(0.0, span, n)
         t = omega_t / dc.omega_big
-        rate = np.asarray(
-            xi_closed_rate(dc, paper_coefficients(dc), t, 1)
-            / (dc.hbar * dc.omega_big**2)
-        )
+        unit = dc.hbar * dc.omega_big * dc.omega_big
+        check_scales({"hbar*Omega**2": unit})
+        rate = np.asarray(xi_closed_rate(dc, paper_coefficients(dc), t, 1) / unit)
         target = dc.gamma / dc.omega_big
         out.write(man, "figure2.csv", write_csv, FIG2_HEADER, [omega_t, rate, target])
 

@@ -88,7 +88,7 @@ def _plane_form(i: int, q_weight: float, p_weight: float) -> np.ndarray:
 def _sector_form(dc: DerivedConstants, i: int) -> np.ndarray:
     """G_i = M^T S_i M, with S_i sector i's energy p_i**2/2m + m w**2 q_i**2/2."""
     p = dc.params
-    s = _plane_form(i, 0.5 * p.m * p.omega**2, 0.5 / p.m)
+    s = _plane_form(i, 0.5 * p.m * p.omega * p.omega, 0.5 / p.m)
     # einsum, not BLAS: a first BLAS call costs the process about 0.4 MiB.
     return np.einsum("ki,kl,lj->ij", dc.M, s, dc.M)
 

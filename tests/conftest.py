@@ -1,7 +1,8 @@
 """Shared hypothesis strategy: parameters over the whole admissible domain."""
+from hypothesis import reject
 from hypothesis import strategies as st
 
-from nclab import PhysicalParams, derived_constants, make_gauge
+from nclab import DomainError, PhysicalParams, derived_constants, make_gauge
 
 
 @st.composite
@@ -24,3 +25,37 @@ def admissible_physics(draw):
     omega = draw(st.floats(0.2, 5.0))
     p = PhysicalParams(m, omega, hbar, theta, eta)
     return derived_constants(p, make_gauge(p, ratio=ratio))
+
+
+@st.composite
+def scaled_physics(draw):
+    """DerivedConstants at a dimensionless point scaled by decades.
+
+    The model reads m, omega and hbar only through a = theta*m*omega/hbar,
+    b = eta/(m*omega*hbar) and the gauge ratio.  Those are drawn first:
+    a of either sign from 1e-3 to 10**0.5, a*b = theta*eta/hbar**2 from
+    -0.99 to just below 1 (0 included: the degenerate surface), the gauge
+    ratio from 1e-3 to 1e3.  Then m, omega and hbar are drawn from 1e-100
+    to 1e100, and theta = a*hbar/(m*omega), eta = b*m*omega*hbar.  So
+    dc.params.a, dc.params.b and dc.gauge.ratio give the same model at
+    m = omega = hbar = 1.  A draw whose alpha**2 or beta**2 leaves float
+    range (m = omega = 1e100, |b| near 1000 and a gauge ratio near 1e3) is
+    refused by the scale rule, as the CLI refuses it with exit 6
+    (test_cli.py pins that refusal), and is rejected here.
+    """
+    a = 10.0 ** draw(st.floats(-3.0, 0.5)) * draw(st.sampled_from([1.0, -1.0]))
+    ab = draw(
+        st.one_of(
+            st.just(0.0),
+            st.floats(-0.99, 0.99),
+            st.integers(3, 12).map(lambda k: 1.0 - 10.0**-k),
+        )
+    )
+    ratio = 10.0 ** draw(st.floats(-3.0, 3.0))
+    m, omega, hbar = [10.0 ** draw(st.floats(-100.0, 100.0)) for _ in range(3)]
+    mw = m * omega
+    p = PhysicalParams(m, omega, hbar, a * hbar / mw, ab / a * mw * hbar)
+    try:
+        return derived_constants(p, make_gauge(p, ratio=ratio))
+    except DomainError:
+        reject()

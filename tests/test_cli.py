@@ -773,6 +773,93 @@ def test_extreme_hbar_is_a_domain_error_before_output(tmp_path, capsys, hbar):
     assert_domain_error_before_output(tmp_path, capsys, ["constants", "--hbar", hbar])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["xi", "--source", "trajectory", "--omega", "1e160"],
+        ["wigner", "--omega", "1e120", "--m", "1e100"],
+        ["simulate", "--omega", "1e-120", "--m", "1e-100", "--method", "both"],
+        ["constants", "--hbar", "1e-300", "--theta", "1e10"],
+        ["constants", "--ratio", "0.002", "--m", "1e-200", "--omega", "1e-200"],
+        ["constants", "--ratio", "0.002", "--mode", "symmetric", "--hbar", "1e300"],
+        [
+            "constants", "--m", "1e100", "--omega", "1e100", "--theta", "1e-203",
+            "--eta", "9.9e202", "--gauge-ratio", "1000",
+        ],
+        ["figure", "2", "--m", "1e-100", "--omega", "1e160"],
+    ],
+    ids=[
+        "xi-sector-form", "wigner-K", "rk4-subnormal-alpha2", "theta-over-hbar-inf",
+        "ratio-m-omega-zero", "symmetric-zero-radicand", "scaled-alpha2",
+        "figure2-rate-unit",
+    ],
+)
+def test_scale_out_of_range_is_a_domain_error_before_output(tmp_path, capsys, argv):
+    # The scale rule covers m*omega**2, alpha**2 and beta**2, not only alpha,
+    # beta and Omega: without them the first two overflow in _sector_form and
+    # in K, and the third runs RK4 on a subnormal alpha**2 (drift 840).  Then
+    # theta/hbar = inf with eta = 0 (nc_product must not be inf*0 = nan), an
+    # m*omega that underflows to 0 under --ratio, and a symmetric --ratio
+    # whose radicand underflows to 0: none may raise ZeroDivisionError.
+    # At a = 1e-3, a*b = 0.99 and gauge ratio 1e3, m = omega = 1e100 puts
+    # alpha**2 at 2.2e308, the edge that scaled_physics rejects.  Figure 2
+    # divides by hbar*Omega**2 (1e320 here), which once raised OverflowError.
+    assert_domain_error_before_output(tmp_path, capsys, argv)
+
+
+def run_all_passed(tmp_path, argv, manifest):
+    """Run argv into tmp_path; it exits 0 and every check passes."""
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    man = read_manifest(tmp_path / manifest)
+    assert_all_passed(man)
+    return man
+
+
+def test_tiny_theta_at_huge_mass_keeps_its_deformation(tmp_path):
+    # a = theta*m*omega/hbar = 0.1; theta**2 once underflowed inside beta,
+    # giving Omega = 1 and gamma/Omega = 0.05.
+    argv = ["xi", "--m", "1e200", "--theta", "1e-201"]
+    b = run_all_passed(tmp_path / "big", argv, "xi_manifest.json")["derived_constants"]
+    argv = ["xi", "--theta", "0.1"]
+    u = run_all_passed(tmp_path / "unit", argv, "xi_manifest.json")["derived_constants"]
+    assert abs(b["omega_big"] - u["omega_big"]) <= 1e-15
+    assert abs(b["gamma"] / b["omega_big"] - u["gamma"] / u["omega_big"]) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants", "--ratio", "0.002", "--m", "1e200"],
+        ["constants", "--ratio", "0.002", "--m", "1e-200"],
+        ["constants", "--omega", "1e150", "--theta", "0.1"],
+        ["constants", "--m=1e-100", "--omega=1e-100", "--hbar=1e-130", "--theta=1e76"],
+        ["figure", "2", "--m", "1e-300", "--omega", "1e155", "--hbar", "1e-150"],
+    ],
+    ids=["ratio-huge-m", "ratio-tiny-m", "huge-omega", "tiny-m-omega", "figure2-huge-omega"],
+)
+def test_admissible_extreme_scales_run_and_pass(tmp_path, argv):
+    # Once: theta**2 underflowed (Omega = 1, ratio_match failed) or
+    # overflowed (exit 6), an OverflowError traceback, and a
+    # ZeroDivisionError in derived_constants.  In figure 2, Omega**2 alone
+    # is 1e310, but its rate unit hbar*Omega**2 is 1e160.
+    manifest = "figure2" if argv[0] == "figure" else argv[0]
+    run_all_passed(tmp_path, argv, manifest + "_manifest.json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--m", "1e6", "--method", "both"],
+        ["simulate", "--ic", "1e8,0,0,5e7", "--t-max", "6.283185307179586"],
+    ],
+    ids=["rk4-heavy-mass", "periodic-large-state"],
+)
+def test_state_checks_are_relative_to_the_state(tmp_path, argv):
+    # rk4_matches_analytic once read 3.12e-8 against an absolute 1e-8 at
+    # m = 1e6, where max|z| is about 1000; periodic_return read 2.4e-8 here.
+    run_all_passed(tmp_path, argv, "simulate_manifest.json")
+
+
 def assert_domain_error_before_output(tmp_path, capsys, argv):
     """Exit 6 with one error line, before the output directory exists."""
     out = tmp_path / "out"
