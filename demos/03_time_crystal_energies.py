@@ -4,14 +4,15 @@ Splitting the physical Hamiltonian into its two planar sectors and
 following them along the flow gives energies that never settle: they
 oscillate forever with a slow envelope at gamma and a fast ripple at
 Omega, while their sum stays exactly one quantum hbar*Omega.  This
-script compares the closed forms against the trajectory composition and
-demonstrates the one systematic discrepancy the library documents: for
-position-dominant deformations the fast ripple flips sign relative to
-the unsigned closed form, identically in the gauge ratio.
+script compares the closed forms against the trajectory composition.
+The ground mode starts in the paper's phase (momenta times
+sign(g_eta - g_theta), +1 at equality), so the trajectory follows the
+paper's closed form whichever deformation dominates, at every gauge ratio.
 """
 import numpy as np
 
 from nclab import (
+    PhysicalParams,
     RatioSpec,
     derived_constants,
     ground_mode_ic,
@@ -19,13 +20,12 @@ from nclab import (
     paper_coefficients,
     params_from_ratio,
     sector_energy_series,
-    signed_coefficients,
     xi_closed,
     xi_first_order,
     xi_trajectory,
 )
 
-# Momentum-dominant deformation: trajectory and closed form agree.
+# Symmetric deformation (theta = eta): trajectory and closed form agree.
 dc = derived_constants(params_from_ratio(RatioSpec(0.01, "symmetric")))
 omega_t = np.linspace(0.0, 60.0, 1200)
 series = sector_energy_series(dc, omega_t, "trajectory")
@@ -36,26 +36,25 @@ print("  partition drift:", np.max(np.abs(series.xi1 + series.xi2 - 1.0)))
 series.write_csv("demo_xi_trajectory.csv")
 print("  wrote demo_xi_trajectory.csv")
 
-# Position-only deformation: the fast term comes out with the opposite
-# sign.  The gap is stable under the free gauge ratio and is reproduced
-# exactly by the signed closed form.
-params = params_from_ratio(RatioSpec(0.002, "single_theta"))
-dc0 = derived_constants(params)
-ts = np.linspace(0.0, 40.0 / dc0.omega_big, 400)
-print("single_theta deformation, gamma/Omega =", dc0.gamma / dc0.omega_big)
-for ratio in (0.5, 1.0, 2.0):
-    d = derived_constants(params, make_gauge(params, ratio=ratio))
-    scale = d.hbar * d.omega_big
-    traj = np.asarray(xi_trajectory(ground_mode_ic(d), d, ts, 1)) / scale
-    unsigned = np.asarray(xi_closed(d, paper_coefficients(d), ts, 1)) / scale
-    signed = np.asarray(xi_closed(d, signed_coefficients(d), ts, 1)) / scale
-    print(
-        "  ratio %.1f: gap to unsigned form %.6f, gap to signed form %.2e"
-        % (ratio, np.max(np.abs(traj - unsigned)), np.max(np.abs(traj - signed)))
-    )
+# One deformation alone, position (g_theta > g_eta, momenta flipped) or
+# momentum (g_eta > g_theta): the gap to the paper's form is roundoff at
+# every gauge ratio.
+ts_omega = np.linspace(0.0, 40.0, 400)
+for label, (theta, eta) in (("position", (0.004, 0.0)), ("momentum", (0.0, 0.004))):
+    params = PhysicalParams(1.0, 1.0, 1.0, theta, eta)
+    d = derived_constants(params)
+    print("%s deformation only, gamma/Omega = %.6f" % (label, d.gamma / d.omega_big))
+    for ratio in (0.5, 1.0, 2.0):
+        d = derived_constants(params, make_gauge(params, ratio=ratio))
+        ts = ts_omega / d.omega_big
+        scale = d.hbar * d.omega_big
+        traj = np.asarray(xi_trajectory(ground_mode_ic(d), d, ts, 1)) / scale
+        paper = np.asarray(xi_closed(d, paper_coefficients(d), ts, 1)) / scale
+        print("  gauge ratio %.1f: gap to the paper's form %.2e" % (ratio, np.max(np.abs(traj - paper))))
 
 # Near the commutative point the first-order window is accurate until
 # the secular term grows; its error scales like (gamma/Omega)^2.
+print("first-order window, position deformation only:")
 for r in (0.004, 0.002, 0.001):
     d = derived_constants(params_from_ratio(RatioSpec(r, "single_theta")))
     tw = np.linspace(0.0, 40.0 / d.omega_big, 2001)

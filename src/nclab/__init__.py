@@ -45,12 +45,12 @@ from .observables import (
     mode_energy,
     paper_coefficients,
     sector_energy_series,
-    signed_coefficients,
     xi_closed,
     xi_closed_rate,
     xi_dot_first_order,
     xi_first_order,
     xi_trajectory,
+    xi_trajectory_rate,
 )
 from .states import InitialConditions, NCState, PhaseState
 from .wigner import (

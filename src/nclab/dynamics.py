@@ -17,20 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DerivedConstants, invariant_pair
+from .algebra import DerivedConstants
 from .errors import NonFiniteState
 from .manifest import write_csv
 from .states import InitialConditions, PhaseState
 
 __all__ = [
-    "PhaseState",
-    "InitialConditions",
     "Trajectory",
     "eom_rhs",
     "propagate_analytic",
     "integrate_numeric",
     "step_count",
-    "invariant_pair",
 ]
 
 CSV_HEADER = ("t", "Omega_t", "Q1", "Q2", "P1", "P2")

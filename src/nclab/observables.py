@@ -5,14 +5,16 @@ state z = (Q1, Q2, P1, P2).  Mode energies beat exactly at twice the slow
 frequency.  Sector energies xi_i are the physical per-axis oscillator
 energies of the deformed variables M z, that is z^T G_i z with
 G_i = M^T S_i M and S_i the sector's form.  The oracle route,
-xi_trajectory, evaluates them along the exact flow.  The closed forms are
-one kernel, xi_closed, and its exact time derivative, xi_closed_rate, whose
-bracket takes a (fast, slow) coefficient pair: the paper's
-(paper_coefficients), the signed pair that the trajectory reproduces
-(signed_coefficients), or the pair of the degenerate surface
+xi_trajectory (and its rate), evaluates them along the exact flow.  The
+closed forms are one kernel, xi_closed, and its exact time derivative,
+xi_closed_rate, whose bracket takes a (fast, slow) coefficient pair: the
+paper's (paper_coefficients) or the pair of the degenerate surface
 theta*eta = 0 (degenerate_coefficients).  A first-order form, whose
 linear-in-t growth is the time-crystal signature, completes the set.
-Every function takes the model as one DerivedConstants, dc.
+Every function takes the model as one DerivedConstants, dc.  One phase
+convention holds: ground_mode_ic multiplies both momenta by
+s = sign(g_eta - g_theta), +1 at equality, so the trajectory is the
+paper's form to roundoff.
 
 All energies are gauge-ratio invariant even though the intermediate
 quantities (alpha/beta, the frame coordinates) are not.
@@ -34,13 +36,13 @@ __all__ = [
     "ground_mode_ic",
     "mode_energy",
     "paper_coefficients",
-    "signed_coefficients",
     "degenerate_coefficients",
     "xi_closed",
     "xi_closed_rate",
     "xi_first_order",
     "xi_dot_first_order",
     "xi_trajectory",
+    "xi_trajectory_rate",
     "sector_energy_series",
 ]
 
@@ -58,12 +60,15 @@ def ground_mode_ic(dc: DerivedConstants) -> InitialConditions:
     """Initial conditions whose mode energies start at hbar*Omega/2 each.
 
     Positions are set to the width sqrt(beta*hbar/(2*alpha)) and momenta to
-    sqrt(alpha*hbar/(2*beta)), equally in both planes, so the total energy
+    s*sqrt(alpha*hbar/(2*beta)), equally in both planes, so the total energy
     equals the ground level hbar*Omega and the beating between the two
-    modes is maximal.
+    modes is maximal.  s = sign(g_eta - g_theta), +1 at equality, is the
+    paper's phase, in which xi_1(0) >= xi_2(0).
     """
+    g_theta, g_eta = gamma_components(dc.params)
+    s = 1.0 if g_theta <= g_eta else -1.0
     x = np.sqrt(dc.hbar * dc.beta / (2.0 * dc.alpha))
-    p = np.sqrt(dc.hbar * dc.alpha / (2.0 * dc.beta))
+    p = s * np.sqrt(dc.hbar * dc.alpha / (2.0 * dc.beta))
     return InitialConditions(x=x, y=x, pi_x=p, pi_y=p)
 
 
@@ -115,25 +120,10 @@ def paper_coefficients(dc: DerivedConstants):
     return s_omega, (params.omega / W) * s_gamma
 
 
-def signed_coefficients(dc: DerivedConstants):
-    """(fast, slow) of the map-composed trajectory energy.
-
-    The paper's slow coefficient, but the fast one carries the sign of
-    (g_eta - g_theta)/Omega rather than the positive root: composing the
-    exact flow with the frame map flips the Omega-frequency terms whenever
-    the position deformation dominates the momentum one.  With these,
-    xi_closed matches xi_trajectory from ground-mode initial conditions to
-    roundoff in every regime.
-    """
-    _, slow = paper_coefficients(dc)
-    g_theta, g_eta = gamma_components(dc.params)
-    return (g_eta - g_theta) / dc.omega_big, slow
-
-
 def degenerate_coefficients(dc: DerivedConstants):
     """(fast, slow) on the degenerate surface theta*eta = 0.
 
-    There sqrt(1 - omega**2/Omega**2) collapses to gamma/Omega and the slow
+    There sqrt(1 - omega**2/Omega**2) collapses to |gamma|/Omega and the slow
     coefficient to 1 - gamma**2/Omega**2.  Calling it off the surface is an
     error (DegenerateFormMisuse), detected through the gauge product, which
     equals 1 exactly when theta*eta = 0.
@@ -143,7 +133,7 @@ def degenerate_coefficients(dc: DerivedConstants):
             "degenerate closed form requires theta*eta = 0 "
             "(gauge product %.17g != 1)" % dc.product_lm
         )
-    e = dc.gamma / dc.omega_big
+    e = abs(dc.gamma) / dc.omega_big
     return e, 1.0 - e**2
 
 
@@ -153,8 +143,7 @@ def xi_closed(dc: DerivedConstants, coeffs, t, i: int):
     (hbar*Omega/2) * (1 - (-1)**i * B) with the bracket
     B = fast * (cos 2 gamma t cos 2 Omega t - (gamma/Omega) sin 2 gamma t
     sin 2 Omega t) + slow * sin 2 gamma t, where ``coeffs`` = (fast, slow)
-    comes from paper_coefficients, signed_coefficients or
-    degenerate_coefficients.
+    comes from paper_coefficients or degenerate_coefficients.
     """
     _check_mode(i)
     return _from_bracket(dc, _closed_bracket(dc, coeffs, t), i)
@@ -190,26 +179,29 @@ def xi_closed_rate(dc: DerivedConstants, coeffs, t, i: int):
 
 
 def xi_first_order(dc: DerivedConstants, t, i: int):
-    """First order in gamma: (hbar*Omega/2)(1 - (-1)**i (gamma/Omega)(2 Omega t + cos 2 Omega t)).
+    """First order in gamma: (hbar*Omega/2)(1 - (-1)**i B1).
 
-    The secular 2*Omega*t term is the linear energy transfer between the
-    sectors; valid while gamma*t stays small.
+    B1 = 2 gamma t + (|gamma|/Omega) cos 2 Omega t, with the fast coefficient
+    of paper_coefficients.  The secular 2 gamma t term is the linear energy
+    transfer between the sectors; valid while gamma*t stays small.
     """
     _check_mode(i)
     W, g = dc.omega_big, dc.gamma
-    bracket = (g / W) * (2.0 * W * t + np.cos(2.0 * W * t))
+    c = np.cos(2.0 * W * t)
+    bracket = (g / W) * (2.0 * W * t + (c if g >= 0.0 else -c))
     return _from_bracket(dc, bracket, i)
 
 
 def xi_dot_first_order(dc: DerivedConstants, t, i: int):
-    """Rate form of xi_first_order: (-1)**(i+1) hbar gamma Omega (1 - sin 2 Omega t).
+    """Rate of xi_first_order: (-1)**(i+1) hbar Omega (gamma - |gamma| sin 2 Omega t).
 
-    Oscillates with amplitude exactly hbar*gamma*Omega and never changes
-    sign, so sector 1 monotonically gains what sector 2 loses.
+    Oscillates with amplitude exactly hbar*|gamma|*Omega and never changes
+    sign, so one sector monotonically gains what the other loses.
     """
     _check_mode(i)
     W, g = dc.omega_big, dc.gamma
-    return (-1) ** (i + 1) * dc.hbar * g * W * (1.0 - np.sin(2.0 * W * t))
+    s = np.sin(2.0 * W * t)
+    return (-1) ** (i + 1) * dc.hbar * g * W * (1.0 - (s if g >= 0.0 else -s))
 
 
 def xi_trajectory(ic: InitialConditions, dc: DerivedConstants, t, i: int):
@@ -221,6 +213,16 @@ def xi_trajectory(ic: InitialConditions, dc: DerivedConstants, t, i: int):
     """
     form = _sector_form(dc, i)
     return quadratic_form(propagate_analytic(ic, dc, t).as_array(), form)
+
+
+def xi_trajectory_rate(ic: InitialConditions, dc: DerivedConstants, t, i: int):
+    """Exact time derivative of xi_trajectory, 2 (G_i z).(A z): formed from
+    the vectors G_i z and A z, as the entries of A^T G_i + G_i A can leave
+    float range where the rate does not."""
+    z = propagate_analytic(ic, dc, t).as_array()
+    gz = np.einsum("ij,...j->...i", _sector_form(dc, i), z)
+    az = np.einsum("ij,...j->...i", dc.A, z)
+    return 2.0 * np.einsum("...i,...i->...", gz, az)
 
 
 @dataclass(frozen=True)

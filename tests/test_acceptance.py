@@ -29,7 +29,6 @@ from nclab import (
     propagate_analytic,
     invariant_pair,
     sector_energy_series,
-    signed_coefficients,
     solve_gauge_product,
     stargen_residual,
     wigner_eigenfunction,
@@ -225,8 +224,6 @@ def test_criterion_07_time_crystal_law(tmp_path):
     rng = np.random.default_rng(107)
     tol = 1e-9
     matched = 0
-    documented = 0
-    records = []
     man = RunManifest(command="acceptance-07", arguments={})
     for k in range(20):
         if k < 10:
@@ -242,56 +239,35 @@ def test_criterion_07_time_crystal_law(tmp_path):
                 0.0, rng.uniform(0.01, 0.08),
             )
         gauge = make_gauge(p)
-        dc = derived_constants(p, gauge)
-        ic = ground_mode_ic(dc)
-        ts = np.linspace(0.0, 50.0 / dc.omega_big, 200)
-        scale = p.hbar * dc.omega_big
+        ts = np.linspace(0.0, 50.0 / derived_constants(p, gauge).omega_big, 200)
 
         def gap_for(ratio):
-            g = make_gauge(p, ratio=ratio)
-            d = derived_constants(p, g)
-            icr = ground_mode_ic(d)
-            got = np.asarray(xi_trajectory(icr, d, ts, 1))
+            d = derived_constants(p, make_gauge(p, ratio=ratio))
+            got = np.asarray(xi_trajectory(ground_mode_ic(d), d, ts, 1))
             ref = np.asarray(xi_closed(d, paper_coefficients(d), ts, 1))
-            return float(np.max(np.abs(got - ref))) / scale
+            return float(np.max(np.abs(got - ref))) / (p.hbar * d.omega_big)
 
-        gap = gap_for(gauge.ratio)
-        if gap <= tol:
-            matched += 1
-            continue
-        # Systematic discrepancy: the composed fast term carries the sign of
-        # gamma_eta - gamma_theta.  Document it: gauge-stable gap plus exact
-        # agreement with the signed closed form.
-        gaps = [gap_for(r) for r in (0.5, 1.0, 2.0)]
-        spread = max(gaps) - min(gaps)
-        got = np.asarray(xi_trajectory(ic, dc, ts, 1))
-        signed = np.asarray(xi_closed(dc, signed_coefficients(dc), ts, 1))
-        signed_gap = float(np.max(np.abs(got - signed))) / scale
-        ok = spread <= tol and signed_gap <= 1e-12
-        if ok:
-            documented += 1
-        records.append(
-            {"set": k, "gap": gap, "gauge_spread": spread, "signed_form_gap": signed_gap}
-        )
+        # The ground mode starts in the paper's phase whichever deformation
+        # dominates, so the trajectory follows the paper's form at every
+        # gauge ratio; no set is left to a documented discrepancy.
+        gap = max(gap_for(r) for r in (gauge.ratio, 0.5, 1.0, 2.0))
         man.add_measured("set_%02d_gap" % k, gap)
-        man.add_measured("set_%02d_gauge_spread" % k, spread)
-        man.check("set_%02d_documented_spread" % k, spread, tol)
-        man.check("set_%02d_documented_signed_gap" % k, signed_gap, 1e-12)
+        man.check("set_%02d_matches_paper_form" % k, gap, tol)
+        matched += gap <= tol
     man_path = tmp_path / "xi_discrepancy_manifest.json"
     man.write(man_path)
     with open(man_path) as fh:
         written = json.load(fh)
     passed = (
-        matched + documented == 20
+        matched == 20
         and all(c["passed"] for c in written["checks"])
         and man_path.exists()
     )
     report(
         7,
-        "trajectory sector energies match the closed form or carry a documented, "
-        "gauge-stable discrepancy",
+        "trajectory sector energies match the paper's closed form at every gauge ratio",
         passed,
-        "%d matched, %d documented" % (matched, documented),
+        "%d of 20 matched" % matched,
     )
 
 

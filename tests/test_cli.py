@@ -191,7 +191,7 @@ def test_xi_sources(tmp_path, source):
     assert check_map(man)["energy_partition"]["value"] < 1e-12
 
 
-def test_xi_trajectory_documents_position_deformation_gap(tmp_path):
+def test_xi_trajectory_matches_paper_form_for_position_deformation(tmp_path):
     rc = main(
         [
             "xi",
@@ -210,10 +210,10 @@ def test_xi_trajectory_documents_position_deformation_gap(tmp_path):
     assert rc == 0
     man = read_manifest(tmp_path / "xi_manifest.json")
     assert_all_passed(man)
-    # The gap to the paper's form is measured; the check is against the
-    # signed form, which the trajectory reproduces to roundoff.
-    assert set(man["measured_constants"]) == {"trajectory_closed_gap"}
-    assert abs(man["measured_constants"]["trajectory_closed_gap"] - 0.002) < 1e-9
+    # g_theta > g_eta here, and the ground mode starts in the paper's phase
+    # all the same: the check compares with the paper's form, and nothing
+    # is left to measure.
+    assert man["measured_constants"] == {}
     checks = check_map(man)
     assert set(checks) == {"energy_partition", "trajectory_matches_closed"}
     assert checks["trajectory_matches_closed"]["value"] < 1e-12
@@ -787,11 +787,15 @@ def test_extreme_hbar_is_a_domain_error_before_output(tmp_path, capsys, hbar):
             "--eta", "9.9e202", "--gauge-ratio", "1000",
         ],
         ["figure", "2", "--m", "1e-100", "--omega", "1e160"],
+        [
+            "constants", "--ratio", "0.002", "--mode", "symmetric", "--m", "1e-300",
+            "--omega", "1e10", "--hbar", "1e-22",
+        ],
     ],
     ids=[
         "xi-sector-form", "wigner-K", "rk4-subnormal-alpha2", "theta-over-hbar-inf",
         "ratio-m-omega-zero", "symmetric-zero-radicand", "scaled-alpha2",
-        "figure2-rate-unit",
+        "figure2-rate-unit", "symmetric-subnormal-theta",
     ],
 )
 def test_scale_out_of_range_is_a_domain_error_before_output(tmp_path, capsys, argv):
@@ -804,6 +808,8 @@ def test_scale_out_of_range_is_a_domain_error_before_output(tmp_path, capsys, ar
     # At a = 1e-3, a*b = 0.99 and gauge ratio 1e3, m = omega = 1e100 puts
     # alpha**2 at 2.2e308, the edge that scaled_physics rejects.  Figure 2
     # divides by hbar*Omega**2 (1e320 here), which once raised OverflowError.
+    # Last, a symmetric --ratio whose theta = eta is subnormal (4e-315): its
+    # a = theta*m*omega/hbar underflows to 0 and gamma/Omega misses r by 1e-12.
     assert_domain_error_before_output(tmp_path, capsys, argv)
 
 
@@ -834,14 +840,19 @@ def test_tiny_theta_at_huge_mass_keeps_its_deformation(tmp_path):
         ["constants", "--omega", "1e150", "--theta", "0.1"],
         ["constants", "--m=1e-100", "--omega=1e-100", "--hbar=1e-130", "--theta=1e76"],
         ["figure", "2", "--m", "1e-300", "--omega", "1e155", "--hbar", "1e-150"],
+        ["constants", "--ratio", "0.001", "--mode", "symmetric", "--omega", "1e78"],
     ],
-    ids=["ratio-huge-m", "ratio-tiny-m", "huge-omega", "tiny-m-omega", "figure2-huge-omega"],
+    ids=[
+        "ratio-huge-m", "ratio-tiny-m", "huge-omega", "tiny-m-omega", "figure2-huge-omega",
+        "symmetric-huge-omega",
+    ],
 )
 def test_admissible_extreme_scales_run_and_pass(tmp_path, argv):
     # Once: theta**2 underflowed (Omega = 1, ratio_match failed) or
     # overflowed (exit 6), an OverflowError traceback, and a
     # ZeroDivisionError in derived_constants.  In figure 2, Omega**2 alone
-    # is 1e310, but its rate unit hbar*Omega**2 is 1e160.
+    # is 1e310, but its rate unit hbar*Omega**2 is 1e160.  A symmetric --ratio
+    # once squared (m omega**2 + 1/m)/(2 hbar), 5e155 at omega = 1e78 (exit 6).
     manifest = "figure2" if argv[0] == "figure" else argv[0]
     run_all_passed(tmp_path, argv, manifest + "_manifest.json")
 
@@ -858,6 +869,41 @@ def test_state_checks_are_relative_to_the_state(tmp_path, argv):
     # rk4_matches_analytic once read 3.12e-8 against an absolute 1e-8 at
     # m = 1e6, where max|z| is about 1000; periodic_return read 2.4e-8 here.
     run_all_passed(tmp_path, argv, "simulate_manifest.json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure", "1", "--theta=-0.004"],
+        ["figure", "1", "--ratio", "0.3", "--mode", "symmetric"],
+        ["figure", "2", "--ratio", "0.3", "--mode", "symmetric"],
+        ["figure", "2", "--theta=-0.004"],
+    ],
+    ids=["figure1-negative-gamma", "figure1-symmetric-0.3", "figure2-symmetric-0.3",
+         "figure2-negative-gamma"],
+)
+def test_figure_checks_read_the_trajectory(tmp_path, argv):
+    # Each once failed: the zoom starts and envelopes expected the small
+    # gamma/Omega limits 0.5 (1 +- gamma/Omega), 1 and 0, and the rate
+    # amplitude gamma/Omega; with gamma < 0 the first-order form took the
+    # signed gamma/Omega as its fast coefficient (truncation ratio 1.103).
+    man = run_all_passed(tmp_path, argv, "figure%s_manifest.json" % argv[1])
+    if argv[1] == "1":
+        # The beat is pi Omega/|gamma|, so the grid runs forward for gamma < 0.
+        last = (tmp_path / "figure1_full.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[0]) > 0.0
+    else:
+        assert man["measured_constants"]["rate_amplitude_target"] > 0.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="first_order_truncation_ratio measures on the fixed window "
+    "Omega*t <= 40, but the (gamma/Omega)**2 law needs 40 |gamma|/Omega << 1: "
+    "it reads 5.995 at gamma/Omega = 0.03 against [3.2, 4.8]",
+)
+def test_figure2_first_order_truncation_at_a_larger_ratio(tmp_path):
+    run_all_passed(tmp_path, ["figure", "2", "--ratio", "0.03"], "figure2_manifest.json")
 
 
 def assert_domain_error_before_output(tmp_path, capsys, argv):

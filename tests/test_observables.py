@@ -24,12 +24,12 @@ from nclab import (
     sector_energy_series,
     sw_to_commutative,
     sw_to_nc,
-    signed_coefficients,
     xi_closed,
     xi_closed_rate,
     xi_dot_first_order,
     xi_first_order,
     xi_trajectory,
+    xi_trajectory_rate,
 )
 from nclab.observables import CSV_HEADER, SOURCES
 from nclab.states import NCState
@@ -52,10 +52,6 @@ def paper_xi(dc, t, i):
     return xi_closed(dc, paper_coefficients(dc), t, i)
 
 
-def signed_xi(dc, t, i):
-    return xi_closed(dc, signed_coefficients(dc), t, i)
-
-
 def degenerate_xi(dc, t, i):
     return xi_closed(dc, degenerate_coefficients(dc), t, i)
 
@@ -69,10 +65,11 @@ def sector_energy(nc, params, i):
 
 
 def on_degenerate_surface(dc):
-    """The drawn parameters moved onto theta*eta = 0 with gamma >= 0, twice:
-    the position deformation alone, and the momentum deformation alone."""
+    """The drawn parameters moved onto theta*eta = 0, four times: the
+    position deformation alone and the momentum deformation alone, each
+    with either sign, so gamma takes both signs."""
     p = dc.params
-    for theta, eta in ((abs(p.theta), 0.0), (0.0, abs(p.eta))):
+    for theta, eta in ((p.theta, 0.0), (-p.theta, 0.0), (0.0, p.eta), (0.0, -p.eta)):
         q = PhysicalParams(p.m, p.omega, p.hbar, theta, eta)
         yield derived_constants(q, make_gauge(q, ratio=dc.gauge.ratio))
 
@@ -107,15 +104,19 @@ def test_ground_mode_isotropic():
 
 
 def test_ground_mode_anisotropic_frozen():
-    # alpha/beta = 2 with hbar = 1: positions 0.5, momenta 1.0.
+    # alpha/beta = 2 with hbar = 1: positions 0.5, momenta 1.0, times
+    # sign(g_eta - g_theta), which is +1 at equality and -1 where the
+    # position deformation dominates.
     class DC:
         alpha = 2.0
         beta = 1.0
         hbar = 1.0
 
-    ic = ground_mode_ic(DC)
-    assert abs(ic.x - 0.5) < 1e-15 and abs(ic.y - 0.5) < 1e-15
-    assert abs(ic.pi_x - 1.0) < 1e-15 and abs(ic.pi_y - 1.0) < 1e-15
+    for theta, sign in ((0.0, 1.0), (0.1, -1.0)):
+        DC.params = PhysicalParams(1.0, 1.0, 1.0, theta)
+        ic = ground_mode_ic(DC)
+        assert abs(ic.x - 0.5) < 1e-15 and abs(ic.y - 0.5) < 1e-15
+        assert abs(ic.pi_x - sign) < 1e-15 and abs(ic.pi_y - sign) < 1e-15
 
 
 def test_mode_energy_initial_split():
@@ -215,8 +216,8 @@ def test_xi_closed_initial_values():
 @example(physics(0.02, 0.0, m=1.1, omega=0.8, hbar=1.3))
 @example(physics(0.0, 0.017, m=1.1, omega=0.8, hbar=1.3))
 def test_xi_closed_matches_degenerate_when_one_parameter_vanishes(dc):
-    # On theta*eta = 0 with gamma >= 0 the two coefficient pairs agree; the
-    # paper's fast coefficient is |gamma|/Omega there, so gamma < 0 is excluded.
+    # On theta*eta = 0, for either sign of gamma, the two coefficient pairs
+    # agree: both fast coefficients are |gamma|/Omega there.
     for dc in on_degenerate_surface(dc):
         fast_p, slow_p = paper_coefficients(dc)
         fast_d, slow_d = degenerate_coefficients(dc)
@@ -235,9 +236,8 @@ def test_xi_closed_matches_degenerate_when_one_parameter_vanishes(dc):
 def test_xi_closed_partition(dc):
     ts = np.linspace(0.0, 50.0 / dc.omega_big, 500)
     scale = dc.hbar * dc.omega_big
-    for form in (paper_xi, signed_xi):
-        total = np.asarray(form(dc, ts, 1)) + np.asarray(form(dc, ts, 2))
-        assert np.max(np.abs(total - scale)) < 1e-12 * scale
+    total = np.asarray(paper_xi(dc, ts, 1)) + np.asarray(paper_xi(dc, ts, 2))
+    assert np.max(np.abs(total - scale)) < 1e-12 * scale
 
 
 def test_xi_closed_commutative_is_constant_half():
@@ -282,9 +282,8 @@ def test_paper_coefficients_guard_domain():
         product_lm = dc.product_lm
         params = dc.params
 
-    for coefficients in (paper_coefficients, signed_coefficients):
-        with pytest.raises(DomainError):
-            coefficients(BadDC)
+    with pytest.raises(DomainError):
+        paper_coefficients(BadDC)
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +293,34 @@ def test_paper_coefficients_guard_domain():
 @settings(max_examples=150, deadline=None)
 @given(admissible_physics())
 @with_hand_picked
-def test_xi_trajectory_matches_signed_closed_form(dc):
-    # Sector energies along the flow follow the closed form whose fast
-    # coefficient carries the sign of gamma_eta - gamma_theta.
+def test_xi_trajectory_matches_paper_closed_form(dc):
+    # From ground_mode_ic, which starts in the paper's phase, the sector
+    # energies along the flow follow the paper's kernel to roundoff.
     ic = ground_mode_ic(dc)
     ts = np.linspace(0.0, 40.0 / dc.omega_big, 200)
     scale = dc.hbar * dc.omega_big
     for i in (1, 2):
         got = np.asarray(xi_trajectory(ic, dc, ts, i))
-        want = np.asarray(signed_xi(dc, ts, i))
+        want = np.asarray(paper_xi(dc, ts, i))
         assert np.max(np.abs(got - want)) < 1e-12 * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(admissible_physics())
+@with_hand_picked
+def test_xi_trajectory_rate_is_the_closed_rate(dc):
+    # The exact rate 2 (G_i z).(A z) along the flow against the paper's
+    # closed rate, and against a central difference of xi_trajectory.
+    ic = ground_mode_ic(dc)
+    ts = np.array([0.0, 0.4, 1.9, 6.3, 40.0]) / dc.omega_big
+    h = 1e-6 / dc.omega_big
+    scale = dc.hbar * dc.omega_big**2
+    for i in (1, 2):
+        got = xi_trajectory_rate(ic, dc, ts, i)
+        want = xi_closed_rate(dc, paper_coefficients(dc), ts, i)
+        assert np.max(np.abs(got - want)) < 1e-12 * scale
+        fd = (xi_trajectory(ic, dc, ts + h, i) - xi_trajectory(ic, dc, ts - h, i)) / (2.0 * h)
+        assert np.max(np.abs(got - fd)) < 1e-7 * scale
 
 
 def test_xi_trajectory_matches_xi_closed_when_eta_dominates():
@@ -317,23 +334,19 @@ def test_xi_trajectory_matches_xi_closed_when_eta_dominates():
         assert np.max(np.abs(got - want)) < 1e-9 * scale
 
 
-def test_xi_trajectory_gap_for_position_deformation():
-    # Position-only deformation flips the fast term: at t = 0 the gap to the
-    # unsigned closed form equals gamma/Omega, and it is gauge independent.
+def test_xi_trajectory_starts_in_paper_phase_for_position_deformation():
+    # Position-only deformation, where g_theta > g_eta: the ground mode's
+    # flipped momenta start the trajectory at the paper's 0.5 (1 + gamma/Omega),
+    # at every gauge ratio.
     g = 0.002 / math.sqrt(1.0 - 0.002**2)
-    gaps = []
     for ratio in (0.5, 1.0, 2.0):
         dc = physics(g, 0.0, ratio=ratio)
         ic = ground_mode_ic(dc)
+        assert ic.pi_x < 0.0 and ic.pi_y < 0.0
         scale = dc.hbar * dc.omega_big
-        gap = abs(
-            float(xi_trajectory(ic, dc, 0.0, 1))
-            - float(paper_xi(dc, 0.0, 1))
-        ) / scale
-        gaps.append(gap)
-    for gap in gaps:
-        assert abs(gap - 0.002) < 1e-12
-    assert max(gaps) - min(gaps) < 1e-12
+        start = float(xi_trajectory(ic, dc, 0.0, 1)) / scale
+        assert abs(start - float(paper_xi(dc, 0.0, 1)) / scale) < 1e-12
+        assert abs(start - 0.501) < 1e-12
 
 
 def test_xi_trajectory_partition():
@@ -473,14 +486,14 @@ def test_first_order_rate_amplitude_exact():
 
 
 def test_first_order_rate_is_derivative():
-    dc = physics(0.004, 0.0)
-    h = 1e-5 / dc.omega_big
-    amp = dc.hbar * dc.gamma * dc.omega_big
-    for t in (0.1, 0.9, 2.7):
-        fd = (
-            xi_first_order(dc, t + h, 1) - xi_first_order(dc, t - h, 1)
-        ) / (2.0 * h)
-        assert abs(fd - xi_dot_first_order(dc, t, 1)) < 1e-6 * amp
+    for dc in (physics(0.004, 0.0), physics(-0.004, 0.0)):
+        h = 1e-5 / dc.omega_big
+        amp = dc.hbar * abs(dc.gamma) * dc.omega_big
+        for t in (0.1, 0.9, 2.7):
+            fd = (
+                xi_first_order(dc, t + h, 1) - xi_first_order(dc, t - h, 1)
+            ) / (2.0 * h)
+            assert abs(fd - xi_dot_first_order(dc, t, 1)) < 1e-6 * amp
 
 
 @settings(max_examples=150, deadline=None)
@@ -489,16 +502,16 @@ def test_first_order_rate_is_derivative():
 def test_closed_rate_is_derivative_of_closed_form(dc):
     h = 1e-6 / dc.omega_big
     scale = dc.hbar * dc.omega_big**2
-    for coeffs in (paper_coefficients(dc), signed_coefficients(dc)):
-        for omega_t in (0.0, 0.4, 1.9, 6.3):
-            t = omega_t / dc.omega_big
-            for i in (1, 2):
-                fd = (
-                    xi_closed(dc, coeffs, t + h, i)
-                    - xi_closed(dc, coeffs, t - h, i)
-                ) / (2.0 * h)
-                rate = xi_closed_rate(dc, coeffs, t, i)
-                assert abs(fd - rate) < 1e-7 * scale
+    coeffs = paper_coefficients(dc)
+    for omega_t in (0.0, 0.4, 1.9, 6.3):
+        t = omega_t / dc.omega_big
+        for i in (1, 2):
+            fd = (
+                xi_closed(dc, coeffs, t + h, i)
+                - xi_closed(dc, coeffs, t - h, i)
+            ) / (2.0 * h)
+            rate = xi_closed_rate(dc, coeffs, t, i)
+            assert abs(fd - rate) < 1e-7 * scale
 
 
 # ---------------------------------------------------------------------------

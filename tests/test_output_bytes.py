@@ -29,8 +29,8 @@ GOLDEN = {
     "simulate_both": (
         ["simulate", "--theta", "0.04", "--eta", "0.01", "--method", "both", "--t-max", "4"],
         {
-            "trajectory_analytic.csv": "44864784d10bdc1dd10cc406f365183d81a2832951eca8f62bd2bbbbf1b69c2b",
-            "trajectory_rk4.csv": "5c73c8d6cd974d889c807d0fa603a761b167b8f40bb57efbd98ac10d1f77bfb2",
+            "trajectory_analytic.csv": "4fc014916dcba327d8347a561afaf168ace728082eb5b5a376e968b4d21cf55a",
+            "trajectory_rk4.csv": "7eb2f3d9352da13f150a2970ffb8d75ce4e02751ac2bde35898d491064cf94d2",
         },
     ),
     "xi_closed_form": (
@@ -47,7 +47,7 @@ GOLDEN = {
     ),
     "xi_trajectory": (
         RATIO_XI + ["--source", "trajectory"],
-        {"xi_trajectory.csv": "cbe6832e6ec40724dc51e44469e1ac23c430bf6cf499a714d159944585c79004"},
+        {"xi_trajectory.csv": "f6f857b491326e9e87190c3acbb70f9557dbf1e41d9d899e9bc4813ddf63d325"},
     ),
     "wigner_excited": (
         [

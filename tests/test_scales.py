@@ -79,10 +79,11 @@ def run_checked(argv):
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         out = Path(tmp) / "out"
         rc = main(argv + ["--out", str(out)])
+        # Every manifest: sweep writes one per cell and an index.json.
         failed = {
             check["name"]
-            for path in out.glob("*_manifest.json")
-            for check in json.loads(path.read_text())["checks"]
+            for path in out.rglob("*.json")
+            for check in json.loads(path.read_text()).get("checks", [])
             if not check["passed"]
         }
     return rc, failed
@@ -99,15 +100,23 @@ def test_cli_census_every_command_exits_zero(dc):
         ["constants"],
         ["simulate", "--method", "both", "--t-max", "3"],
         *(["xi", "--source", s] + SMALL_XI for s in ("closed_form", "first_order", "trajectory")),
+        ["figure", "1", "--grid-points", "2000"],
+        ["figure", "2", "--grid-points", "500"],
+        *(["sweep", "--grid-points", "300", "--mode", m] for m in ("single_theta", "symmetric")),
     ]
     if dc.params.nc_product == 0.0:
         runs.append(["xi", "--source", "degenerate_form"] + SMALL_XI)
     # gauge_branch_identity's fixed 1e-14 bound fails beyond a*b = 0.99 at
     # every scale, m = omega = hbar = 1 included; the xfail test below pins it.
     known = {"gauge_branch_identity"} if dc.params.nc_product > 0.99 else set()
+    # figure 2's first_order_truncation_ratio measures on the fixed window
+    # Omega*t <= 40, too long for its (gamma/Omega)**2 law unless |gamma|/Omega
+    # is small; test_cli.py pins it with a strict xfail at gamma/Omega = 0.03.
+    truncation = {"first_order_truncation_ratio"}
     for argv in runs:
+        allowed = known | truncation if argv[:2] == ["figure", "2"] else known
         rc, failed = run_checked(argv + flags)
-        assert rc == 0 or (rc == 1 and failed <= known), (argv + flags, rc, failed)
+        assert rc == 0 or (rc == 1 and failed <= allowed), (argv + flags, rc, failed)
 
 
 @pytest.mark.xfail(
