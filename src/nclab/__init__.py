@@ -52,7 +52,7 @@ from .observables import (
     xi_trajectory,
     xi_trajectory_rate,
 )
-from .states import InitialConditions, NCState, PhaseState
+from .states import NCState, PhaseState
 from .wigner import (
     QuantumNumbers,
     energy_level,

@@ -72,7 +72,7 @@ from .observables import (
     xi_closed_rate,
     xi_trajectory_rate,
 )
-from .states import InitialConditions, PhaseState
+from .states import PhaseState
 from .wigner import (
     MAX_NODES,
     QuantumNumbers,
@@ -210,7 +210,7 @@ def _reals(val) -> tuple:
 def _initial_state(val) -> tuple:
     xs = _reals(val)
     if len(xs) != 4 or not all(map(math.isfinite, xs)):
-        raise ValueError("must be four finite numbers x,y,pi_x,pi_y")
+        raise ValueError("must be four finite numbers Q1,Q2,P1,P2")
     return xs
 
 
@@ -233,7 +233,7 @@ _SETTINGS = {
     "dt": (_positive, "time step, in Omega*t units"),
     "grid_points": (_count(2, MAX_ROWS), "time samples (wigner: per slice axis)"),
     "method": (_one_of(METHODS), "exact flow, RK4 or both: " + ", ".join(METHODS)),
-    "ic": (_initial_state, "initial conditions x,y,pi_x,pi_y (default ground mode)"),
+    "ic": (_initial_state, "initial state Q1,Q2,P1,P2 (default ground mode)"),
     "source": (_one_of(SOURCES), "expression for the series: " + ", ".join(SOURCES)),
     "seed": (_count(0), "seed for sampled phase-space points"),
     "n1": (_count(0), "first quantum number"),
@@ -383,7 +383,7 @@ def _state_gap(states, exact, trajectory) -> float:
 def cmd_simulate(s, out: RunOutput) -> None:
     method = s["method"]
     dc = _physics(s)
-    ic = ground_mode_ic(dc) if s["ic"] is None else InitialConditions(*s["ic"])
+    z0 = ground_mode_ic(dc) if s["ic"] is None else PhaseState(*s["ic"])
     t_end = s["t_max"] / dc.omega_big
     dt = s["dt"] / dc.omega_big
     n_steps = step_count(t_end, dt)
@@ -393,7 +393,7 @@ def cmd_simulate(s, out: RunOutput) -> None:
     analytic_states = None
     if method in ("analytic", "both"):
         times = dt * np.arange(n_steps + 1)
-        analytic_states = propagate_analytic(ic, dc, times).as_array()
+        analytic_states = propagate_analytic(z0, dc, times).as_array()
         traj = Trajectory(times=times, states=analytic_states, constants=dc)
         out.write(man, "trajectory_analytic.csv", traj.write_csv)
         d1, d2 = _invariant_drift(analytic_states, dc)
@@ -406,13 +406,13 @@ def cmd_simulate(s, out: RunOutput) -> None:
                 man.check("periodic_return", gap, 1e-8)
 
     if method in ("rk4", "both"):
-        traj_n = integrate_numeric(ic, dc, t_end, dt)
+        traj_n = integrate_numeric(z0, dc, t_end, dt)
         out.write(man, "trajectory_rk4.csv", traj_n.write_csv)
         d1, d2 = _invariant_drift(traj_n.states, dc)
         man.check("invariant_quadratic_drift_rk4", d1, 1e-8)
         man.check("invariant_angular_drift_rk4", d2, 1e-8)
         if analytic_states is not None:
-            ref = propagate_analytic(ic, dc, traj_n.times).as_array()
+            ref = propagate_analytic(z0, dc, traj_n.times).as_array()
             man.check("rk4_matches_analytic", _state_gap(traj_n.states, ref, ref), 1e-8)
     out.finish(man, "simulate_manifest.json")
 

@@ -20,7 +20,7 @@ import numpy as np
 from .algebra import DerivedConstants
 from .errors import NonFiniteState
 from .manifest import write_csv
-from .states import InitialConditions, PhaseState
+from .states import PhaseState
 
 __all__ = [
     "Trajectory",
@@ -65,19 +65,18 @@ def eom_rhs(state: PhaseState, dc: DerivedConstants) -> PhaseState:
     return PhaseState(*np.einsum("ij,...j->i...", dc.A, state.as_array()))
 
 
-def propagate_analytic(
-    ic: InitialConditions, dc: DerivedConstants, t
-) -> PhaseState:
-    """Exact flow of the equations of motion from initial data ``ic``.
+def propagate_analytic(z0: PhaseState, dc: DerivedConstants, t) -> PhaseState:
+    """Exact flow of the equations of motion from the state ``z0`` at t = 0.
 
     ``t`` may be a scalar or an array; the returned PhaseState holds
-    matching scalars or arrays.  The expressions are the closed-form
-    solution: a rotation at omega_big inside each plane, with amplitude
-    ratio beta/alpha between positions and momenta, modulated by a rotation
-    at gamma between the planes.
+    matching scalars or arrays, and at a scalar t it is a ``z0`` again, so
+    flows compose.  The expressions are the closed-form solution: a
+    rotation at omega_big inside each plane, with amplitude ratio
+    beta/alpha between positions and momenta, modulated by a rotation at
+    gamma between the planes.
     """
     alpha, beta = dc.alpha, dc.beta
-    x, y, pix, piy = ic.x, ic.y, ic.pi_x, ic.pi_y
+    x, y, pix, piy = z0.Q1, z0.Q2, z0.P1, z0.P2
     cO = np.cos(dc.omega_big * t)
     sO = np.sin(dc.omega_big * t)
     cg = np.cos(dc.gamma * t)
@@ -101,7 +100,7 @@ def step_count(t_end: float, dt: float) -> int:
 
 
 def integrate_numeric(
-    ic: InitialConditions,
+    z0: PhaseState,
     dc: DerivedConstants,
     t_end: float,
     dt: float,
@@ -109,7 +108,7 @@ def integrate_numeric(
 ) -> Trajectory:
     """Classical fixed-step fourth-order Runge-Kutta integration.
 
-    Integrates from t = 0 to t_end in uniform steps dt (t_end is rounded
+    Integrates z0 from t = 0 to t_end in uniform steps dt (t_end is rounded
     to a whole number of steps) and stores every ``stride``-th state.  For
     the linear flow dz/dt = A z the four Runge-Kutta stages compose to the
     exact step matrix R = I + dt A + (dt A)**2/2 + (dt A)**3/6 +
@@ -136,7 +135,7 @@ def integrate_numeric(
     times = dt * np.arange(0, n_steps + 1, stride, dtype=float)
     digits = np.arange(0, n_steps + 1, stride)
     states = np.empty((len(times), 4))
-    states[:] = (ic.x, ic.y, ic.pi_x, ic.pi_y)
+    states[:] = z0.as_array()
     # Divergence is detected afterwards; silence the benign overflow
     # warnings it produces on the way there.
     with np.errstate(over="ignore", invalid="ignore"):

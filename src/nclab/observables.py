@@ -29,7 +29,7 @@ from .algebra import DerivedConstants, gamma_components, quadratic_form
 from .dynamics import propagate_analytic
 from .errors import DegenerateFormMisuse, DomainError
 from .manifest import write_csv
-from .states import InitialConditions, PhaseState
+from .states import PhaseState
 
 __all__ = [
     "SectorEnergySeries",
@@ -56,20 +56,22 @@ def _check_mode(i: int) -> None:
         raise ValueError("mode index must be 1 or 2, got %r" % (i,))
 
 
-def ground_mode_ic(dc: DerivedConstants) -> InitialConditions:
-    """Initial conditions whose mode energies start at hbar*Omega/2 each.
+def ground_mode_ic(dc: DerivedConstants) -> PhaseState:
+    """Initial state whose mode energies start at hbar*Omega/2 each.
 
     Positions are set to the width sqrt(beta*hbar/(2*alpha)) and momenta to
     s*sqrt(alpha*hbar/(2*beta)), equally in both planes, so the total energy
     equals the ground level hbar*Omega and the beating between the two
     modes is maximal.  s = sign(g_eta - g_theta), +1 at equality, is the
-    paper's phase, in which xi_1(0) >= xi_2(0).
+    paper's phase, in which xi_1(0) >= xi_2(0).  sqrt(hbar) is taken
+    apart from the width ratio, so a tiny hbar times a tiny ratio does not
+    underflow before the square root.
     """
     g_theta, g_eta = gamma_components(dc.params)
     s = 1.0 if g_theta <= g_eta else -1.0
-    x = np.sqrt(dc.hbar * dc.beta / (2.0 * dc.alpha))
-    p = s * np.sqrt(dc.hbar * dc.alpha / (2.0 * dc.beta))
-    return InitialConditions(x=x, y=x, pi_x=p, pi_y=p)
+    x = np.sqrt(dc.hbar) * np.sqrt(dc.beta / (2.0 * dc.alpha))
+    p = s * np.sqrt(dc.hbar) * np.sqrt(dc.alpha / (2.0 * dc.beta))
+    return PhaseState(Q1=x, Q2=x, P1=p, P2=p)
 
 
 def mode_energy(state: PhaseState, dc: DerivedConstants, i: int):
@@ -204,7 +206,7 @@ def xi_dot_first_order(dc: DerivedConstants, t, i: int):
     return (-1) ** (i + 1) * dc.hbar * g * W * (1.0 - (s if g >= 0.0 else -s))
 
 
-def xi_trajectory(ic: InitialConditions, dc: DerivedConstants, t, i: int):
+def xi_trajectory(z0: PhaseState, dc: DerivedConstants, t, i: int):
     """Sector energy along the exact flow, z^T G_i z.
 
     This is the oracle route: propagate the commutative state and evaluate
@@ -212,14 +214,14 @@ def xi_trajectory(ic: InitialConditions, dc: DerivedConstants, t, i: int):
     form G_i = M^T S_i M.
     """
     form = _sector_form(dc, i)
-    return quadratic_form(propagate_analytic(ic, dc, t).as_array(), form)
+    return quadratic_form(propagate_analytic(z0, dc, t).as_array(), form)
 
 
-def xi_trajectory_rate(ic: InitialConditions, dc: DerivedConstants, t, i: int):
+def xi_trajectory_rate(z0: PhaseState, dc: DerivedConstants, t, i: int):
     """Exact time derivative of xi_trajectory, 2 (G_i z).(A z): formed from
     the vectors G_i z and A z, as the entries of A^T G_i + G_i A can leave
     float range where the rate does not."""
-    z = propagate_analytic(ic, dc, t).as_array()
+    z = propagate_analytic(z0, dc, t).as_array()
     gz = np.einsum("ij,...j->...i", _sector_form(dc, i), z)
     az = np.einsum("ij,...j->...i", dc.A, z)
     return 2.0 * np.einsum("...i,...i->...", gz, az)

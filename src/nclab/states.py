@@ -32,14 +32,9 @@ class PhaseState:
         )
 
 
-@dataclass(frozen=True)
-class InitialConditions:
-    """Initial data (x, y, pi_x, pi_y) for the commutative-frame flow."""
-
-    x: float
-    y: float
-    pi_x: float
-    pi_y: float
+# The old name of the commutative initial state; only perfbench/harness.py,
+# which builds it positionally, still imports it.
+InitialConditions = PhaseState
 
 
 @dataclass(frozen=True)

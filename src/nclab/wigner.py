@@ -246,20 +246,21 @@ def stargen_residual(pt: PhaseState, qn: QuantumNumbers, dc: DerivedConstants):
     def form(u, v):
         return np.einsum("...i,ij,...j->...", u, weight, v)
 
-    # d rho / d Omega_plus and d rho / d Omega_minus.
-    dp, dm = pre / hbar * d1 * f2, pre / hbar * f1 * d2
+    # hbar times d rho / d Omega_plus and d rho / d Omega_minus: the powers
+    # of hbar are folded into each term, so no hbar**-1 or hbar**-2 is formed.
+    dp, dm = pre * d1 * f2, pre * f1 * d2
     grad = dp[..., None] * g_plus + dm[..., None] * g_minus
     bracket = np.einsum("ij,...j,ik,...k->...", hess, z0, J, grad)
     # The Hessian's cross term, d1 d2 (g_plus g_minus^T + transpose), drops
     # out: M_plus J^T K J M_minus = 0, because H does not couple the modes.
-    quad = pre / hbar**2 * (
+    quad = pre / 8.0 * (
         dd1 * f2 * form(g_plus, g_plus) + f1 * dd2 * form(g_minus, g_minus)
-    ) + 2.0 * (
+    ) + hbar / 4.0 * (
         dp * np.einsum("ij,ij->", weight, m_plus)
         + dm * np.einsum("ij,ij->", weight, m_minus)
     )
-    star = hamiltonian_weyl(pt, dc) * rho0 - hbar**2 / 8.0 * quad
-    res = star + 1j * (hbar / 2.0) * bracket - energy_level(qn, dc) * rho0
+    star = hamiltonian_weyl(pt, dc) * rho0 - quad
+    res = star + 0.5j * bracket - energy_level(qn, dc) * rho0
     return complex(res) if res.ndim == 0 else res
 
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from nclab import (
-    InitialConditions,
     MapNotInvertible,
     PhysicalParams,
     QuantumNumbers,
@@ -137,7 +136,7 @@ def test_criterion_04_dynamics_oracle():
     for _ in range(10):
         p = random_params(rng)
         dc = derived_constants(p)
-        ic = InitialConditions(*rng.normal(0.0, 1.0, 4))
+        ic = PhaseState(*rng.normal(0.0, 1.0, 4))
         period = 2.0 * math.pi / dc.omega_big
         t_end = 20.0 * period
 
@@ -166,7 +165,7 @@ def test_criterion_05_invariants():
         for mode in ("single_theta", "symmetric"):
             p = params_from_ratio(RatioSpec(r, mode))
             dc = derived_constants(p)
-            ic = InitialConditions(*rng.normal(0.0, 1.0, 4))
+            ic = PhaseState(*rng.normal(0.0, 1.0, 4))
             ts = np.linspace(0.0, 3.0 * math.pi / dc.gamma, 30000)
             out = propagate_analytic(ic, dc, ts)
             i1, i2 = invariant_pair(out, dc)

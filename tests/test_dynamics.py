@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclab import (
-    InitialConditions,
     NonFiniteState,
     PhaseState,
     PhysicalParams,
@@ -51,7 +50,7 @@ def test_propagator_consistent_with_rhs():
     for _ in range(20):
         p = params_for(*rng.uniform(0.0, 0.05, 2), *rng.uniform(0.5, 2.0, 3))
         dc = derived_constants(p)
-        ic = InitialConditions(*rng.normal(0.0, 1.0, 4))
+        ic = PhaseState(*rng.normal(0.0, 1.0, 4))
         t = rng.uniform(0.0, 20.0) / dc.omega_big
         h = 1e-5 / dc.omega_big
         fd = (
@@ -64,14 +63,14 @@ def test_propagator_consistent_with_rhs():
 
 def test_propagator_returns_initial_state_at_zero():
     dc = derived_constants(PhysicalParams(1.3, 0.8, 1.1, 0.02, 0.01))
-    ic = InitialConditions(0.3, -0.4, 0.5, -0.6)
+    ic = PhaseState(0.3, -0.4, 0.5, -0.6)
     out = propagate_analytic(ic, dc, 0.0)
     assert (out.Q1, out.Q2, out.P1, out.P2) == (0.3, -0.4, 0.5, -0.6)
 
 
 def test_propagator_commutative_is_plain_oscillator():
     dc = derived_constants(PhysicalParams(1.0, 1.0, 1.0))
-    ic = InitialConditions(0.7, 0.0, 0.2, 0.0)
+    ic = PhaseState(0.7, 0.0, 0.2, 0.0)
     ts = np.linspace(0.0, 10.0, 101)
     out = propagate_analytic(ic, dc, ts)
     assert np.max(np.abs(out.Q1 - (0.7 * np.cos(ts) + 0.2 * np.sin(ts)))) < 1e-14
@@ -81,8 +80,8 @@ def test_commutative_planes_decouple_exactly():
     # With gamma = 0 the first plane has zero sensitivity to the second.
     dc = derived_constants(PhysicalParams(1.0, 1.0, 1.0))
     ts = np.linspace(0.0, 7.0, 23)
-    a = propagate_analytic(InitialConditions(0.3, 5.0, 0.4, -2.0), dc, ts)
-    b = propagate_analytic(InitialConditions(0.3, -1.0, 0.4, 8.0), dc, ts)
+    a = propagate_analytic(PhaseState(0.3, 5.0, 0.4, -2.0), dc, ts)
+    b = propagate_analytic(PhaseState(0.3, -1.0, 0.4, 8.0), dc, ts)
     assert np.array_equal(np.asarray(a.Q1), np.asarray(b.Q1))
     assert np.array_equal(np.asarray(a.P1), np.asarray(b.P1))
 
@@ -91,7 +90,7 @@ def test_rk4_matches_analytic():
     rng = np.random.default_rng(22)
     p = params_for(0.011, 0.004, 1.2, 0.9, 1.3)
     dc = derived_constants(p)
-    ic = InitialConditions(*rng.normal(0.0, 1.0, 4))
+    ic = PhaseState(*rng.normal(0.0, 1.0, 4))
     period = 2.0 * math.pi / dc.omega_big
     traj = integrate_numeric(ic, dc, 20.0 * period, period / 2000.0)
     ref = propagate_analytic(ic, dc, traj.times).as_array()
@@ -103,10 +102,33 @@ def test_rk4_matches_analytic():
 def test_rk4_matches_analytic_over_the_whole_domain(dc, seed):
     # Criterion 04's step and bound: dt = period/2000 over two periods, the
     # sup error within 1e-8 of the largest |z| the flow reaches.
-    ic = InitialConditions(*np.random.default_rng(seed).normal(0.0, 1.0, 4))
+    ic = PhaseState(*np.random.default_rng(seed).normal(0.0, 1.0, 4))
     period = 2.0 * math.pi / dc.omega_big
     traj = integrate_numeric(ic, dc, 2.0 * period, period / 2000.0)
     ref = propagate_analytic(ic, dc, traj.times).as_array()
+    assert np.max(np.abs(traj.states - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    admissible_physics(), st.integers(0, 2**32 - 1),
+    st.floats(0.0, 40.0), st.floats(0.0, 40.0),
+)
+def test_flow_composes_from_its_own_output(dc, seed, omega_t1, omega_t):
+    # The flow returns the state type it takes: running it from its state at
+    # t1 for t more lands where one run for t1 + t does.
+    z0 = PhaseState(*np.random.default_rng(seed).normal(0.0, 1.0, 4))
+    t1, t = omega_t1 / dc.omega_big, omega_t / dc.omega_big
+    mid = propagate_analytic(z0, dc, t1)
+    two = propagate_analytic(mid, dc, t).as_array()
+    one = propagate_analytic(z0, dc, t1 + t).as_array()
+    scale = max(np.max(np.abs(z)) for z in (z0.as_array(), mid.as_array(), one))
+    assert np.max(np.abs(two - one)) <= 1e-12 * scale
+
+    period = 2.0 * math.pi / dc.omega_big
+    traj = integrate_numeric(mid, dc, 0.25 * period, period / 2000.0)
+    assert np.array_equal(traj.states[0], mid.as_array())
+    ref = propagate_analytic(mid, dc, traj.times).as_array()
     assert np.max(np.abs(traj.states - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
@@ -116,7 +138,7 @@ def classical_rk4(ic, dc, dt, n_steps):
     def rhs(z):
         return eom_rhs(PhaseState(*z), dc).as_array()
 
-    z = np.array([ic.x, ic.y, ic.pi_x, ic.pi_y], dtype=float)
+    z = ic.as_array()
     states = [z]
     for _ in range(n_steps):
         k1 = rhs(z)
@@ -131,7 +153,7 @@ def classical_rk4(ic, dc, dt, n_steps):
 def test_step_matrix_is_the_classical_rk4_step():
     # One step of R against one four-stage step, at admissible parameters
     # of mixed sign, a large step and a skewed gauge.
-    ic = InitialConditions(0.3, -0.7, 1.1, 0.4)
+    ic = PhaseState(0.3, -0.7, 1.1, 0.4)
     for theta, eta in ((0.3, -0.5), (-0.2, 0.4), (-0.6, -0.9)):
         p = PhysicalParams(1.3, 0.8, 1.1, theta, eta)
         dc = derived_constants(p, make_gauge(p, 2.5))
@@ -156,7 +178,7 @@ def test_rk4_fourth_order_convergence():
     rng = np.random.default_rng(23)
     p = params_for(0.02, 0.007, 0.8, 1.1, 0.9)
     dc = derived_constants(p)
-    ic = InitialConditions(*rng.normal(0.0, 1.0, 4))
+    ic = PhaseState(*rng.normal(0.0, 1.0, 4))
     period = 2.0 * math.pi / dc.omega_big
     t_end = 10.0 * period
 
@@ -171,7 +193,7 @@ def test_rk4_fourth_order_convergence():
 
 def test_rk4_periodic_return_commutative():
     dc = derived_constants(PhysicalParams(1.0, 1.0, 1.0))
-    ic = InitialConditions(1.0, 0.0, 0.0, 0.5)
+    ic = PhaseState(1.0, 0.0, 0.0, 0.5)
     period = 2.0 * math.pi
     traj = integrate_numeric(ic, dc, period, period / 2000.0)
     assert np.max(np.abs(traj.states[-1] - traj.states[0])) < 1e-8
@@ -180,7 +202,7 @@ def test_rk4_periodic_return_commutative():
 def test_rk4_invariant_drift():
     p = params_for(0.01, 0.002)
     dc = derived_constants(p)
-    ic = InitialConditions(0.5, -0.2, 0.3, 0.8)
+    ic = PhaseState(0.5, -0.2, 0.3, 0.8)
     period = 2.0 * math.pi / dc.omega_big
     traj = integrate_numeric(ic, dc, 20.0 * period, period / 2000.0, stride=10)
     i1 = (
@@ -208,7 +230,7 @@ def test_invariants_constant_over_beats():
     for g_theta, g_eta in ((0.02, 0.0), (0.0, 0.013), (0.008, 0.011)):
         p = params_for(g_theta, g_eta, 1.1, 0.9, 1.2)
         dc = derived_constants(p)
-        ic = InitialConditions(0.6, 0.1, -0.4, 0.8)
+        ic = PhaseState(0.6, 0.1, -0.4, 0.8)
         ts = np.linspace(0.0, 3.0 * math.pi / dc.gamma, 5000)
         out = propagate_analytic(ic, dc, ts)
         i1, i2 = invariant_pair(out, dc)
@@ -220,7 +242,7 @@ def test_invariants_constant_over_beats():
 
 def test_integrate_validates_arguments():
     dc = derived_constants(PhysicalParams(1.0, 1.0, 1.0))
-    ic = InitialConditions(1.0, 0.0, 0.0, 0.0)
+    ic = PhaseState(1.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         integrate_numeric(ic, dc, 1.0, 0.0)
     with pytest.raises(ValueError):
@@ -234,7 +256,7 @@ def test_integrate_validates_arguments():
 
 def test_integrate_blowup_raises():
     dc = derived_constants(PhysicalParams(1.0, 1.0, 1.0))
-    ic = InitialConditions(1.0, 0.0, 0.0, 0.0)
+    ic = PhaseState(1.0, 0.0, 0.0, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteState):
             integrate_numeric(ic, dc, 8000.0, 200.0)
@@ -242,7 +264,7 @@ def test_integrate_blowup_raises():
 
 def test_stride_keeps_every_nth_row():
     dc = derived_constants(PhysicalParams(1.0, 1.0, 1.0))
-    ic = InitialConditions(1.0, 0.0, 0.0, 0.0)
+    ic = PhaseState(1.0, 0.0, 0.0, 0.0)
     full = integrate_numeric(ic, dc, 1.0, 0.01)
     thin = integrate_numeric(ic, dc, 1.0, 0.01, stride=10)
     assert thin.states.shape == (11, 4)
@@ -253,7 +275,7 @@ def test_stride_keeps_every_nth_row():
 def test_trajectory_csv_round_trips(tmp_path):
     p = params_for(0.01, 0.005)
     dc = derived_constants(p)
-    traj = integrate_numeric(InitialConditions(0.3, 0.1, -0.2, 0.4), dc, 1.0, 0.05)
+    traj = integrate_numeric(PhaseState(0.3, 0.1, -0.2, 0.4), dc, 1.0, 0.05)
     path = tmp_path / "traj.csv"
     traj.write_csv(path)
     with open(path, newline="") as fh:

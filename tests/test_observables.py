@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from nclab import (
     DegenerateFormMisuse,
     DomainError,
-    InitialConditions,
     PhaseState,
     PhysicalParams,
     degenerate_coefficients,
@@ -99,8 +98,8 @@ def test_ground_mode_isotropic():
     dc = derived_constants(PhysicalParams(1.0, 1.0, 1.0))
     ic = ground_mode_ic(dc)
     w = math.sqrt(0.5)
-    assert abs(ic.x - w) < 1e-15 and abs(ic.y - w) < 1e-15
-    assert abs(ic.pi_x - w) < 1e-15 and abs(ic.pi_y - w) < 1e-15
+    assert abs(ic.Q1 - w) < 1e-15 and abs(ic.Q2 - w) < 1e-15
+    assert abs(ic.P1 - w) < 1e-15 and abs(ic.P2 - w) < 1e-15
 
 
 def test_ground_mode_anisotropic_frozen():
@@ -115,14 +114,13 @@ def test_ground_mode_anisotropic_frozen():
     for theta, sign in ((0.0, 1.0), (0.1, -1.0)):
         DC.params = PhysicalParams(1.0, 1.0, 1.0, theta)
         ic = ground_mode_ic(DC)
-        assert abs(ic.x - 0.5) < 1e-15 and abs(ic.y - 0.5) < 1e-15
-        assert abs(ic.pi_x - sign) < 1e-15 and abs(ic.pi_y - sign) < 1e-15
+        assert abs(ic.Q1 - 0.5) < 1e-15 and abs(ic.Q2 - 0.5) < 1e-15
+        assert abs(ic.P1 - sign) < 1e-15 and abs(ic.P2 - sign) < 1e-15
 
 
 def test_mode_energy_initial_split():
     dc = physics(0.004, 0.009)
-    ic = ground_mode_ic(dc)
-    st = PhaseState(ic.x, ic.y, ic.pi_x, ic.pi_y)
+    st = ground_mode_ic(dc)
     half = 0.5 * dc.hbar * dc.omega_big
     assert abs(mode_energy(st, dc, 1) - half) < 1e-14 * half
     assert abs(mode_energy(st, dc, 2) - half) < 1e-14 * half
@@ -167,7 +165,7 @@ def test_mode_energy_validates_index():
 def test_sector_energy_zero_state():
     p = PhysicalParams(1.0, 1.0, 1.0, 0.01, 0.02)
     dc = derived_constants(p)
-    zero = InitialConditions(0.0, 0.0, 0.0, 0.0)
+    zero = PhaseState(0.0, 0.0, 0.0, 0.0)
     assert xi_trajectory(zero, dc, 0.0, 1) == 0.0
     assert xi_trajectory(zero, dc, 0.0, 2) == 0.0
 
@@ -175,7 +173,7 @@ def test_sector_energy_zero_state():
 def test_sector_energy_frozen_unit():
     # Undeformed, the frame map is the identity: (q1, p1) = (1, 1).
     dc = derived_constants(PhysicalParams(1.0, 1.0, 1.0))
-    ic = InitialConditions(1.0, 0.0, 1.0, 0.0)
+    ic = PhaseState(1.0, 0.0, 1.0, 0.0)
     assert abs(xi_trajectory(ic, dc, 0.0, 1) - 1.0) < 1e-15
     assert abs(xi_trajectory(ic, dc, 0.0, 2)) < 1e-15
 
@@ -191,8 +189,7 @@ def test_sector_energies_sum_to_hamiltonian():
             st.q1**2 + st.q2**2
         )
         z = sw_to_commutative(st, dc)
-        ic = InitialConditions(z.Q1, z.Q2, z.P1, z.P2)
-        total = xi_trajectory(ic, dc, 0.0, 1) + xi_trajectory(ic, dc, 0.0, 2)
+        total = xi_trajectory(z, dc, 0.0, 1) + xi_trajectory(z, dc, 0.0, 2)
         assert abs(total - h) < 1e-14 * abs(h)
 
 
@@ -342,7 +339,7 @@ def test_xi_trajectory_starts_in_paper_phase_for_position_deformation():
     for ratio in (0.5, 1.0, 2.0):
         dc = physics(g, 0.0, ratio=ratio)
         ic = ground_mode_ic(dc)
-        assert ic.pi_x < 0.0 and ic.pi_y < 0.0
+        assert ic.P1 < 0.0 and ic.P2 < 0.0
         scale = dc.hbar * dc.omega_big
         start = float(xi_trajectory(ic, dc, 0.0, 1)) / scale
         assert abs(start - float(paper_xi(dc, 0.0, 1)) / scale) < 1e-12
