@@ -22,7 +22,7 @@ class NonFiniteState(NCLabError):
 
 
 class DomainError(NCLabError):
-    """A closed-form radicand went negative for the supplied constants."""
+    """A scale a command needs is not a normal float (algebra.check_scales)."""
 
 
 class DegenerateFormMisuse(NCLabError):

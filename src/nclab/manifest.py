@@ -372,7 +372,6 @@ class RunManifest:
     command: str
     arguments: dict
     dc: DerivedConstants | None = None
-    tool_version: str = TOOL_VERSION
     measured_constants: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
@@ -406,7 +405,7 @@ class RunManifest:
         return {
             "command": self.command,
             "arguments": self.arguments,
-            "tool_version": self.tool_version,
+            "tool_version": TOOL_VERSION,
             "params": params,
             "gauge": gauge,
             "derived_constants": derived,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebra import DerivedConstants, gamma_components, quadratic_form
 from .dynamics import propagate_analytic
-from .errors import DegenerateFormMisuse, DomainError
+from .errors import DegenerateFormMisuse
 from .manifest import write_csv
 from .states import PhaseState
 
@@ -107,14 +107,9 @@ def paper_coefficients(dc: DerivedConstants):
     The radicands are evaluated without cancellation:
     sqrt(1 - omega**2/Omega**2) equals |g_theta - g_eta|/Omega and
     sqrt(1 - gamma**2/Omega**2) equals omega*(2*lambda*mu - 1)/Omega;
-    both identities avoid subtracting nearly equal squares.  Genuinely
-    negative radicands (inconsistent inputs) raise DomainError.
+    both identities avoid subtracting nearly equal squares.
     """
     params, W = dc.params, dc.omega_big
-    if params.omega > W * (1.0 + 1e-12):
-        raise DomainError("omega exceeds Omega: 1 - omega**2/Omega**2 < 0")
-    if abs(dc.gamma) > W * (1.0 + 1e-12):
-        raise DomainError("|gamma| exceeds Omega: 1 - gamma**2/Omega**2 < 0")
     g_theta, g_eta = gamma_components(params)
     s_omega = abs(g_theta - g_eta) / W
     root_lm = 2.0 * dc.product_lm - 1.0  # = sqrt(1 - theta*eta/hbar**2)

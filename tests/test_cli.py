@@ -298,8 +298,8 @@ def test_wigner_records_hold_each_point_residual_alone(tmp_path):
     records = read_manifest(tmp_path / "wigner_residuals.json")["records"]
     params = PhysicalParams(1.0, 1.0, 1.3, 0.05, -0.02)
     dc = derived_constants(params, make_gauge(params, 2.0))
-    w_q = math.sqrt(params.hbar * dc.beta / dc.alpha)
-    w_p = math.sqrt(params.hbar * dc.alpha / dc.beta)
+    w_q = math.sqrt(params.hbar) * math.sqrt(dc.beta / dc.alpha)
+    w_p = math.sqrt(params.hbar) * math.sqrt(dc.alpha / dc.beta)
     rng = np.random.default_rng(9)
     assert len(records) == 7
     for rec in records:
@@ -791,11 +791,12 @@ def test_extreme_hbar_is_a_domain_error_before_output(tmp_path, capsys, hbar):
             "constants", "--ratio", "0.002", "--mode", "symmetric", "--m", "1e-300",
             "--omega", "1e10", "--hbar", "1e-22",
         ],
+        ["constants", "--ratio", "0.5", "--hbar", "1e300", "--m", "1e-5", "--omega", "1e-5"],
     ],
     ids=[
         "xi-sector-form", "wigner-K", "rk4-subnormal-alpha2", "theta-over-hbar-inf",
         "ratio-m-omega-zero", "symmetric-zero-radicand", "scaled-alpha2",
-        "figure2-rate-unit", "symmetric-subnormal-theta",
+        "figure2-rate-unit", "symmetric-subnormal-theta", "ratio-theta-overflow",
     ],
 )
 def test_scale_out_of_range_is_a_domain_error_before_output(tmp_path, capsys, argv):
@@ -810,6 +811,8 @@ def test_scale_out_of_range_is_a_domain_error_before_output(tmp_path, capsys, ar
     # divides by hbar*Omega**2 (1e320 here), which once raised OverflowError.
     # Last, a symmetric --ratio whose theta = eta is subnormal (4e-315): its
     # a = theta*m*omega/hbar underflows to 0 and gamma/Omega misses r by 1e-12.
+    # A single_theta --ratio whose theta = a*hbar/m/omega overflows to inf is
+    # refused by the same rule.
     assert_domain_error_before_output(tmp_path, capsys, argv)
 
 

@@ -19,7 +19,7 @@ from nclab import (
     make_gauge,
     propagate_analytic,
 )
-from nclab.dynamics import CSV_HEADER
+from nclab.dynamics import CSV_HEADER, step_count
 
 from conftest import admissible_physics
 
@@ -130,6 +130,20 @@ def test_flow_composes_from_its_own_output(dc, seed, omega_t1, omega_t):
     assert np.array_equal(traj.states[0], mid.as_array())
     ref = propagate_analytic(mid, dc, traj.times).as_array()
     assert np.max(np.abs(traj.states - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    admissible_physics(),
+    st.sampled_from([(40.0, math.pi / 1000.0), (40.0, 0.01), (3.0, 0.01), (20.0, 0.05),
+                     (2.0 * math.pi, 0.001), (1.0, 0.3)]),
+)
+def test_rk4_stores_every_step_at_the_analytic_times(dc, omega_pair):
+    # simulate --method both compares RK4 with the exact flow it ran on
+    # dt * arange(n_steps + 1), so the RK4 times must be those, bit for bit.
+    t_end, dt = (x / dc.omega_big for x in omega_pair)
+    traj = integrate_numeric(ground_mode_ic(dc), dc, t_end, dt)
+    assert np.array_equal(traj.times, dt * np.arange(step_count(t_end, dt) + 1))
 
 
 def classical_rk4(ic, dc, dt, n_steps):

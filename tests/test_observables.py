@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from nclab import (
     DegenerateFormMisuse,
-    DomainError,
     PhaseState,
     PhysicalParams,
     degenerate_coefficients,
@@ -266,21 +265,6 @@ def test_xi_degenerate_rejects_doubly_deformed_algebra():
     dc = physics(0.01, 0.02)
     with pytest.raises(DegenerateFormMisuse):
         degenerate_coefficients(dc)
-
-
-def test_paper_coefficients_guard_domain():
-    dc = physics(0.01, 0.003)
-
-    class BadDC:
-        alpha = dc.alpha
-        beta = dc.beta
-        gamma = dc.gamma
-        omega_big = 0.5 * dc.gamma  # impossible: Omega >= |gamma| always
-        product_lm = dc.product_lm
-        params = dc.params
-
-    with pytest.raises(DomainError):
-        paper_coefficients(BadDC)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,8 @@ def run_checked(argv):
 
 
 SMALL_XI = ["--t-max", "20", "--grid-points", "200"]
+SMALL_WIGNER = ["--n1", "2", "--n2", "1", "--grid-points", "11",
+                "--residual-points", "5", "--nodes", "20"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -103,8 +105,7 @@ def test_cli_census_every_command_exits_zero(dc):
         ["figure", "1", "--grid-points", "2000"],
         ["figure", "2", "--grid-points", "500"],
         *(["sweep", "--grid-points", "300", "--mode", m] for m in ("single_theta", "symmetric")),
-        ["wigner", "--n1", "2", "--n2", "1", "--grid-points", "11",
-         "--residual-points", "5", "--nodes", "20"],
+        ["wigner", *SMALL_WIGNER],
     ]
     if dc.params.nc_product == 0.0:
         runs.append(["xi", "--source", "degenerate_form"] + SMALL_XI)
@@ -157,3 +158,22 @@ def test_trajectory_with_an_underflowing_momentum_width_passes_its_checks():
 )
 def test_simulate_with_an_underflowing_momentum_width_passes_its_checks():
     assert run_checked(["simulate", "--method", "both", *WIDTH_UNDERFLOW]) == (0, set())
+
+
+def test_wigner_slice_spans_an_underflowing_momentum_width():
+    # hbar*alpha/beta underflows to 0 here; cmd_wigner takes sqrt(hbar)
+    # apart, as ground_mode_ic does, so the slice's momentum axis is not 0.
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        out = Path(tmp) / "out"
+        main(["wigner", *SMALL_WIGNER, *WIDTH_UNDERFLOW, "--out", str(out)])
+        p1 = np.loadtxt(out / "wigner_slice.csv", delimiter=",", skiprows=1, usecols=2)
+    assert np.any(p1 != 0.0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="invariant_pair squares the momenta, and P.P underflows to 0 at "
+    "this point: stargen_residual_bound reads 1.87 against 1e-6",
+)
+def test_wigner_with_an_underflowing_momentum_width_passes_its_checks():
+    assert run_checked(["wigner", *SMALL_WIGNER, *WIDTH_UNDERFLOW]) == (0, set())
