@@ -30,8 +30,7 @@ print("Omega = %.9f, gamma = %.9f, beat period = %.3f" % (dc.omega_big, dc.gamma
 ts = np.linspace(0.0, math.pi / dc.gamma, 2001)
 orbit = propagate_analytic(ic, dc, ts)
 
-e1 = np.asarray(mode_energy(orbit, dc, 1))
-e2 = np.asarray(mode_energy(orbit, dc, 2))
+e1, e2 = mode_energy(orbit, dc)
 quantum = params.hbar * dc.omega_big
 print("initial split E1, E2:", e1[0], e2[0])
 print("max E1 over the beat:", e1.max(), " (full quantum =", quantum, ")")

@@ -13,7 +13,6 @@ import numpy as np
 
 from nclab import (
     PhysicalParams,
-    RatioSpec,
     derived_constants,
     ground_mode_ic,
     make_gauge,
@@ -26,7 +25,7 @@ from nclab import (
 )
 
 # Symmetric deformation (theta = eta): trajectory and closed form agree.
-dc = derived_constants(params_from_ratio(RatioSpec(0.01, "symmetric")))
+dc = derived_constants(params_from_ratio(0.01, "symmetric"))
 omega_t = np.linspace(0.0, 60.0, 1200)
 series = sector_energy_series(dc, omega_t, "trajectory")
 closed = sector_energy_series(dc, omega_t, "closed_form")
@@ -48,18 +47,18 @@ for label, (theta, eta) in (("position", (0.004, 0.0)), ("momentum", (0.0, 0.004
         d = derived_constants(params, make_gauge(params, ratio=ratio))
         ts = ts_omega / d.omega_big
         scale = d.hbar * d.omega_big
-        traj = np.asarray(xi_trajectory(ground_mode_ic(d), d, ts, 1)) / scale
-        paper = np.asarray(xi_closed(d, paper_coefficients(d), ts, 1)) / scale
+        traj = xi_trajectory(ground_mode_ic(d), d, ts)[0] / scale
+        paper = xi_closed(d, paper_coefficients(d), ts)[0] / scale
         print("  gauge ratio %.1f: gap to the paper's form %.2e" % (ratio, np.max(np.abs(traj - paper))))
 
 # Near the commutative point the first-order window is accurate until
 # the secular term grows; its error scales like (gamma/Omega)^2.
 print("first-order window, position deformation only:")
 for r in (0.004, 0.002, 0.001):
-    d = derived_constants(params_from_ratio(RatioSpec(r, "single_theta")))
+    d = derived_constants(params_from_ratio(r, "single_theta"))
     tw = np.linspace(0.0, 40.0 / d.omega_big, 2001)
     scale = d.hbar * d.omega_big
-    exact = np.asarray(xi_closed(d, paper_coefficients(d), tw, 1)) / scale
-    approx = np.asarray(xi_first_order(d, tw, 1)) / scale
+    exact = xi_closed(d, paper_coefficients(d), tw)[0] / scale
+    approx = xi_first_order(d, tw)[0] / scale
     dev = np.max(np.abs(exact - 0.5))
     print("  ratio %.3f: first-order error / beat deviation = %.5f" % (r, np.max(np.abs(approx - exact)) / dev))

@@ -21,7 +21,7 @@ from .algebra import (
     sw_to_commutative,
     sw_to_nc,
 )
-from .cli import RatioSpec, main, params_from_ratio
+from .cli import main, params_from_ratio
 from .dynamics import (
     Trajectory,
     eom_rhs,

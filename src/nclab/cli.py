@@ -42,7 +42,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -77,7 +77,7 @@ from .wigner import (
     wigner_normalization,
 )
 
-__all__ = ["RatioSpec", "params_from_ratio", "build_parser", "main"]
+__all__ = ["params_from_ratio", "build_parser", "main"]
 
 MODES = ("single_theta", "symmetric")
 METHODS = ("analytic", "rk4", "both")
@@ -91,50 +91,37 @@ WIGNER_SLICE_HEADER = ("Q1", "Q2", "P1", "P2", "rho")
 FIG2_HEADER = ("Omega_t", "xi1_rate_over_hOmega2", "first_order_amplitude")
 
 
-@dataclass(frozen=True)
-class RatioSpec:
-    """Target beat-to-fast frequency ratio gamma/Omega and how to reach it.
-
-    mode 'single_theta' keeps eta = 0 and realises the ratio with the
-    position deformation alone; 'symmetric' sets theta = eta.  Since
-    Omega > |gamma| for every admissible parameter set, only ratios in
-    [0, 1) are reachable; anything else raises UnreachableRatio.
-    """
-
-    ratio: float
-    mode: str = "single_theta"
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(
-                "mode must be one of %s, got %r" % (", ".join(MODES), self.mode)
-            )
-        if not 0.0 <= self.ratio < 1.0:
-            raise UnreachableRatio(
-                "gamma/Omega = %r is outside the reachable range [0, 1)"
-                % (self.ratio,)
-            )
-
-
 def params_from_ratio(
-    spec: RatioSpec, base: PhysicalParams = PhysicalParams(1.0, 1.0, 1.0)
+    ratio: float,
+    mode: str = "single_theta",
+    base: PhysicalParams = PhysicalParams(1.0, 1.0, 1.0),
 ) -> PhysicalParams:
-    """Physical parameters realising gamma/Omega = spec.ratio exactly.
+    """Physical parameters realising gamma/Omega = ratio exactly.
 
     m, omega and hbar are those of ``base``; its theta and eta are replaced.
-    single_theta: b = 0 and a = 2r/sqrt(1 - r**2), so gamma = omega*a/2 and
-    Omega**2 = omega**2 + gamma**2; theta = a*hbar/m/omega, as m*omega may
-    underflow to 0.  symmetric: theta = eta solved from gamma/Omega = r,
-    theta = u*hbar/sqrt(1 - r**2 + u**2) with u = 2 r omega/(m omega**2 + 1/m)
-    <= r, so no square leaves float range; at m = omega = hbar = 1 this is
-    theta = eta = r and Omega = omega exactly.  The scale rule, check_scales,
+    mode 'single_theta' keeps eta = 0 and realises the ratio with the
+    position deformation alone: b = 0 and a = 2r/sqrt(1 - r**2), so
+    gamma = omega*a/2 and Omega**2 = omega**2 + gamma**2; theta =
+    a*hbar/m/omega, as m*omega may underflow to 0.  'symmetric': theta = eta
+    solved from gamma/Omega = r, theta = u*hbar/sqrt(1 - r**2 + u**2) with
+    u = 2 r omega/(m omega**2 + 1/m) <= r, so no square leaves float range;
+    at m = omega = hbar = 1 this is theta = eta = r and Omega = omega
+    exactly.  Another mode raises ValueError.  Since Omega > |gamma| for
+    every admissible parameter set, only ratios in [0, 1) are reachable;
+    anything else raises UnreachableRatio.  The scale rule, check_scales,
     refuses a theta outside the normal floats, as derived_constants' rule
     does the base's scales.
     """
-    r, m, omega, hbar = spec.ratio, base.m, base.omega, base.hbar
+    if mode not in MODES:
+        raise ValueError("mode must be one of %s, got %r" % (", ".join(MODES), mode))
+    if not 0.0 <= ratio < 1.0:
+        raise UnreachableRatio(
+            "gamma/Omega = %r is outside the reachable range [0, 1)" % (ratio,)
+        )
+    r, m, omega, hbar = ratio, base.m, base.omega, base.hbar
     if r == 0.0:
         return replace(base, theta=0.0, eta=0.0)
-    if spec.mode == "single_theta":
+    if mode == "single_theta":
         a = 2.0 * r / math.sqrt(1.0 - r * r)
         theta, eta = a * hbar / m / omega, 0.0
     else:
@@ -208,8 +195,8 @@ def _initial_state(val) -> tuple:
 
 # Every setting a command can read: its parser, which turns a flag's text
 # or a config file's JSON value into the value the commands read, and its
-# flag's help.  PhysicalParams, make_gauge and RatioSpec check their own
-# values, with their own exit codes.  "config" is a flag only.
+# flag's help.  PhysicalParams, make_gauge and params_from_ratio check
+# their own values, with their own exit codes.  "config" is a flag only.
 _SETTINGS = {
     "config": (_text, "JSON settings file; flags override its keys"),
     "out": (_text, "output directory (default $NCLAB_OUT or ./nclab_out)"),
@@ -298,7 +285,7 @@ def _physics(s) -> DerivedConstants:
         params = PhysicalParams(s["m"], s["omega"], s["hbar"], s["theta"], s["eta"])
     else:
         base = PhysicalParams(s["m"], s["omega"], s["hbar"])
-        params = params_from_ratio(RatioSpec(s["ratio"], s["mode"]), base)
+        params = params_from_ratio(s["ratio"], s["mode"], base)
     return derived_constants(params, make_gauge(params, s["gauge_ratio"]))
 
 
@@ -463,6 +450,8 @@ def cmd_wigner(s, out: RunOutput) -> None:
     # hbar times a tiny ratio does not underflow before the square root.
     w_q = math.sqrt(hb) * math.sqrt(dc.beta / dc.alpha)
     w_p = math.sqrt(hb) * math.sqrt(dc.alpha / dc.beta)
+    # linspace forms stop - start, the span, which must not overflow.
+    check_scales({"2*extent*w_q": 2 * extent * w_q, "2*extent*w_p": 2 * extent * w_p})
 
     q_axis = np.linspace(-extent * w_q, extent * w_q, n)
     p_axis = np.linspace(-extent * w_p, extent * w_p, n)
@@ -561,13 +550,13 @@ def cmd_figure(s, out: RunOutput) -> None:
         t = omega_t / dc.omega_big
         unit = dc.hbar * dc.omega_big * dc.omega_big
         check_scales({"hbar*Omega**2": unit})
-        rate = np.asarray(xi_closed_rate(dc, paper_coefficients(dc), t, 1) / unit)
+        rate = np.asarray(xi_closed_rate(dc, paper_coefficients(dc), t)[0] / unit)
         target = abs(dc.gamma) / dc.omega_big
         out.write(man, "figure2.csv", write_csv, FIG2_HEADER, [omega_t, rate, target])
 
         amplitude = 0.5 * float(np.max(rate) - np.min(rate))
         extremes = t[[np.argmax(rate), np.argmin(rate)]]
-        exact = xi_trajectory_rate(ground_mode_ic(dc), dc, extremes, 1) / unit
+        exact = xi_trajectory_rate(ground_mode_ic(dc), dc, extremes)[0] / unit
         reference = 0.5 * float(exact[0] - exact[1])
         man.add_measured("rate_amplitude", amplitude)
         man.add_measured("rate_amplitude_target", target)

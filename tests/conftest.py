@@ -1,4 +1,7 @@
-"""Shared hypothesis strategy: parameters over the whole admissible domain."""
+"""Shared hypothesis strategies over the whole admissible domain, and the
+census's margin table at the end of a session."""
+import sys
+
 from hypothesis import reject
 from hypothesis import strategies as st
 
@@ -59,3 +62,14 @@ def scaled_physics(draw):
         return derived_constants(p, make_gauge(p, ratio=ratio))
     except DomainError:
         reject()
+
+
+def pytest_terminal_summary(terminalreporter):
+    """After a session in which test_scales' CLI census ran, print each
+    check's worst value / upper bound over the census's runs."""
+    margins = getattr(sys.modules.get("test_scales"), "CENSUS_MARGINS", None)
+    if not margins:
+        return
+    terminalreporter.section("census: worst value / upper bound per check")
+    for (command, name), worst in sorted(margins.items()):
+        terminalreporter.write_line("%-12s %-36s %.3g" % (command, name, worst))

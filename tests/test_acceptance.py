@@ -13,7 +13,6 @@ from nclab import (
     MapNotInvertible,
     PhysicalParams,
     QuantumNumbers,
-    RatioSpec,
     RunManifest,
     algebra_residual,
     derived_constants,
@@ -163,7 +162,7 @@ def test_criterion_05_invariants():
     worst = 0.0
     for r in (0.002, 0.02):
         for mode in ("single_theta", "symmetric"):
-            p = params_from_ratio(RatioSpec(r, mode))
+            p = params_from_ratio(r, mode)
             dc = derived_constants(p)
             ic = PhaseState(*rng.normal(0.0, 1.0, 4))
             ts = np.linspace(0.0, 3.0 * math.pi / dc.gamma, 30000)
@@ -198,8 +197,7 @@ def test_criterion_06_beating_law():
         out = propagate_analytic(ic, dc, ts)
         scale = p.hbar * dc.omega_big
         s = np.sin(2.0 * dc.gamma * ts)
-        e1 = np.asarray(mode_energy(out, dc, 1))
-        e2 = np.asarray(mode_energy(out, dc, 2))
+        e1, e2 = mode_energy(out, dc)
         want1 = 0.5 * scale * (1.0 + s)
         want2 = 0.5 * scale * (1.0 - s)
         worst_scale = max(
@@ -242,8 +240,8 @@ def test_criterion_07_time_crystal_law(tmp_path):
 
         def gap_for(ratio):
             d = derived_constants(p, make_gauge(p, ratio=ratio))
-            got = np.asarray(xi_trajectory(ground_mode_ic(d), d, ts, 1))
-            ref = np.asarray(xi_closed(d, paper_coefficients(d), ts, 1))
+            got = xi_trajectory(ground_mode_ic(d), d, ts)[0]
+            ref = xi_closed(d, paper_coefficients(d), ts)[0]
             return float(np.max(np.abs(got - ref))) / (p.hbar * d.omega_big)
 
         # The ground mode starts in the paper's phase whichever deformation
@@ -332,10 +330,10 @@ def test_criterion_10_figure2_amplitude(tmp_path):
     amp_ok = rc == 0 and checks["rate_amplitude_match"]["passed"]
     ratio = checks["first_order_truncation_ratio"]["value"]
     # Library-level restatement of the amplitude law.
-    p = params_from_ratio(RatioSpec(0.002, "single_theta"))
+    p = params_from_ratio(0.002, "single_theta")
     dc = derived_constants(p)
     ts = np.linspace(0.0, 4.0 * math.pi / dc.omega_big, 20001)
-    rate = np.asarray(xi_dot_first_order(dc, ts, 1))
+    rate = xi_dot_first_order(dc, ts)[0]
     amp = p.hbar * dc.gamma * dc.omega_big
     lib_rel = abs(0.5 * (rate.max() - rate.min()) - amp) / amp
     passed = amp_ok and 3.2 <= ratio <= 4.8 and lib_rel < 1e-3

@@ -21,7 +21,6 @@ from nclab import (
     TOOL_VERSION,
     PhysicalParams,
     QuantumNumbers,
-    RatioSpec,
     UnreachableRatio,
     derived_constants,
     file_sha256,
@@ -57,7 +56,7 @@ def assert_all_passed(man):
 
 
 def test_ratio_single_theta_frozen():
-    p = params_from_ratio(RatioSpec(0.002, "single_theta"))
+    p = params_from_ratio(0.002, "single_theta")
     g = 0.002 / math.sqrt(1.0 - 0.002**2)
     assert abs(p.theta - 2.0 * g) < 1e-15
     assert p.eta == 0.0
@@ -66,23 +65,23 @@ def test_ratio_single_theta_frozen():
 
 
 def test_ratio_symmetric_frozen():
-    p = params_from_ratio(RatioSpec(0.01, "symmetric"))
+    p = params_from_ratio(0.01, "symmetric")
     assert abs(p.theta - 0.01) < 1e-15
     assert p.theta == p.eta
 
 
 def test_ratio_zero_is_commutative():
     for mode in ("single_theta", "symmetric"):
-        p = params_from_ratio(RatioSpec(0.0, mode))
+        p = params_from_ratio(0.0, mode)
         assert p.theta == 0.0 and p.eta == 0.0
 
 
 def test_ratio_validation():
     for bad in (1.0, 1.5, -0.1):
         with pytest.raises(UnreachableRatio):
-            RatioSpec(bad, "single_theta")
+            params_from_ratio(bad, "single_theta")
     with pytest.raises(ValueError):
-        RatioSpec(0.5, "diagonal")
+        params_from_ratio(0.5, "diagonal")
 
 
 # ---------------------------------------------------------------------------
@@ -792,11 +791,13 @@ def test_extreme_hbar_is_a_domain_error_before_output(tmp_path, capsys, hbar):
             "--omega", "1e10", "--hbar", "1e-22",
         ],
         ["constants", "--ratio", "0.5", "--hbar", "1e300", "--m", "1e-5", "--omega", "1e-5"],
+        ["wigner", "--extent", "1e308", "--grid-points", "5"],
     ],
     ids=[
         "xi-sector-form", "wigner-K", "rk4-subnormal-alpha2", "theta-over-hbar-inf",
         "ratio-m-omega-zero", "symmetric-zero-radicand", "scaled-alpha2",
         "figure2-rate-unit", "symmetric-subnormal-theta", "ratio-theta-overflow",
+        "wigner-slice-span",
     ],
 )
 def test_scale_out_of_range_is_a_domain_error_before_output(tmp_path, capsys, argv):
@@ -812,7 +813,8 @@ def test_scale_out_of_range_is_a_domain_error_before_output(tmp_path, capsys, ar
     # Last, a symmetric --ratio whose theta = eta is subnormal (4e-315): its
     # a = theta*m*omega/hbar underflows to 0 and gamma/Omega misses r by 1e-12.
     # A single_theta --ratio whose theta = a*hbar/m/omega overflows to inf is
-    # refused by the same rule.
+    # refused by the same rule, and so is a wigner slice whose span,
+    # 2*extent*width, overflows in linspace (it wrote NaN axes).
     assert_domain_error_before_output(tmp_path, capsys, argv)
 
 

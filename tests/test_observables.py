@@ -46,12 +46,12 @@ def physics(g_theta, g_eta, ratio=1.0, **kw):
     return derived_constants(p, make_gauge(p, ratio=ratio))
 
 
-def paper_xi(dc, t, i):
-    return xi_closed(dc, paper_coefficients(dc), t, i)
+def paper_xi(dc, t):
+    return xi_closed(dc, paper_coefficients(dc), t)
 
 
-def degenerate_xi(dc, t, i):
-    return xi_closed(dc, degenerate_coefficients(dc), t, i)
+def degenerate_xi(dc, t):
+    return xi_closed(dc, degenerate_coefficients(dc), t)
 
 
 def sector_energy(nc, params, i):
@@ -121,8 +121,8 @@ def test_mode_energy_initial_split():
     dc = physics(0.004, 0.009)
     st = ground_mode_ic(dc)
     half = 0.5 * dc.hbar * dc.omega_big
-    assert abs(mode_energy(st, dc, 1) - half) < 1e-14 * half
-    assert abs(mode_energy(st, dc, 2) - half) < 1e-14 * half
+    for e in mode_energy(st, dc):
+        assert abs(e - half) < 1e-14 * half
 
 
 def test_mode_energy_beating_law():
@@ -133,8 +133,7 @@ def test_mode_energy_beating_law():
     out = propagate_analytic(ic, dc, ts)
     scale = dc.hbar * dc.omega_big
     s = np.sin(2.0 * dc.gamma * ts)
-    e1 = np.asarray(mode_energy(out, dc, 1))
-    e2 = np.asarray(mode_energy(out, dc, 2))
+    e1, e2 = mode_energy(out, dc)
     assert np.max(np.abs(e1 - 0.5 * scale * (1.0 + s))) < 1e-10 * scale
     assert np.max(np.abs(e2 - 0.5 * scale * (1.0 - s))) < 1e-10 * scale
     assert np.max(np.abs(e1 + e2 - scale)) < 1e-12 * scale
@@ -147,14 +146,9 @@ def test_mode_energy_full_transfer():
     t = math.pi / (4.0 * dc.gamma)
     out = propagate_analytic(ic, dc, t)
     scale = dc.hbar * dc.omega_big
-    assert abs(mode_energy(out, dc, 1) - scale) < 1e-12 * scale
-    assert abs(mode_energy(out, dc, 2)) < 1e-12 * scale
-
-
-def test_mode_energy_validates_index():
-    dc = derived_constants(PhysicalParams(1.0, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        mode_energy(PhaseState(1.0, 0.0, 0.0, 0.0), dc, 3)
+    e1, e2 = mode_energy(out, dc)
+    assert abs(e1 - scale) < 1e-12 * scale
+    assert abs(e2) < 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +159,16 @@ def test_sector_energy_zero_state():
     p = PhysicalParams(1.0, 1.0, 1.0, 0.01, 0.02)
     dc = derived_constants(p)
     zero = PhaseState(0.0, 0.0, 0.0, 0.0)
-    assert xi_trajectory(zero, dc, 0.0, 1) == 0.0
-    assert xi_trajectory(zero, dc, 0.0, 2) == 0.0
+    assert xi_trajectory(zero, dc, 0.0) == (0.0, 0.0)
 
 
 def test_sector_energy_frozen_unit():
     # Undeformed, the frame map is the identity: (q1, p1) = (1, 1).
     dc = derived_constants(PhysicalParams(1.0, 1.0, 1.0))
     ic = PhaseState(1.0, 0.0, 1.0, 0.0)
-    assert abs(xi_trajectory(ic, dc, 0.0, 1) - 1.0) < 1e-15
-    assert abs(xi_trajectory(ic, dc, 0.0, 2)) < 1e-15
+    xi1, xi2 = xi_trajectory(ic, dc, 0.0)
+    assert abs(xi1 - 1.0) < 1e-15
+    assert abs(xi2) < 1e-15
 
 
 def test_sector_energies_sum_to_hamiltonian():
@@ -188,7 +182,8 @@ def test_sector_energies_sum_to_hamiltonian():
             st.q1**2 + st.q2**2
         )
         z = sw_to_commutative(st, dc)
-        total = xi_trajectory(z, dc, 0.0, 1) + xi_trajectory(z, dc, 0.0, 2)
+        xi1, xi2 = xi_trajectory(z, dc, 0.0)
+        total = xi1 + xi2
         assert abs(total - h) < 1e-14 * abs(h)
 
 
@@ -203,8 +198,9 @@ def test_xi_closed_initial_values():
     scale = dc.hbar * dc.omega_big
     want1 = 0.5 * scale * (1.0 + s_omega)
     want2 = 0.5 * scale * (1.0 - s_omega)
-    assert abs(paper_xi(dc, 0.0, 1) - want1) < 1e-13 * scale
-    assert abs(paper_xi(dc, 0.0, 2) - want2) < 1e-13 * scale
+    xi1, xi2 = paper_xi(dc, 0.0)
+    assert abs(xi1 - want1) < 1e-13 * scale
+    assert abs(xi2 - want2) < 1e-13 * scale
 
 
 @settings(max_examples=150, deadline=None)
@@ -220,10 +216,8 @@ def test_xi_closed_matches_degenerate_when_one_parameter_vanishes(dc):
         assert abs(fast_p - fast_d) <= 1e-15 and abs(slow_p - slow_d) <= 1e-14
         ts = np.linspace(0.0, 30.0 / dc.omega_big, 400)
         scale = dc.hbar * dc.omega_big
-        for i in (1, 2):
-            a = np.asarray(paper_xi(dc, ts, i))
-            b = np.asarray(degenerate_xi(dc, ts, i))
-            assert np.max(np.abs(a - b)) < 1e-12 * scale
+        gap = np.subtract(paper_xi(dc, ts), degenerate_xi(dc, ts))
+        assert np.max(np.abs(gap)) < 1e-12 * scale
 
 
 @settings(max_examples=150, deadline=None)
@@ -232,7 +226,8 @@ def test_xi_closed_matches_degenerate_when_one_parameter_vanishes(dc):
 def test_xi_closed_partition(dc):
     ts = np.linspace(0.0, 50.0 / dc.omega_big, 500)
     scale = dc.hbar * dc.omega_big
-    total = np.asarray(paper_xi(dc, ts, 1)) + np.asarray(paper_xi(dc, ts, 2))
+    xi1, xi2 = paper_xi(dc, ts)
+    total = xi1 + xi2
     assert np.max(np.abs(total - scale)) < 1e-12 * scale
 
 
@@ -240,9 +235,7 @@ def test_xi_closed_commutative_is_constant_half():
     dc = physics(0.0, 0.0, m=1.4, omega=0.6, hbar=1.1)
     ts = np.linspace(0.0, 40.0, 300)
     half = 0.5 * dc.hbar * dc.params.omega
-    for i in (1, 2):
-        vals = np.asarray(paper_xi(dc, ts, i))
-        assert np.max(np.abs(vals - half)) < 1e-12 * half
+    assert np.max(np.abs(np.subtract(paper_xi(dc, ts), half))) < 1e-12 * half
 
 
 def test_xi_degenerate_frozen_start():
@@ -250,14 +243,15 @@ def test_xi_degenerate_frozen_start():
     g = 0.002 / math.sqrt(1.0 - 0.002**2)
     dc = physics(g, 0.0)
     scale = dc.hbar * dc.omega_big
-    assert abs(degenerate_xi(dc, 0.0, 1) / scale - 0.501) < 1e-12
-    assert abs(degenerate_xi(dc, 0.0, 2) / scale - 0.499) < 1e-12
+    xi1, xi2 = degenerate_xi(dc, 0.0)
+    assert abs(xi1 / scale - 0.501) < 1e-12
+    assert abs(xi2 / scale - 0.499) < 1e-12
 
 
 def test_xi_degenerate_commutative_constant():
     dc = physics(0.0, 0.0)
     ts = np.linspace(0.0, 20.0, 50)
-    vals = np.asarray(degenerate_xi(dc, ts, 1))
+    vals = degenerate_xi(dc, ts)[0]
     assert np.max(np.abs(vals - 0.5)) < 1e-14
 
 
@@ -280,10 +274,8 @@ def test_xi_trajectory_matches_paper_closed_form(dc):
     ic = ground_mode_ic(dc)
     ts = np.linspace(0.0, 40.0 / dc.omega_big, 200)
     scale = dc.hbar * dc.omega_big
-    for i in (1, 2):
-        got = np.asarray(xi_trajectory(ic, dc, ts, i))
-        want = np.asarray(paper_xi(dc, ts, i))
-        assert np.max(np.abs(got - want)) < 1e-12 * scale
+    gap = np.subtract(xi_trajectory(ic, dc, ts), paper_xi(dc, ts))
+    assert np.max(np.abs(gap)) < 1e-12 * scale
 
 
 @settings(max_examples=150, deadline=None)
@@ -296,12 +288,12 @@ def test_xi_trajectory_rate_is_the_closed_rate(dc):
     ts = np.array([0.0, 0.4, 1.9, 6.3, 40.0]) / dc.omega_big
     h = 1e-6 / dc.omega_big
     scale = dc.hbar * dc.omega_big**2
-    for i in (1, 2):
-        got = xi_trajectory_rate(ic, dc, ts, i)
-        want = xi_closed_rate(dc, paper_coefficients(dc), ts, i)
-        assert np.max(np.abs(got - want)) < 1e-12 * scale
-        fd = (xi_trajectory(ic, dc, ts + h, i) - xi_trajectory(ic, dc, ts - h, i)) / (2.0 * h)
-        assert np.max(np.abs(got - fd)) < 1e-7 * scale
+    got = np.array(xi_trajectory_rate(ic, dc, ts))
+    want = np.array(xi_closed_rate(dc, paper_coefficients(dc), ts))
+    assert np.max(np.abs(got - want)) < 1e-12 * scale
+    fd = np.subtract(xi_trajectory(ic, dc, ts + h), xi_trajectory(ic, dc, ts - h))
+    fd /= 2.0 * h
+    assert np.max(np.abs(got - fd)) < 1e-7 * scale
 
 
 def test_xi_trajectory_matches_xi_closed_when_eta_dominates():
@@ -309,10 +301,8 @@ def test_xi_trajectory_matches_xi_closed_when_eta_dominates():
     ic = ground_mode_ic(dc)
     ts = np.linspace(0.0, 40.0 / dc.omega_big, 200)
     scale = dc.hbar * dc.omega_big
-    for i in (1, 2):
-        got = np.asarray(xi_trajectory(ic, dc, ts, i))
-        want = np.asarray(paper_xi(dc, ts, i))
-        assert np.max(np.abs(got - want)) < 1e-9 * scale
+    gap = np.subtract(xi_trajectory(ic, dc, ts), paper_xi(dc, ts))
+    assert np.max(np.abs(gap)) < 1e-9 * scale
 
 
 def test_xi_trajectory_starts_in_paper_phase_for_position_deformation():
@@ -325,8 +315,8 @@ def test_xi_trajectory_starts_in_paper_phase_for_position_deformation():
         ic = ground_mode_ic(dc)
         assert ic.P1 < 0.0 and ic.P2 < 0.0
         scale = dc.hbar * dc.omega_big
-        start = float(xi_trajectory(ic, dc, 0.0, 1)) / scale
-        assert abs(start - float(paper_xi(dc, 0.0, 1)) / scale) < 1e-12
+        start = float(xi_trajectory(ic, dc, 0.0)[0]) / scale
+        assert abs(start - float(paper_xi(dc, 0.0)[0]) / scale) < 1e-12
         assert abs(start - 0.501) < 1e-12
 
 
@@ -335,9 +325,8 @@ def test_xi_trajectory_partition():
     ic = ground_mode_ic(dc)
     ts = np.linspace(0.0, 60.0 / dc.omega_big, 300)
     scale = dc.hbar * dc.omega_big
-    total = np.asarray(xi_trajectory(ic, dc, ts, 1)) + np.asarray(
-        xi_trajectory(ic, dc, ts, 2)
-    )
+    xi1, xi2 = xi_trajectory(ic, dc, ts)
+    total = xi1 + xi2
     assert np.max(np.abs(total - scale)) < 1e-12 * scale
 
 
@@ -347,7 +336,7 @@ def test_xi_trajectory_beating_envelope():
     ic = ground_mode_ic(dc)
     ts = np.linspace(0.0, math.pi / dc.gamma, 100001)
     scale = dc.hbar * dc.omega_big
-    vals = np.asarray(xi_trajectory(ic, dc, ts, 1)) / scale
+    vals = xi_trajectory(ic, dc, ts)[0] / scale
     assert vals.max() > 1.0 - 1e-5
     assert vals.min() < 1e-5
     assert vals.max() < 1.0 + 1e-9 and vals.min() > -1e-9
@@ -365,8 +354,8 @@ def test_sector_forms_match_the_field_by_field_oracle(dc):
     scale = dc.hbar * dc.omega_big
     nc = sw_to_nc(propagate_analytic(ic, dc, ts), dc)
     series = sector_energy_series(dc, omega_t, "trajectory")
-    for i, xi in ((1, series.xi1), (2, series.xi2)):
-        got = xi_trajectory(ic, dc, ts, i)
+    pair = xi_trajectory(ic, dc, ts)
+    for i, got, xi in zip((1, 2), pair, (series.xi1, series.xi2)):
         assert np.max(np.abs(got - sector_energy(nc, dc.params, i))) <= 1e-14 * scale
         assert np.array_equal(got / scale, xi)
 
@@ -380,12 +369,11 @@ def test_xi_trajectory_does_not_depend_on_the_gauge_ratio(dc):
     unit = derived_constants(dc.params)
     ts = np.linspace(0.0, 40.0 / dc.omega_big, 201)
     scale = dc.hbar * dc.omega_big
-    for i in (1, 2):
-        got = xi_trajectory(ground_mode_ic(dc), dc, ts, i)
-        want = xi_trajectory(ground_mode_ic(unit), unit, ts, i)
-        assert np.max(np.abs(got - want)) <= 1e-12 * scale
-    state = propagate_analytic(ground_mode_ic(dc), dc, ts)
-    total = mode_energy(state, dc, 1) + mode_energy(state, dc, 2)
+    got = xi_trajectory(ground_mode_ic(dc), dc, ts)
+    want = xi_trajectory(ground_mode_ic(unit), unit, ts)
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-12 * scale
+    e1, e2 = mode_energy(propagate_analytic(ground_mode_ic(dc), dc, ts), dc)
+    total = e1 + e2
     assert np.max(np.abs(total - scale)) <= 1e-12 * scale
 
 
@@ -424,10 +412,8 @@ def test_first_order_starts_at_degenerate_value():
     g = 0.002 / math.sqrt(1.0 - 0.002**2)
     dc = physics(g, 0.0)
     scale = dc.hbar * dc.omega_big
-    for i in (1, 2):
-        a = xi_first_order(dc, 0.0, i)
-        b = degenerate_xi(dc, 0.0, i)
-        assert abs(a - b) < 1e-13 * scale
+    gap = np.subtract(xi_first_order(dc, 0.0), degenerate_xi(dc, 0.0))
+    assert np.max(np.abs(gap)) < 1e-13 * scale
 
 
 def test_first_order_error_scaling():
@@ -437,8 +423,8 @@ def test_first_order_error_scaling():
         dc = physics(g, 0.0)
         ts = np.linspace(0.0, 40.0 / dc.omega_big, 4001)
         scale = dc.hbar * dc.omega_big
-        exact = np.asarray(degenerate_xi(dc, ts, 1))
-        approx = np.asarray(xi_first_order(dc, ts, 1))
+        exact = degenerate_xi(dc, ts)[0]
+        approx = xi_first_order(dc, ts)[0]
         dev = np.max(np.abs(exact - 0.5 * scale))
         err = np.max(np.abs(approx - exact))
         return err / dev, err
@@ -452,16 +438,17 @@ def test_first_order_error_scaling():
 def test_first_order_rate_frozen_points():
     dc = physics(0.003, 0.0, m=1.2, omega=0.8, hbar=1.1)
     amp = dc.hbar * dc.gamma * dc.omega_big
-    assert abs(xi_dot_first_order(dc, 0.0, 1) - amp) < 1e-15 * amp
+    rate1, rate2 = xi_dot_first_order(dc, 0.0)
+    assert abs(rate1 - amp) < 1e-15 * amp
+    assert abs(rate2 + amp) < 1e-15 * amp
     t_quarter = math.pi / (4.0 * dc.omega_big)
-    assert abs(xi_dot_first_order(dc, t_quarter, 1)) < 1e-12 * amp
-    assert abs(xi_dot_first_order(dc, 0.0, 2) + amp) < 1e-15 * amp
+    assert abs(xi_dot_first_order(dc, t_quarter)[0]) < 1e-12 * amp
 
 
 def test_first_order_rate_amplitude_exact():
     dc = physics(0.0, 0.005)
     ts = np.linspace(0.0, 4.0 * math.pi / dc.omega_big, 20001)
-    rate = np.asarray(xi_dot_first_order(dc, ts, 1))
+    rate = xi_dot_first_order(dc, ts)[0]
     amp = dc.hbar * dc.gamma * dc.omega_big
     assert abs(0.5 * (rate.max() - rate.min()) - amp) < 1e-6 * amp
 
@@ -471,10 +458,9 @@ def test_first_order_rate_is_derivative():
         h = 1e-5 / dc.omega_big
         amp = dc.hbar * abs(dc.gamma) * dc.omega_big
         for t in (0.1, 0.9, 2.7):
-            fd = (
-                xi_first_order(dc, t + h, 1) - xi_first_order(dc, t - h, 1)
-            ) / (2.0 * h)
-            assert abs(fd - xi_dot_first_order(dc, t, 1)) < 1e-6 * amp
+            fd = xi_first_order(dc, t + h)[0] - xi_first_order(dc, t - h)[0]
+            fd /= 2.0 * h
+            assert abs(fd - xi_dot_first_order(dc, t)[0]) < 1e-6 * amp
 
 
 @settings(max_examples=150, deadline=None)
@@ -486,17 +472,42 @@ def test_closed_rate_is_derivative_of_closed_form(dc):
     coeffs = paper_coefficients(dc)
     for omega_t in (0.0, 0.4, 1.9, 6.3):
         t = omega_t / dc.omega_big
-        for i in (1, 2):
-            fd = (
-                xi_closed(dc, coeffs, t + h, i)
-                - xi_closed(dc, coeffs, t - h, i)
-            ) / (2.0 * h)
-            rate = xi_closed_rate(dc, coeffs, t, i)
-            assert abs(fd - rate) < 1e-7 * scale
+        fd = np.subtract(xi_closed(dc, coeffs, t + h), xi_closed(dc, coeffs, t - h))
+        fd /= 2.0 * h
+        rate = xi_closed_rate(dc, coeffs, t)
+        assert np.max(np.abs(fd - rate)) < 1e-7 * scale
 
 
 # ---------------------------------------------------------------------------
 # series container
+
+
+@settings(max_examples=150, deadline=None)
+@given(admissible_physics())
+@with_hand_picked
+def test_each_series_is_its_kernels_pair_over_hbar_omega(dc):
+    # Every source is its kernel's (sector 1, sector 2) pair over hbar*Omega,
+    # bit for bit (degenerate_form on the drawn point moved onto theta*eta = 0);
+    # the two sectors' closed and first-order rates are exact negations.
+    omega_t = np.linspace(0.0, 40.0, 201)
+    kernels = (
+        (dc, "closed_form", paper_xi),
+        (next(on_degenerate_surface(dc)), "degenerate_form", degenerate_xi),
+        (dc, "first_order", xi_first_order),
+        (dc, "trajectory", lambda d, t: xi_trajectory(ground_mode_ic(d), d, t)),
+    )
+    for d, source, kernel in kernels:
+        xi1, xi2 = kernel(d, omega_t / d.omega_big)
+        series = sector_energy_series(d, omega_t, source)
+        scale = d.hbar * d.omega_big
+        assert np.array_equal(series.xi1, xi1 / scale), source
+        assert np.array_equal(series.xi2, xi2 / scale), source
+    ts = omega_t / dc.omega_big
+    for rate1, rate2 in (
+        xi_closed_rate(dc, paper_coefficients(dc), ts),
+        xi_dot_first_order(dc, ts),
+    ):
+        assert np.array_equal(rate2, -rate1)
 
 
 def test_series_sources_and_partition():
