@@ -58,8 +58,9 @@ from .algebra import (
 )
 from .dynamics import Trajectory, integrate_numeric, propagate_analytic, step_count
 from .errors import NCLabError, UnreachableRatio, exit_code_for
-from .manifest import RunManifest, RunOutput, write_csv, write_json
+from .manifest import RunManifest, RunOutput, write_csv, write_csv_blocks, write_json
 from .observables import (
+    CSV_HEADER,
     SOURCES,
     ground_mode_ic,
     paper_coefficients,
@@ -83,9 +84,10 @@ MODES = ("single_theta", "symmetric")
 METHODS = ("analytic", "rk4", "both")
 
 # The most rows any one array of a run may have: 50 times the largest
-# default, figure 1's 200 000.  Larger sizes are refused before anything is
-# allocated, so a mistyped size exits 2 instead of failing in numpy.
+# default, figure 1's 200 000, held as 8 bytes a row plus one block.  Larger
+# sizes are refused before anything is allocated, so a mistyped size exits 2.
 MAX_ROWS = 10**7
+FIGURE1_BLOCK_ROWS = 4800  # a multiple of CSV_BLOCK_VALUES // 3, the rows per call
 
 WIGNER_SLICE_HEADER = ("Q1", "Q2", "P1", "P2", "rho")
 FIG2_HEADER = ("Omega_t", "xi1_rate_over_hOmega2", "first_order_amplitude")
@@ -503,6 +505,29 @@ def cmd_wigner(s, out: RunOutput) -> None:
     out.finish(man, "wigner_manifest.json")
 
 
+class _Figure1Fold:
+    """Figure 1's whole-grid checks folded block by block: (Omega*t, xi) at argmax
+    xi1 and argmin xi2 over Omega*t <= beat, max |xi1 + xi2 - 1|.  Per-block args
+    and maxima are reduced again, so ties and NaN come out as over the grid."""
+
+    def __init__(self, beat: float):
+        self.beat, self.picks, self.parts = beat, ([], []), []
+
+    def columns(self, block) -> list:
+        head = np.count_nonzero(block.times <= self.beat)  # a prefix of the grid
+        for arg, xi, p in zip((np.argmax, np.argmin), (block.xi1, block.xi2), self.picks):
+            if head:
+                i = int(arg(xi[:head]))
+                p.append((block.times[i], xi[i]))
+        self.parts.append(np.max(np.abs(block.xi1 + block.xi2 - 1.0)))
+        return [block.times, block.xi1, block.xi2, block.source]
+
+    def result(self):
+        top, bottom = (picks[int(arg([value for _, value in picks]))]
+                       for arg, picks in zip((np.argmax, np.argmin), self.picks))
+        return top, bottom, float(np.max(self.parts))
+
+
 def cmd_figure(s, out: RunOutput) -> None:
     if s["ratio"] is None and s["theta"] == 0.0 and s["eta"] == 0.0:
         s["ratio"] = 0.002
@@ -518,24 +543,23 @@ def cmd_figure(s, out: RunOutput) -> None:
     if which == 1:
         beat = math.pi * dc.omega_big / abs(dc.gamma)
         full_t = np.linspace(0.0, 3.0 * beat, n)
-        full = sector_energy_series(dc, full_t, "closed_form")
-        out.write(man, "figure1_full.csv", full.write_csv)
+        fold = _Figure1Fold(beat)
+        blocks = (
+            fold.columns(sector_energy_series(dc, full_t[i : i + FIGURE1_BLOCK_ROWS]))
+            for i in range(0, n, FIGURE1_BLOCK_ROWS)
+        )
+        out.write(man, "figure1_full.csv", write_csv_blocks, CSV_HEADER, blocks)
 
         t_max = 40.0 if s["t_max"] is None else s["t_max"]
         zoom_t = np.linspace(0.0, min(t_max, 3.0 * beat), 4000)
         zoom = sector_energy_series(dc, zoom_t, "closed_form")
         out.write(man, "figure1_zoom.csv", zoom.write_csv)
 
-        one_beat = full_t <= beat
-        top = int(np.argmax(full.xi1[one_beat]))
-        bottom = int(np.argmin(full.xi2[one_beat]))
-        traj = sector_energy_series(dc, full_t[[0, top, bottom]], "trajectory")
-        env_max = float(full.xi1[top])
-        env_min = float(full.xi2[bottom])
+        (top, env_max), (bottom, env_min), part = fold.result()
+        traj = sector_energy_series(dc, np.array([full_t[0], top, bottom]), "trajectory")
         want_max, want_min = float(traj.xi1[1]), float(traj.xi2[2])
         man.check("envelope_max_xi1", env_max, want_max + 1e-3, want_max - 1e-3)
         man.check("envelope_min_xi2", env_min, want_min + 1e-3, want_min - 1e-3)
-        part = float(np.max(np.abs(full.xi1 + full.xi2 - 1.0)))
         man.check("energy_partition", part, 1e-12)
 
         start1 = float(zoom.xi1[0])

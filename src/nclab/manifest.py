@@ -7,16 +7,17 @@ and pass/fail checks, each with its value and bound), and what it wrote
 identical manifests up to the timestamp field, which comparison tooling
 drops.
 
-Every CSV data file goes through ``write_csv``: a header row, comma
-separators, ``\\r\\n`` line ends, floats as ``%.17g`` (so they round-trip
-exactly) and constant text columns written verbatim, quoted only where
-they hold a comma, a quote or a line break, all encoded as UTF-8.  NumPy
-computes the exact ``%.17g`` text of each float in bulk; the few values
-it cannot settle exactly (zeros, non-finite values, magnitudes outside
-[1e-250, 1e250), near-ties and exponents off by one) are formatted one
-by one with ``'%.17g' % x``, so every byte is that of the per-value form.
-Each data file and each JSON report is written to a temp file beside its
-target and renamed onto it, so a write that fails leaves no partial file.
+Every CSV data file goes through ``write_csv_blocks``, whole or in row
+blocks, with the same bytes: a header row, comma separators, ``\\r\\n``
+line ends, floats as ``%.17g`` (so they round-trip exactly) and constant
+text columns written verbatim, quoted only where they hold a comma, a
+quote or a line break, all encoded as UTF-8.  NumPy computes the exact
+``%.17g`` text of each float in bulk; the few values it cannot settle
+exactly (zeros, non-finite values, magnitudes outside [1e-250, 1e250),
+near-ties and exponents off by one) are formatted one by one with
+``'%.17g' % x``, so every byte is that of the per-value form.  Each data
+file and each JSON report is written to a temp file beside its target
+and renamed onto it, so a write that fails leaves no partial file.
 ``RunOutput`` does the same for a whole run, so a command that raises
 leaves no file and no directory behind.
 """
@@ -27,6 +28,7 @@ import dataclasses
 import datetime
 import functools
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -39,29 +41,29 @@ from .algebra import DerivedConstants
 from .errors import CHECKS_FAILED_EXIT
 
 __all__ = ["TOOL_VERSION", "RunManifest", "RunOutput", "file_sha256", "write_csv",
-           "write_json"]
+           "write_csv_blocks", "write_json"]
 
 TOOL_VERSION = "0.1.0"
 
-# Float values formatted per block.  A file with k float columns is cut
-# into ceil(n_rows / (CSV_BLOCK_VALUES // k)) blocks of equal size, within
-# one row.  A block's k column slices are copied into one float buffer and
-# formatted bytes x values in one _format_floats call, through some twenty
-# arrays of the block's values; each column's (_CELL, rows) slice of that
-# cell is copied transposed into a rows x bytes buffer filled once from the
-# row template, and the block is compacted and written.  A call costs 49 us
-# at 10 values and 175 us at 3500 (2-core Xeon VM), so the fewer calls the
-# better; but the formatter's temporaries grow with the values per call
-# and the row buffer with the rows per block.  A budget in values, not
-# rows, keeps both in hand for every column count: figure 1's 50k rows of
-# three floats peak at 0.669 MiB at 4800 values (tracemalloc, once the
-# tables are built), 0.762 MiB at 5400, and six floats stay under 0.75
-# MiB too, where 3500 rows per block gave them 1.187 MiB.  No bytes x rows
-# array may have rows a multiple of 512 bytes apart: on a 48 KiB, 12-way
-# L1d, rows 2 KiB apart share 2 of its 64 sets, so every walk down a
-# column thrashes (transposing a 99-byte x 2048-row block took 85 us per
-# 1k rows, at 2000 rows 23 us).  _byte_major pads each to an odd number of
-# 64-byte lines.
+# Float values formatted per call.  Each row block with k float columns
+# is cut into ceil(n_rows / (CSV_BLOCK_VALUES // k)) calls of equal size,
+# within one row.  A call's k column slices are copied into one float
+# buffer and formatted bytes x values in one _format_floats call, through
+# some twenty arrays of the call's values; each column's (_CELL, rows)
+# slice of that cell is copied transposed into a rows x bytes buffer
+# filled once per file from the row template, and the rows are compacted
+# and written.  A call costs 49 us at 10 values and 175 us at 3500 (2-core
+# Xeon VM), so the fewer calls the better; but the formatter's temporaries
+# grow with the values per call and the row buffer with the rows per call.
+# A budget in values, not rows, keeps both in hand for every column count:
+# figure 1's 50k rows of three floats peak at 0.669 MiB at 4800 values
+# (tracemalloc, once the tables are built), 0.762 MiB at 5400, and six
+# floats stay under 0.75 MiB too, where 3500 rows per call gave them 1.187
+# MiB.  No bytes x rows array may have rows a multiple of 512 bytes apart:
+# on a 48 KiB, 12-way L1d, rows 2 KiB apart share 2 of its 64 sets, so
+# every walk down a column thrashes (transposing a 99-byte x 2048-row
+# block took 85 us per 1k rows, at 2000 rows 23 us).  _byte_major pads
+# each to an odd number of 64-byte lines.
 CSV_BLOCK_VALUES = 4800
 
 # Exact %.17g.  A finite x with 1e-250 <= |x| < 1e250 has the decimal
@@ -286,24 +288,17 @@ def _replacing(path):
 
 
 def write_csv(path, header, columns) -> None:
-    """Write a CSV data file from whole columns.
+    """Write a CSV data file from whole columns: ``write_csv_blocks`` of one block."""
+    write_csv_blocks(path, header, [columns])
 
-    ``header`` gives each column a non-empty name.  Each entry of ``columns`` is either a
-    1-D float array, one value per row, or a constant: a string written
-    verbatim in every row, or a float written as ``%.17g``.  At least one
-    column must be an array, and all arrays must have the same length.
-    The bytes equal those of ``csv.writer`` fed ``format(x, ".17g")`` per
-    value, with its default ``\\r\\n`` line ends, encoded as UTF-8.  A name
-    or text cell holding NUL raises ValueError, as do mismatched columns,
-    before the file is opened.
-    """
+
+def _block(header, columns):
+    """A block's row template (_CELL blank bytes per array), arrays and offsets."""
     if len(header) != len(columns) or not all(header):
         raise ValueError(
             "need one non-empty name per column, got %r for %d columns"
             % (tuple(header), len(columns))
         )
-    head = b",".join(_csv_text(name) for name in header) + b"\r\n"
-    # Each row is a fixed byte template with _CELL blank bytes per array.
     template, arrays, offsets = [], [], []
     for i, col in enumerate(columns):
         if isinstance(col, str):
@@ -317,30 +312,51 @@ def write_csv(path, header, columns) -> None:
         template.append(b"," if i < len(columns) - 1 else b"\r\n")
     if not arrays or any(a.ndim != 1 or len(a) != len(arrays[0]) for a in arrays):
         raise ValueError("columns need at least one array, all 1-D of one length")
-    n_rows, k = len(arrays[0]), len(arrays)
-    template = np.frombuffer(b"".join(template), np.uint8)
+    return b"".join(template), arrays, offsets
+
+
+def write_csv_blocks(path, header, blocks) -> None:
+    """Write a CSV data file: the header, then the rows of each block.
+
+    ``header`` names each column.  A block is a list of columns, each a 1-D
+    float array, one value per row, or a constant: a string written verbatim
+    in every row, or a float written as ``%.17g``.  A block has one or more
+    arrays, all of one length, and the first block's constants.  The bytes
+    are those of ``csv.writer`` fed ``format(x, ".17g")`` per value, encoded
+    as UTF-8, however the rows are blocked.  A NUL in a name or text cell, or
+    a bad block, raises ValueError, for the first before the file is opened.
+    """
+    blocks = iter(blocks)
+    first = next(blocks, ())
+    template, _, offsets = _block(header, first)
+    head = b",".join(_csv_text(name) for name in header) + b"\r\n"
+    k, rows = len(offsets), None
     with _replacing(path) as fh:
         fh.write(head)
-        if not n_rows:
-            return
-        n_blocks = -(-n_rows // max(1, CSV_BLOCK_VALUES // k))
-        size = -(-n_rows // n_blocks)
-        rows = np.empty((size, len(template)), np.uint8)
-        rows[:] = template
-        values = np.empty(k * size)
-        # The cell is formatted bytes x values, so that each operation runs
-        # along the values; the bytes outside the cells keep the template's.
-        cell = _byte_major(_CELL, k * size)
-        for b in range(n_blocks):
-            start, stop = b * n_rows // n_blocks, (b + 1) * n_rows // n_blocks
-            n = stop - start
-            x, cells = values[: k * n], cell[:, : k * n]
-            for j, a in enumerate(arrays):
-                x[j * n : (j + 1) * n] = a[start:stop]
-            _format_floats(x, cells)
-            for j, off in enumerate(offsets):
-                rows[:n, off : off + _CELL] = cells[:, j * n : (j + 1) * n].T
-            fh.write(rows[:n].tobytes().translate(None, b"\0"))
+        for columns in itertools.chain([first], blocks):
+            later, arrays, _ = _block(header, columns)
+            if later != template:
+                raise ValueError("every block needs the first block's constants")
+            n_rows = len(arrays[0])
+            n_calls = -(-n_rows // max(1, CSV_BLOCK_VALUES // k))
+            size = -(-n_rows // max(1, n_calls))
+            if rows is None or len(rows) < size:  # once, unless a later block has more
+                rows = np.empty((size, len(template)), np.uint8)
+                rows[:] = np.frombuffer(template, np.uint8)
+                values = np.empty(k * size)
+                # The cell is formatted bytes x values, so that each operation
+                # runs along the values; the bytes outside it keep the template's.
+                cell = _byte_major(_CELL, k * size)
+            for b in range(n_calls):
+                start, stop = b * n_rows // n_calls, (b + 1) * n_rows // n_calls
+                n = stop - start
+                x, cells = values[: k * n], cell[:, : k * n]
+                for j, a in enumerate(arrays):
+                    x[j * n : (j + 1) * n] = a[start:stop]
+                _format_floats(x, cells)
+                for j, off in enumerate(offsets):
+                    rows[:n, off : off + _CELL] = cells[:, j * n : (j + 1) * n].T
+                fh.write(rows[:n].tobytes().translate(None, b"\0"))
 
 
 def write_json(path, obj) -> None:

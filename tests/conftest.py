@@ -66,10 +66,11 @@ def scaled_physics(draw):
 
 def pytest_terminal_summary(terminalreporter):
     """After a session in which test_scales' CLI census ran, print each
-    check's worst value / upper bound over the census's runs."""
+    check's worst margin over the census's runs: value / upper bound, or
+    for a two-sided check, distance to the nearer side / half-width."""
     margins = getattr(sys.modules.get("test_scales"), "CENSUS_MARGINS", None)
     if not margins:
         return
-    terminalreporter.section("census: worst value / upper bound per check")
-    for (command, name), worst in sorted(margins.items()):
-        terminalreporter.write_line("%-12s %-36s %.3g" % (command, name, worst))
+    terminalreporter.section("census: worst margin per check")
+    for (command, name, measure), worst in sorted(margins.items()):
+        terminalreporter.write_line("%-12s %-36s %-26s %.3g" % (command, name, measure, worst))

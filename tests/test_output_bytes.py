@@ -9,6 +9,7 @@ differently in the last bit writes different bytes.
 """
 import csv
 import hashlib
+import json
 import math
 import os
 import tracemalloc
@@ -18,9 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nclab.cli import main
-from nclab import manifest
-from nclab.manifest import CSV_BLOCK_VALUES, write_csv, write_json
+from nclab import derived_constants, make_gauge, manifest, sector_energy_series
+from nclab.cli import _Figure1Fold, main, params_from_ratio
+from nclab.manifest import CSV_BLOCK_VALUES, write_csv, write_csv_blocks, write_json
+from nclab.observables import SectorEnergySeries
 
 RATIO_XI = ["xi", "--ratio", "0.002", "--t-max", "20", "--grid-points", "300"]
 
@@ -96,6 +98,78 @@ def test_golden_output_bytes(tmp_path, name):
     assert not list(tmp_path.rglob("*.tmp"))
     for rel, digest in expected.items():
         assert hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() == digest, rel
+
+
+def whole_figure1(n):
+    """Figure 1's full series at its default settings as whole arrays, and
+    its beat in Omega*t."""
+    params = params_from_ratio(0.002)
+    dc = derived_constants(params, make_gauge(params, 1.0))
+    beat = math.pi * dc.omega_big / abs(dc.gamma)
+    return dc, sector_energy_series(dc, np.linspace(0.0, 3.0 * beat, n)), beat
+
+
+@pytest.mark.parametrize("n", [2, 1599, 1600, 4799, 4800, 4801, 9601, 200000])
+def test_figure1_in_blocks_writes_and_checks_as_the_whole_grid(tmp_path, monkeypatch, n):
+    # Block edges at one row either side of a formatter call (1600 rows)
+    # and of a figure 1 block (4800 rows), and the default grid.
+    calls = []
+    format_floats = manifest._format_floats
+
+    def spy(x, out):
+        calls.append(len(x))
+        format_floats(x, out)
+
+    monkeypatch.setattr(manifest, "_format_floats", spy)
+    out = tmp_path / "out"
+    assert main(["figure", "1", "--grid-points", str(n), "--out", str(out)]) == 0
+    streamed = len(calls)
+    dc, full, beat = whole_figure1(n)
+    full.write_csv(tmp_path / "whole.csv")
+    assert (out / "figure1_full.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    # As many formatter calls as the whole write, plus the zoom's 4000 rows.
+    assert streamed - math.ceil(4000 / block_rows(3)) == len(calls) - streamed
+
+    one_beat = full.times <= beat
+    top, bottom = np.argmax(full.xi1[one_beat]), np.argmin(full.xi2[one_beat])
+    traj = sector_energy_series(dc, full.times[[0, top, bottom]], "trajectory")
+    checks = {
+        c["name"]: c for c in json.loads((out / "figure1_manifest.json").read_text())["checks"]
+    }
+    for name, value, want in (
+        ("envelope_max_xi1", full.xi1[top], traj.xi1[1]),
+        ("envelope_min_xi2", full.xi2[bottom], traj.xi2[2]),
+    ):
+        assert checks[name]["value"] == value
+        assert checks[name]["bound"] == [want - 1e-3, want + 1e-3]
+    part = np.max(np.abs(full.xi1 + full.xi2 - 1.0))
+    assert checks["energy_partition"]["value"] == part
+
+
+@pytest.mark.parametrize("rows", [1, 4, 5, 12])
+def test_figure1_fold_equals_the_whole_grid_reductions(rows):
+    # Ties within and across blocks, rows past the beat that would win, and
+    # NaN in a later block: argmax, argmin and max return the first NaN.
+    times, beat, nan = np.arange(12.0), 8.0, math.nan
+    cases = [
+        ([0, 3, 1, 3, 3, 2, 1, 3, 0, 9, 9, 9], [5, 1, 4, 1, 1, 2, 1, 5, 6, 0, 0, 0]),
+        ([0, 3, 1, 3, 3, 2, nan, 5, nan, 9, 9, 9], [5, 1, 4, 1, 1, 2, 1, nan, 6, 0, 0, 0]),
+        ([0, 3, 1, 3, 3, 2, 1, 3, 0, nan, 9, 9], [5, 1, 4, 1, 1, 2, 1, 5, 6, 0, nan, 0]),
+    ]
+    for xi1, xi2 in (map(np.array, case) for case in cases):
+        fold = _Figure1Fold(beat)
+        for start in range(0, len(times), rows):
+            block = slice(start, start + rows)
+            fold.columns(SectorEnergySeries(times[block], xi1[block], xi2[block], "closed_form"))
+        one_beat = times <= beat
+        top, bottom = np.argmax(xi1[one_beat]), np.argmin(xi2[one_beat])
+        want = (
+            (times[top], xi1[top]),
+            (times[bottom], xi2[bottom]),
+            np.max(np.abs(xi1 + xi2 - 1.0)),
+        )
+        got = fold.result()
+        assert np.array_equal(np.hstack(got), np.hstack(want), equal_nan=True), (got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +365,20 @@ def write_csv_peak(path, header, columns):
         tracemalloc.stop()
 
 
+def test_figure1_memory_peak_is_its_grid_and_one_block(tmp_path):
+    # Figure 1 holds its time grid, 8 bytes a row, and one block of rows;
+    # computed whole, its series peaked at 24 MiB here.
+    n = 400000
+    assert main(["figure", "1", "--grid-points", "2", "--out", str(tmp_path / "a")]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["figure", "1", "--grid-points", str(n), "--out", str(tmp_path / "b")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n + 2 * 2**20
+
+
 def test_write_csv_memory_peak(tmp_path):
     # Figure 1's full file: 50k rows of three floats.  Each block's
     # transients stay bounded, whatever the length of the file (0.67 MiB
@@ -379,3 +467,31 @@ def test_a_write_that_fails_leaves_no_file(tmp_path, monkeypatch):
         write_csv(tmp_path / "data.csv", ("t",), [np.arange(2 * block, dtype=float)])
     assert os.listdir(tmp_path) == ["data.csv"]
     assert (tmp_path / "data.csv").read_bytes() == b"old"
+
+
+def test_write_csv_blocks_write_the_bytes_of_one_whole_write(tmp_path):
+    # An empty block writes nothing; the blocks cross formatter calls.
+    n = 2 * block_rows(2) + 7
+    a, b = np.linspace(-3.0, 3.0, n), np.cos(np.arange(n))
+    cuts = [0, 5, 5, block_rows(2) + 1, n]
+    blocks = ([a[i:j], "s", b[i:j], 0.5] for i, j in zip(cuts, cuts[1:]))
+    write_csv_blocks(tmp_path / "blocks.csv", ("a", "s", "b", "h"), blocks)
+    write_csv(tmp_path / "whole.csv", ("a", "s", "b", "h"), [a, "s", b, 0.5])
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [np.zeros(2), "other", np.zeros(2)],
+        [np.zeros(2), "s", 0.5],
+        [np.zeros(2), "s", np.zeros(3)],
+        [np.zeros(2), "s"],
+    ],
+    ids=["text", "kind", "length", "columns"],
+)
+def test_a_bad_later_block_leaves_no_file(tmp_path, bad):
+    good = [np.arange(3.0), "s", np.arange(3.0)]
+    with pytest.raises(ValueError):
+        write_csv_blocks(tmp_path / "data.csv", ("a", "s", "b"), iter([good, good, bad]))
+    assert os.listdir(tmp_path) == []
