@@ -58,7 +58,8 @@ from .algebra import (
 )
 from .dynamics import Trajectory, integrate_numeric, propagate_analytic, step_count
 from .errors import NCLabError, UnreachableRatio, exit_code_for
-from .manifest import RunManifest, RunOutput, write_csv, write_csv_blocks, write_json
+from .manifest import CSV_BLOCK_VALUES, RunManifest, RunOutput
+from .manifest import write_csv, write_csv_blocks, write_json
 from .observables import (
     CSV_HEADER,
     SOURCES,
@@ -83,11 +84,10 @@ __all__ = ["params_from_ratio", "build_parser", "main"]
 MODES = ("single_theta", "symmetric")
 METHODS = ("analytic", "rk4", "both")
 
-# The most rows any one array of a run may have: 50 times the largest
-# default, figure 1's 200 000, held as 8 bytes a row plus one block.  Larger
-# sizes are refused before anything is allocated, so a mistyped size exits 2.
+# The most rows any one array of a run may have: 50 times the largest default,
+# figure 1's 200 000; xi, sweep and figure 1 hold 8 bytes a row plus one block
+# (_write_series).  Larger is refused before any allocation: a mistyped size exits 2.
 MAX_ROWS = 10**7
-FIGURE1_BLOCK_ROWS = 4800  # a multiple of CSV_BLOCK_VALUES // 3, the rows per call
 
 WIGNER_SLICE_HEADER = ("Q1", "Q2", "P1", "P2", "rho")
 FIG2_HEADER = ("Omega_t", "xi1_rate_over_hOmega2", "first_order_amplitude")
@@ -399,36 +399,51 @@ def cmd_simulate(s, out: RunOutput) -> None:
     out.finish(man, "simulate_manifest.json")
 
 
-def _series_pair_gap(a, b) -> float:
-    return float(
-        max(np.max(np.abs(a.xi1 - b.xi1)), np.max(np.abs(a.xi2 - b.xi2)))
-    )
+def _pair_row(series, closed) -> tuple:
+    """max |xi_i - closed xi_i| for i = 1, 2, and max |closed xi1 - 1/2|."""
+    gaps = np.max(np.abs(series.xi1 - closed.xi1)), np.max(np.abs(series.xi2 - closed.xi2))
+    return (*gaps, np.max(np.abs(closed.xi1 - 0.5)))
 
 
-def _first_order_rel_err(first, closed) -> float:
+def _first_order_rel_err(gap1, gap2, dev) -> float:
     """Gap of the first-order series to the closed one, over its beat deviation."""
-    dev = float(np.max(np.abs(closed.xi1 - 0.5)))
-    return _series_pair_gap(first, closed) / dev if dev > 0.0 else 0.0
+    return float(max(gap1, gap2) / dev) if dev > 0.0 else 0.0
+
+
+def _write_series(out, man, name, dc, omega_t, source, stats) -> np.ndarray:
+    """Stage file ``name``, the ``source`` series on ``omega_t``, written CSV_BLOCK_VALUES
+    rows (three formatter calls) at a time.  Returns a row a block, max |xi1 + xi2 - 1|
+    then ``stats(block)``, which the checks reduce again, as over the whole grid."""
+    rows = []
+
+    def blocks():
+        for i in range(0, len(omega_t), CSV_BLOCK_VALUES):
+            b = sector_energy_series(dc, omega_t[i : i + CSV_BLOCK_VALUES], source)
+            rows.append((np.max(np.abs(b.xi1 + b.xi2 - 1.0)), *stats(b)))
+            yield [b.times, b.xi1, b.xi2, b.source]
+
+    out.write(man, name, write_csv_blocks, CSV_HEADER, blocks())
+    return np.array(rows)
 
 
 def cmd_xi(s, out: RunOutput) -> None:
     source = s["source"]
     dc = _physics(s)
     omega_t = np.linspace(0.0, s["t_max"], s["grid_points"])
-    series = sector_energy_series(dc, omega_t, source)
     man = RunManifest("xi", s, dc)
-    out.write(man, "xi_%s.csv" % source, series.write_csv)
 
-    part = float(np.max(np.abs(series.xi1 + series.xi2 - 1.0)))
+    def stats(block):  # trajectory and first_order are held to the closed form
+        if source in ("trajectory", "first_order"):
+            return _pair_row(block, sector_energy_series(dc, block.times))
+        return ()
+
+    rows = _write_series(out, man, "xi_%s.csv" % source, dc, omega_t, source, stats)
+    part, *pair = np.max(rows, axis=0)
     man.check("energy_partition", part, 1e-12)
-
     if source == "trajectory":
-        closed = sector_energy_series(dc, omega_t, "closed_form")
-        man.check("trajectory_matches_closed", _series_pair_gap(series, closed), 1e-9)
-
+        man.check("trajectory_matches_closed", max(pair[:2]), 1e-9)
     if source == "first_order":
-        closed = sector_energy_series(dc, omega_t, "closed_form")
-        man.add_measured("first_order_rel_err", _first_order_rel_err(series, closed))
+        man.add_measured("first_order_rel_err", _first_order_rel_err(*pair))
     out.finish(man, "xi_manifest.json")
 
 
@@ -505,27 +520,19 @@ def cmd_wigner(s, out: RunOutput) -> None:
     out.finish(man, "wigner_manifest.json")
 
 
-class _Figure1Fold:
-    """Figure 1's whole-grid checks folded block by block: (Omega*t, xi) at argmax
-    xi1 and argmin xi2 over Omega*t <= beat, max |xi1 + xi2 - 1|.  Per-block args
-    and maxima are reduced again, so ties and NaN come out as over the grid."""
+def _envelope_row(block, beat) -> tuple:
+    """(Omega*t, xi1) at argmax xi1 and (Omega*t, xi2) at argmin xi2 over Omega*t <= beat;
+    the rows past it, a suffix of the grid, are masked with -inf and +inf."""
+    head = block.times <= beat
+    top, bottom = np.where(head, block.xi1, -np.inf), np.where(head, block.xi2, np.inf)
+    i, j = np.argmax(top), np.argmin(bottom)
+    return block.times[i], top[i], block.times[j], bottom[j]
 
-    def __init__(self, beat: float):
-        self.beat, self.picks, self.parts = beat, ([], []), []
 
-    def columns(self, block) -> list:
-        head = np.count_nonzero(block.times <= self.beat)  # a prefix of the grid
-        for arg, xi, p in zip((np.argmax, np.argmin), (block.xi1, block.xi2), self.picks):
-            if head:
-                i = int(arg(xi[:head]))
-                p.append((block.times[i], xi[i]))
-        self.parts.append(np.max(np.abs(block.xi1 + block.xi2 - 1.0)))
-        return [block.times, block.xi1, block.xi2, block.source]
-
-    def result(self):
-        top, bottom = (picks[int(arg([value for _, value in picks]))]
-                       for arg, picks in zip((np.argmax, np.argmin), self.picks))
-        return top, bottom, float(np.max(self.parts))
+def _envelopes(rows) -> tuple:
+    """_write_series rows of _envelope_row: (top, xi1), (bottom, xi2), partition."""
+    i, j = np.argmax(rows[:, 2]), np.argmin(rows[:, 4])
+    return rows[i, 1:3], rows[j, 3:5], np.max(rows[:, 0])
 
 
 def cmd_figure(s, out: RunOutput) -> None:
@@ -543,19 +550,15 @@ def cmd_figure(s, out: RunOutput) -> None:
     if which == 1:
         beat = math.pi * dc.omega_big / abs(dc.gamma)
         full_t = np.linspace(0.0, 3.0 * beat, n)
-        fold = _Figure1Fold(beat)
-        blocks = (
-            fold.columns(sector_energy_series(dc, full_t[i : i + FIGURE1_BLOCK_ROWS]))
-            for i in range(0, n, FIGURE1_BLOCK_ROWS)
-        )
-        out.write(man, "figure1_full.csv", write_csv_blocks, CSV_HEADER, blocks)
+        rows = _write_series(out, man, "figure1_full.csv", dc, full_t, "closed_form",
+                             functools.partial(_envelope_row, beat=beat))
 
         t_max = 40.0 if s["t_max"] is None else s["t_max"]
         zoom_t = np.linspace(0.0, min(t_max, 3.0 * beat), 4000)
         zoom = sector_energy_series(dc, zoom_t, "closed_form")
         out.write(man, "figure1_zoom.csv", zoom.write_csv)
 
-        (top, env_max), (bottom, env_min), part = fold.result()
+        (top, env_max), (bottom, env_min), part = _envelopes(rows)
         traj = sector_energy_series(dc, np.array([full_t[0], top, bottom]), "trajectory")
         want_max, want_min = float(traj.xi1[1]), float(traj.xi2[2])
         man.check("envelope_max_xi1", env_max, want_max + 1e-3, want_max - 1e-3)
@@ -593,7 +596,7 @@ def cmd_figure(s, out: RunOutput) -> None:
             for d in (dc, derived_constants(half, make_gauge(half, dc.gauge.ratio))):
                 first = sector_energy_series(d, window, "first_order")
                 closed = sector_energy_series(d, window, "closed_form")
-                errs.append(_first_order_rel_err(first, closed))
+                errs.append(_first_order_rel_err(*_pair_row(first, closed)))
             man.add_measured("first_order_rel_err", errs[0])
             man.check("first_order_truncation_ratio", errs[0] / errs[1], 4.8, 3.2)
     out.finish(man, "figure%d_manifest.json" % which)
@@ -614,25 +617,20 @@ def cmd_sweep(s, out: RunOutput) -> None:
     cells = []
     for r, name, dc in zip(ratios, names, physics):
         cman = RunManifest("sweep-cell", dict(s, ratio=r), dc)
-        closed = sector_energy_series(dc, omega_t, "closed_form")
-        first = sector_energy_series(dc, omega_t, "first_order")
-        out.write(cman, name + "/xi_closed_form.csv", closed.write_csv)
-        out.write(cman, name + "/xi_first_order.csv", first.write_csv)
-
-        part = float(np.max(np.abs(closed.xi1 + closed.xi2 - 1.0)))
+        # The cheap first-order series is each closed block's partner, then its own file.
+        first = functools.partial(sector_energy_series, dc, source="first_order")
+        rows = _write_series(out, cman, name + "/xi_closed_form.csv", dc, omega_t,
+                             "closed_form", lambda b: _pair_row(first(b.times), b))
+        _write_series(out, cman, name + "/xi_first_order.csv", dc, omega_t,
+                      "first_order", lambda b: ())
+        part, *pair = np.max(rows, axis=0)
         cman.check("energy_partition", part, 1e-12)
-        err = _first_order_rel_err(first, closed)
+        err = _first_order_rel_err(*pair)
         cman.add_measured("first_order_rel_err", err)
         cman.add_measured("gamma_over_omega_big", dc.gamma / dc.omega_big)
         out.finish(cman, name + "/manifest.json")
-        cells.append(
-            {
-                "ratio": r,
-                "dir": name,
-                "manifest": name + "/manifest.json",
-                "first_order_rel_err": err,
-            }
-        )
+        cells.append({"ratio": r, "dir": name, "manifest": name + "/manifest.json",
+                      "first_order_rel_err": err})
         print("cell %s: first_order_rel_err = %.6g" % (name, err))
 
     man = RunManifest("sweep", s)

@@ -147,8 +147,8 @@ def xi_closed(dc: DerivedConstants, coeffs, t):
     cs, ss = np.cos(2.0 * g * t), np.sin(2.0 * g * t)
     cf, sf = np.cos(2.0 * W * t), np.sin(2.0 * W * t)
     bracket = fast * (cs * cf - (g / W) * ss * sf) + slow * ss
-    # Dropped before the pair is formed, so that a whole-grid series (xi,
-    # sweep) holds four fewer grid-length arrays at its peak.
+    # Dropped before the pair is formed, so that a caller's whole-grid series
+    # holds four fewer grid-length arrays at its peak (the CLI streams blocks).
     del cs, ss, cf, sf
     return _from_bracket(dc, bracket)
 

@@ -8,6 +8,7 @@ x86-64 Linux with numpy 2.4; a platform whose libm rounds a sine or cosine
 differently in the last bit writes different bytes.
 """
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -19,8 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nclab import derived_constants, make_gauge, manifest, sector_energy_series
-from nclab.cli import _Figure1Fold, main, params_from_ratio
+from nclab import PhysicalParams, cli, derived_constants, make_gauge, manifest
+from nclab import sector_energy_series
+from nclab.cli import main, params_from_ratio
 from nclab.manifest import CSV_BLOCK_VALUES, write_csv, write_csv_blocks, write_json
 from nclab.observables import SectorEnergySeries
 
@@ -109,10 +111,28 @@ def whole_figure1(n):
     return dc, sector_energy_series(dc, np.linspace(0.0, 3.0 * beat, n)), beat
 
 
-@pytest.mark.parametrize("n", [2, 1599, 1600, 4799, 4800, 4801, 9601, 200000])
-def test_figure1_in_blocks_writes_and_checks_as_the_whole_grid(tmp_path, monkeypatch, n):
-    # Block edges at one row either side of a formatter call (1600 rows)
-    # and of a figure 1 block (4800 rows), and the default grid.
+def whole_partition(series):
+    return np.max(np.abs(series.xi1 + series.xi2 - 1.0))
+
+
+def whole_pair_gap(a, b):
+    return max(np.max(np.abs(a.xi1 - b.xi1)), np.max(np.abs(a.xi2 - b.xi2)))
+
+
+def whole_first_order_rel_err(first, closed):
+    dev = np.max(np.abs(closed.xi1 - 0.5))
+    return whole_pair_gap(first, closed) / dev if dev > 0.0 else 0.0
+
+
+def read_checks(path):
+    """A manifest's checks and measured values, by name."""
+    report = json.loads(path.read_text())
+    return {c["name"]: c["value"] for c in report["checks"]}, report["measured_constants"]
+
+
+@pytest.fixture
+def format_calls(monkeypatch):
+    """The sizes of every _format_floats call, in order."""
     calls = []
     format_floats = manifest._format_floats
 
@@ -121,35 +141,129 @@ def test_figure1_in_blocks_writes_and_checks_as_the_whole_grid(tmp_path, monkeyp
         format_floats(x, out)
 
     monkeypatch.setattr(manifest, "_format_floats", spy)
-    out = tmp_path / "out"
-    assert main(["figure", "1", "--grid-points", str(n), "--out", str(out)]) == 0
-    streamed = len(calls)
-    dc, full, beat = whole_figure1(n)
-    full.write_csv(tmp_path / "whole.csv")
-    assert (out / "figure1_full.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
-    # As many formatter calls as the whole write, plus the zoom's 4000 rows.
-    assert streamed - math.ceil(4000 / block_rows(3)) == len(calls) - streamed
+    return calls
 
-    one_beat = full.times <= beat
-    top, bottom = np.argmax(full.xi1[one_beat]), np.argmin(full.xi2[one_beat])
-    traj = sector_energy_series(dc, full.times[[0, top, bottom]], "trajectory")
-    checks = {
-        c["name"]: c for c in json.loads((out / "figure1_manifest.json").read_text())["checks"]
-    }
-    for name, value, want in (
-        ("envelope_max_xi1", full.xi1[top], traj.xi1[1]),
-        ("envelope_min_xi2", full.xi2[bottom], traj.xi2[2]),
-    ):
-        assert checks[name]["value"] == value
-        assert checks[name]["bound"] == [want - 1e-3, want + 1e-3]
-    part = np.max(np.abs(full.xi1 + full.xi2 - 1.0))
-    assert checks["energy_partition"]["value"] == part
+
+# xi and sweep at one row either side of a row block (4800 rows) and over
+# two blocks; figure 1 also at each side of a formatter call (1600 rows) and
+# at its default grid.  xi runs at non-unit scales on the degenerate surface,
+# so that every source applies.
+XI_ARGS = ["--ratio", "0.05", "--m", "1.3", "--hbar", "0.8"]
+SERIES_RUNS = [("figure1", n) for n in (2, 1599, 1600, 4799, 4800, 4801, 9601, 200000)] + [
+    (command, n)
+    for command in ["xi-%s" % source for source in cli.SOURCES] + ["sweep"]
+    for n in (2, 4799, 4800, 4801, 9601)
+]
+
+
+@pytest.mark.parametrize(
+    "command, n",
+    SERIES_RUNS,
+    ids=[str(n) if c == "figure1" else "%s-%d" % (c, n) for c, n in SERIES_RUNS],
+)
+def test_figure1_in_blocks_writes_and_checks_as_the_whole_grid(
+    tmp_path, format_calls, command, n
+):
+    # Each streamed file is the bytes of the whole series' write, from as
+    # many formatter calls, and each check is its whole-grid reduction.
+    out = tmp_path / "out"
+    if command == "figure1":
+        assert main(["figure", "1", "--grid-points", str(n), "--out", str(out)]) == 0
+        streamed = len(format_calls)
+        dc, full, beat = whole_figure1(n)
+        full.write_csv(tmp_path / "whole.csv")
+        assert (out / "figure1_full.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        # As many formatter calls as the whole write, plus the zoom's 4000 rows.
+        assert streamed - math.ceil(4000 / block_rows(3)) == len(format_calls) - streamed
+
+        one_beat = full.times <= beat
+        top, bottom = np.argmax(full.xi1[one_beat]), np.argmin(full.xi2[one_beat])
+        traj = sector_energy_series(dc, full.times[[0, top, bottom]], "trajectory")
+        report = json.loads((out / "figure1_manifest.json").read_text())
+        checks = {c["name"]: c for c in report["checks"]}
+        for name, value, want in (
+            ("envelope_max_xi1", full.xi1[top], traj.xi1[1]),
+            ("envelope_min_xi2", full.xi2[bottom], traj.xi2[2]),
+        ):
+            assert checks[name]["value"] == value
+            assert checks[name]["bound"] == [want - 1e-3, want + 1e-3]
+        assert checks["energy_partition"]["value"] == whole_partition(full)
+        return
+
+    omega_t = np.linspace(0.0, 40.0, n)
+    if command == "sweep":
+        argv = ["sweep", "--ratios", "0.001,0.002"]
+        cells = {}
+        for r in (0.001, 0.002):
+            params = params_from_ratio(r)
+            dc = derived_constants(params, make_gauge(params, 1.0))
+            cells["r_%g/" % r] = [
+                sector_energy_series(dc, omega_t, source)
+                for source in ("closed_form", "first_order")
+            ]
+    else:
+        source = command[3:]
+        argv = ["xi", "--source", source] + XI_ARGS
+        params = params_from_ratio(0.05, "single_theta", PhysicalParams(1.3, 1.0, 0.8))
+        dc = derived_constants(params, make_gauge(params, 1.0))
+        cells = {"": [sector_energy_series(dc, omega_t, s) for s in (source, "closed_form")]}
+    assert main(argv + ["--grid-points", str(n), "--out", str(out)]) == 0
+    streamed = len(format_calls)
+
+    # Each cell's written series and its partner: the closed form for xi; for
+    # a sweep cell the closed form is written and checked, with the first-order
+    # series as its partner and second file.
+    errs = []
+    for cell, (series, partner) in cells.items():
+        for whole in [series, partner] if command == "sweep" else [series]:
+            name = "%sxi_%s.csv" % (cell, whole.source)
+            whole.write_csv(tmp_path / "whole.csv")
+            assert (out / name).read_bytes() == (tmp_path / "whole.csv").read_bytes(), name
+        manifest_name = cell + "manifest.json" if cell else "xi_manifest.json"
+        checks, measured = read_checks(out / manifest_name)
+        assert checks["energy_partition"] == whole_partition(series)
+        if command == "sweep":
+            errs.append(whole_first_order_rel_err(partner, series))
+            assert measured["first_order_rel_err"] == errs[-1]
+        elif series.source == "trajectory":
+            assert checks["trajectory_matches_closed"] == whole_pair_gap(series, partner)
+        elif series.source == "first_order":
+            assert measured["first_order_rel_err"] == whole_first_order_rel_err(series, partner)
+        else:
+            assert "first_order_rel_err" not in measured
+    if command == "sweep":
+        checks, _ = read_checks(out / "index.json")
+        assert checks == {"error_scaling_r_0.001_to_r_0.002": errs[1] / errs[0]}
+    assert streamed == len(format_calls) - streamed
+
+
+class StageInPlace:
+    """A RunOutput that writes each data file straight to its path."""
+
+    def __init__(self, root):
+        self.root = root
+
+    def write(self, man, name, writer, *args):
+        writer(self.root / name, *args)
+
+
+def synthetic_series(columns):
+    """A sector_energy_series stand-in on the grid 0, 1, ..., 11: each source's
+    (xi1, xi2) from ``columns``, at the rows its Omega*t names."""
+
+    def series(dc, omega_t, source="closed_form"):
+        rows = omega_t.astype(int)
+        xi1, xi2 = (np.asarray(c, dtype=float)[rows] for c in columns[source])
+        return SectorEnergySeries(omega_t, xi1, xi2, source)
+
+    return series
 
 
 @pytest.mark.parametrize("rows", [1, 4, 5, 12])
-def test_figure1_fold_equals_the_whole_grid_reductions(rows):
+def test_figure1_fold_equals_the_whole_grid_reductions(tmp_path, monkeypatch, rows):
     # Ties within and across blocks, rows past the beat that would win, and
     # NaN in a later block: argmax, argmin and max return the first NaN.
+    monkeypatch.setattr(cli, "CSV_BLOCK_VALUES", rows)
     times, beat, nan = np.arange(12.0), 8.0, math.nan
     cases = [
         ([0, 3, 1, 3, 3, 2, 1, 3, 0, 9, 9, 9], [5, 1, 4, 1, 1, 2, 1, 5, 6, 0, 0, 0]),
@@ -157,10 +271,13 @@ def test_figure1_fold_equals_the_whole_grid_reductions(rows):
         ([0, 3, 1, 3, 3, 2, 1, 3, 0, nan, 9, 9], [5, 1, 4, 1, 1, 2, 1, 5, 6, 0, nan, 0]),
     ]
     for xi1, xi2 in (map(np.array, case) for case in cases):
-        fold = _Figure1Fold(beat)
-        for start in range(0, len(times), rows):
-            block = slice(start, start + rows)
-            fold.columns(SectorEnergySeries(times[block], xi1[block], xi2[block], "closed_form"))
+        columns = {"closed_form": (xi1, xi2)}
+        monkeypatch.setattr(cli, "sector_energy_series", synthetic_series(columns))
+        envelope = functools.partial(cli._envelope_row, beat=beat)
+        rows_out = cli._write_series(
+            StageInPlace(tmp_path), None, "s.csv", None, times, "closed_form", envelope
+        )
+        got = cli._envelopes(rows_out)
         one_beat = times <= beat
         top, bottom = np.argmax(xi1[one_beat]), np.argmin(xi2[one_beat])
         want = (
@@ -168,8 +285,44 @@ def test_figure1_fold_equals_the_whole_grid_reductions(rows):
             (times[bottom], xi2[bottom]),
             np.max(np.abs(xi1 + xi2 - 1.0)),
         )
-        got = fold.result()
         assert np.array_equal(np.hstack(got), np.hstack(want), equal_nan=True), (got, want)
+        SectorEnergySeries(times, xi1, xi2, "closed_form").write_csv(tmp_path / "whole.csv")
+        assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [1, 4, 5, 12])
+def test_xi_maxima_in_blocks_equal_the_whole_grid_reductions(tmp_path, monkeypatch, rows):
+    # A NaN in a later block, in either sector: np.max carries it, and the
+    # Python max over the two sector gaps keeps it from sector 1 only.  A
+    # closed form without beat deviation gives first_order_rel_err 0.
+    monkeypatch.setattr(cli, "CSV_BLOCK_VALUES", rows)
+    xi1 = np.array([0.5, 0.7, 0.9, 0.6, 0.3, 0.1, 0.2, 0.5, 0.8, 0.9, 0.7, 0.4])
+    closed, flat = (xi1, 1.0 - xi1), (np.full(12, 0.5), np.full(12, 0.5))
+    near = (xi1 + np.linspace(0.0, 1e-3, 12), 1.0 - xi1 - np.linspace(0.0, 2e-3, 12))
+    nan1, nan2 = (near[0].copy(), near[1]), (near[0], near[1].copy())
+    nan1[0][9] = nan2[1][10] = math.nan
+    cases = [(nan1, closed, math.nan), (nan2, closed, None), (near, flat, 0.0)]
+    for source in ("first_order", "trajectory"):
+        for k, (series, partner, rel_err) in enumerate(cases):
+            columns = {source: series, "closed_form": partner}
+            monkeypatch.setattr(cli, "sector_energy_series", synthetic_series(columns))
+            out = tmp_path / ("%s-%d" % (source, k))
+            argv = ["xi", "--source", source, "--t-max", "11", "--grid-points", "12"]
+            assert main(argv + ["--out", str(out)]) in (0, 1)
+            whole = SectorEnergySeries(np.arange(12.0), *series, source)
+            closed_form = SectorEnergySeries(np.arange(12.0), *partner, "closed_form")
+            checks, measured = read_checks(out / "xi_manifest.json")
+            part = whole_partition(whole)
+            assert np.array_equal(checks["energy_partition"], part, equal_nan=True)
+            if source == "trajectory":
+                got = checks["trajectory_matches_closed"]
+                want = whole_pair_gap(whole, closed_form)
+            else:
+                got = measured["first_order_rel_err"]
+                want = whole_first_order_rel_err(whole, closed_form)
+                if rel_err is not None:
+                    assert np.array_equal(want, rel_err, equal_nan=True)
+            assert np.array_equal(got, want, equal_nan=True), (source, k, got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +518,25 @@ def write_csv_peak(path, header, columns):
         tracemalloc.stop()
 
 
-def test_figure1_memory_peak_is_its_grid_and_one_block(tmp_path):
-    # Figure 1 holds its time grid, 8 bytes a row, and one block of rows;
-    # computed whole, its series peaked at 24 MiB here.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure", "1"],
+        ["xi", "--source", "trajectory"],
+        ["xi", "--source", "first_order"],
+        ["sweep", "--ratios", "0.001,0.002"],
+    ],
+    ids=["figure-1", "xi-trajectory", "xi-first_order", "sweep"],
+)
+def test_figure1_memory_peak_is_its_grid_and_one_block(tmp_path, argv):
+    # A streamed series holds its time grid, 8 bytes a row, and one block of
+    # rows.  Computed whole, figure 1 peaked at 24.4 MiB here, xi at 36.6 MiB
+    # (trajectory) and 30.5 MiB (first_order), and sweep at 36.6 MiB.
     n = 400000
-    assert main(["figure", "1", "--grid-points", "2", "--out", str(tmp_path / "a")]) == 0
+    assert main(argv + ["--grid-points", "2", "--out", str(tmp_path / "a")]) == 0
     tracemalloc.start()
     try:
-        assert main(["figure", "1", "--grid-points", str(n), "--out", str(tmp_path / "b")]) == 0
+        assert main(argv + ["--grid-points", str(n), "--out", str(tmp_path / "b")]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
