@@ -11,6 +11,9 @@ and must drop out of every physical statement.
 derived_constants validates a gauge against a parameter set and returns
 the one model object, DerivedConstants, that the other layers take: it
 holds the inputs, hbar, the Hamiltonian form K and the frame matrix M.
+The model itself is built once, at m = omega = hbar = 1 from the
+dimensionless pair (a, b) and the gauge (DerivedConstants.core); m, omega
+and hbar enter only as the oscillator units omega, hbar, l_q and l_p.
 
 Sign conventions: the antisymmetric symbol is fixed to eps_12 = +1
 throughout the package, and the gauge product takes the branch that joins
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,14 +49,8 @@ __all__ = [
 
 # Canonical bracket matrix of (Q1, Q2, P1, P2) in units of i*hbar, which is
 # also the symplectic form of Hamilton's equations dz/dt = J grad H.
-J = np.array(
-    [
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, -1.0, 0.0, 0.0],
-    ]
-)
+J = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+              [-1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -71,9 +68,11 @@ class PhysicalParams:
 
     Every field must be finite; NaN and infinities raise ValueError.  The
     model reads m, omega and hbar only through the dimensionless pair (a, b)
-    and the scales that derived_constants checks.  The linear maps exist
-    only while nc_product = a*b = theta*eta/hbar**2 < 1, so a larger
-    product raises MapNotInvertible at construction time.
+    and the units of DerivedConstants.  m*omega, which a, b and the units
+    are formed from, must be a normal float and a and b finite, else
+    DomainError.  The linear maps exist only while nc_product = a*b =
+    theta*eta/hbar**2 < 1, so a larger product raises MapNotInvertible at
+    construction time.
     """
 
     m: float
@@ -85,15 +84,16 @@ class PhysicalParams:
     def __post_init__(self):
         for name in ("m", "omega", "hbar", "theta", "eta"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(
-                    "%s must be finite, got %r" % (name, getattr(self, name))
-                )
+                raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
         if self.m <= 0.0 or self.omega <= 0.0 or self.hbar <= 0.0:
             raise ValueError("m, omega and hbar must all be positive")
+        check_scales({"m*omega": self.m * self.omega})
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise DomainError("a = %r, b = %r: a deformation leaves float range"
+                              % (self.a, self.b))
         if self.nc_product >= 1.0:
-            raise MapNotInvertible(
-                "theta*eta/hbar**2 = %g >= 1: the frame map degenerates" % self.nc_product
-            )
+            raise MapNotInvertible("theta*eta/hbar**2 = %g >= 1: the frame map degenerates"
+                                   % self.nc_product)
 
     @property
     def a(self) -> float:
@@ -107,10 +107,9 @@ class PhysicalParams:
 
     @property
     def nc_product(self) -> float:
-        """a*b = theta*eta/hbar**2, as (theta/hbar)*(eta/hbar): no m*omega."""
-        if not (self.theta and self.eta):  # not inf * 0 where theta/hbar overflows
-            return self.theta * self.eta
-        return (self.theta / self.hbar) * (self.eta / self.hbar)
+        """a*b = theta*eta/hbar**2, formed from a and b, so that a point and
+        its unit point (m = omega = hbar = 1, theta = a, eta = b) share it."""
+        return self.a * self.b
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,10 @@ class DerivedConstants:
     used.  gamma is nonnegative whenever theta, eta >= 0 but may involve
     cancellation for mixed signs.  ``params`` and ``gauge`` are the inputs,
     so hbar, the frame matrix M and the Hamiltonian form K all come from
-    this one object.
+    this one object.  These are dimensional.  ``core`` is the model at
+    m = omega = hbar = 1 with the same (a, b) and gauge, its own core, in
+    which the other layers compute: states in units of (l_q, l_q, l_p, l_p)
+    (``state_unit``), times in units of 1/omega and energies of hbar*omega.
     """
 
     alpha: float
@@ -150,10 +152,34 @@ class DerivedConstants:
     product_lm: float
     params: PhysicalParams
     gauge: GaugeChoice
+    core: DerivedConstants | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.core is None:
+            object.__setattr__(self, "core", self)
 
     @property
     def hbar(self) -> float:
         return self.params.hbar
+
+    @property
+    def omega(self) -> float:
+        return self.params.omega
+
+    @property
+    def l_q(self) -> float:
+        """Position unit sqrt(hbar)/sqrt(m*omega)."""
+        return math.sqrt(self.hbar) / math.sqrt(self.params.m * self.omega)
+
+    @property
+    def l_p(self) -> float:
+        """Momentum unit sqrt(hbar)*sqrt(m*omega)."""
+        return math.sqrt(self.hbar) * math.sqrt(self.params.m * self.omega)
+
+    @property
+    def state_unit(self) -> np.ndarray:
+        """The unit of a state (Q1, Q2, P1, P2): (l_q, l_q, l_p, l_p)."""
+        return np.array([self.l_q, self.l_q, self.l_p, self.l_p])
 
     @property
     def K(self) -> np.ndarray:
@@ -164,14 +190,8 @@ class DerivedConstants:
         the Moyal terms of the eigen-equation are all derived from K.
         """
         a2, b2, h = self.alpha**2, self.beta**2, 0.5 * self.gamma
-        return np.array(
-            [
-                [a2, 0.0, 0.0, -h],
-                [0.0, a2, h, 0.0],
-                [0.0, h, b2, 0.0],
-                [-h, 0.0, 0.0, b2],
-            ]
-        )
+        return np.array([[a2, 0.0, 0.0, -h], [0.0, a2, h, 0.0],
+                         [0.0, h, b2, 0.0], [-h, 0.0, 0.0, b2]])
 
     @property
     def A(self) -> np.ndarray:
@@ -188,14 +208,8 @@ class DerivedConstants:
         p, lam, mu = self.params, self.gauge.lam, self.gauge.mu
         c = p.theta / (2.0 * lam * p.hbar)
         d = p.eta / (2.0 * mu * p.hbar)
-        return np.array(
-            [
-                [lam, 0.0, 0.0, -c],
-                [0.0, lam, c, 0.0],
-                [0.0, d, mu, 0.0],
-                [-d, 0.0, 0.0, mu],
-            ]
-        )
+        return np.array([[lam, 0.0, 0.0, -c], [0.0, lam, c, 0.0],
+                         [0.0, d, mu, 0.0], [-d, 0.0, 0.0, mu]])
 
 
 def gamma_components(params: PhysicalParams) -> tuple[float, float]:
@@ -247,13 +261,14 @@ def derived_constants(
 
     With ``gauge=None`` the ratio-1 gauge is used.  A gauge whose product
     disagrees with the constraint is rejected: observables computed from an
-    off-shell gauge would silently depend on the frame.  alpha =
-    omega sqrt(m/2) sqrt(lambda**2 + (b/2mu)**2), beta = sqrt(1/2m)
-    sqrt(mu**2 + (a/2lambda)**2) and gamma = omega (a + b)/2.  Float range
-    is decided by one rule, check_scales: each scale the commands multiply by
-    (alpha**2, beta**2, Omega = 2 alpha beta, m omega**2, 1/m, hbar**2; figure
-    2 adds hbar*Omega**2) and m*omega, which a and b divide by, must be a
-    normal float, else DomainError.
+    off-shell gauge would silently depend on the frame.  The model is built
+    once, as ``core``, at m = omega = hbar = 1 from (a, b) and the gauge:
+    alpha_1 = sqrt(1/2) sqrt(lambda**2 + (b/2mu)**2), beta_1 = sqrt(1/2)
+    sqrt(mu**2 + (a/2lambda)**2), Omega_1 = 2 alpha_1 beta_1 and gamma_1 =
+    (a + b)/2.  The dimensional fields follow from it: alpha = omega sqrt(m)
+    alpha_1, beta = beta_1/sqrt(m), Omega = omega Omega_1, gamma = omega
+    gamma_1.  They are printed and recorded in manifests, so check_scales
+    refuses (DomainError) an alpha, beta or Omega that is not a normal float.
     """
     if gauge is None:
         gauge = make_gauge(params)
@@ -264,29 +279,27 @@ def derived_constants(
             "gauge product %.17g violates the constraint (expected %.17g)"
             % (product, expected)
         )
-    m, w, hb = params.m, params.omega, params.hbar
+    unit = PhysicalParams(1.0, 1.0, 1.0, params.a, params.b)
     lam, mu = gauge.lam, gauge.mu
-    mw = m * w
-    check_scales({"m*omega": mw, "m*omega**2": mw * w, "1/m": 1.0 / m, "hbar**2": hb * hb})
     u, v = params.b / (2.0 * mu), params.a / (2.0 * lam)
-    alpha = w * math.sqrt(0.5 * m) * math.sqrt(lam * lam + u * u)
-    beta = math.sqrt(0.5 / m) * math.sqrt(mu * mu + v * v)
-    omega_big = 2.0 * alpha * beta
-    check_scales({"alpha**2": alpha * alpha, "beta**2": beta * beta, "Omega": omega_big})
-    g_theta, g_eta = gamma_components(params)
-    return DerivedConstants(
-        alpha=alpha,
-        beta=beta,
-        gamma=g_theta + g_eta,
-        omega_big=omega_big,
-        product_lm=product,
-        params=params,
-        gauge=gauge,
-    )
+    alpha = math.sqrt(0.5) * math.sqrt(lam * lam + u * u)
+    beta = math.sqrt(0.5) * math.sqrt(mu * mu + v * v)
+    g_theta, g_eta = gamma_components(unit)
+    core = DerivedConstants(alpha, beta, g_theta + g_eta, 2.0 * alpha * beta, product,
+                            unit, gauge)
+    w, root_m = params.omega, math.sqrt(params.m)
+    dc = DerivedConstants(w * root_m * alpha, beta / root_m, w * core.gamma,
+                          w * core.omega_big, product, params, gauge, core)
+    check_scales({"alpha": dc.alpha, "beta": dc.beta, "Omega": dc.omega_big})
+    return dc
 
 
 def check_scales(scales: dict) -> None:
-    """The one scale rule: DomainError unless each named scale is a normal float."""
+    """The one scale rule: DomainError unless each named scale is a normal float.
+
+    Callers name the values a command writes, prints or records, and the
+    units it multiplies them by; the model itself computes at unit scales.
+    """
     for name, value in scales.items():
         if not sys.float_info.min <= value <= sys.float_info.max:
             raise DomainError("%s = %r is out of normal float range" % (name, value))
@@ -340,31 +353,28 @@ def algebra_residual(params: PhysicalParams, gauge: GaugeChoice) -> float:
     # M depends on nothing else.
     M = replace(derived_constants(params), gauge=gauge).M
     hb, th, et = params.hbar, params.theta, params.eta
-    target = np.array(
-        [
-            [0.0, th, hb, 0.0],
-            [-th, 0.0, 0.0, hb],
-            [-hb, 0.0, 0.0, et],
-            [0.0, -hb, -et, 0.0],
-        ]
-    )
+    target = np.array([[0.0, th, hb, 0.0], [-th, 0.0, 0.0, hb],
+                       [-hb, 0.0, 0.0, et], [0.0, -hb, -et, 0.0]])
     scale = max(hb, abs(th), abs(et))
     return float(np.max(np.abs(hb * (M @ J @ M.T) - target))) / scale
 
 
 def invariant_pair(state: PhaseState, dc: DerivedConstants):
-    """The two conserved quantities of the flow of H = z^T K z.
+    """The two conserved quantities of the flow of H = z^T K z, over hbar.
 
-    The first is the weighted quadratic form alpha/beta * |Q|**2 +
-    beta/alpha * |P|**2 (fast-rotation action), the second the angular
-    momentum Q1*P2 - Q2*P1 (slow-rotation generator).  Both are exactly
-    constant along the analytic flow.  They are the X and L of the Wigner
-    functions and of the simulate command's drift checks.
+    X, the weighted quadratic form alpha/beta * |Q|**2 + beta/alpha * |P|**2
+    (fast-rotation action), and L, the angular momentum Q1*P2 - Q2*P1
+    (slow-rotation generator), are exactly constant along the analytic
+    flow.  Returned as (X/hbar, L/hbar), formed from the state in units,
+    Q/l_q and P/l_p, of order one near the ground mode, so no square leaves
+    float range.  They are the invariants of the Wigner functions and of
+    the simulate command's drift checks.
     """
-    r = dc.alpha / dc.beta
+    u, l_q, l_p = dc.core, dc.l_q, dc.l_p
+    r = u.alpha / u.beta
     # x * x, not x**2: on a scalar, ** is libm pow, which is not correctly
     # rounded, so a scalar point would differ in the last bit from an array.
-    q1, q2, p1, p2 = state.Q1, state.Q2, state.P1, state.P2
+    q1, q2, p1, p2 = state.Q1 / l_q, state.Q2 / l_q, state.P1 / l_p, state.P2 / l_p
     i1 = r * (q1 * q1 + q2 * q2) + (p1 * p1 + p2 * p2) / r
     i2 = q1 * p2 - q2 * p1
     return i1, i2

@@ -27,12 +27,15 @@ resolved settings produce byte-identical data files and manifests that
 differ only in the timestamp field.
 
 Times and steps are given on the command line in dimensionless Omega*t
-units so windows transfer between parameter sets.  The output directory is
---out, else the config key "out", else $NCLAB_OUT, else ./nclab_out; one
-whose nearest existing ancestor is not a directory is refused (exit 2)
-before the command computes anything.  No
-array may have more than MAX_ROWS rows; larger sizes are refused before
-anything is allocated or written.
+units so windows transfer between parameter sets.  Every command computes
+on the model at m = omega = hbar = 1 (DerivedConstants.core) and applies
+m, omega and hbar only to what it writes: times over omega, states times
+(l_q, l_q, l_p, l_p), densities over hbar**2; check_scales refuses each
+such unit that is not a normal float.  The output directory is --out, else
+the config key "out", else $NCLAB_OUT, else ./nclab_out; one whose nearest
+existing ancestor is not a directory is refused (exit 2) before the command
+computes anything.  No array may have more than MAX_ROWS rows; larger sizes
+are refused before anything is allocated or written.
 """
 from __future__ import annotations
 
@@ -104,15 +107,14 @@ def params_from_ratio(
     mode 'single_theta' keeps eta = 0 and realises the ratio with the
     position deformation alone: b = 0 and a = 2r/sqrt(1 - r**2), so
     gamma = omega*a/2 and Omega**2 = omega**2 + gamma**2; theta =
-    a*hbar/m/omega, as m*omega may underflow to 0.  'symmetric': theta = eta
-    solved from gamma/Omega = r, theta = u*hbar/sqrt(1 - r**2 + u**2) with
-    u = 2 r omega/(m omega**2 + 1/m) <= r, so no square leaves float range;
-    at m = omega = hbar = 1 this is theta = eta = r and Omega = omega
-    exactly.  Another mode raises ValueError.  Since Omega > |gamma| for
-    every admissible parameter set, only ratios in [0, 1) are reachable;
-    anything else raises UnreachableRatio.  The scale rule, check_scales,
-    refuses a theta outside the normal floats, as derived_constants' rule
-    does the base's scales.
+    a*hbar/m/omega.  'symmetric': theta = eta solved from gamma/Omega = r,
+    theta = u*hbar/sqrt(1 - r**2 + u**2) with u = 2 r omega/(m omega**2 +
+    1/m) <= r, so no square leaves float range; at m = omega = hbar = 1 this
+    is theta = eta = r and Omega = omega exactly.  Another mode raises
+    ValueError.  Since Omega > |gamma| for every admissible parameter set,
+    only ratios in [0, 1) are reachable; anything else raises
+    UnreachableRatio.  check_scales refuses a theta, which manifests record,
+    outside the normal floats.
     """
     if mode not in MODES:
         raise ValueError("mode must be one of %s, got %r" % (", ".join(MODES), mode))
@@ -331,16 +333,10 @@ def cmd_constants(s, out: RunOutput) -> None:
     man.add_measured("nc_product", x)
     man.add_measured("gamma_over_omega_big", dc.gamma / dc.omega_big)
 
-    rows = [
-        ("alpha", dc.alpha),
-        ("beta", dc.beta),
-        ("gamma", dc.gamma),
-        ("Omega", dc.omega_big),
-        ("lambda*mu", dc.product_lm),
-        ("lambda", dc.gauge.lam),
-        ("mu", dc.gauge.mu),
-        ("gamma/Omega", dc.gamma / dc.omega_big),
-    ]
+    rows = [("alpha", dc.alpha), ("beta", dc.beta), ("gamma", dc.gamma),
+            ("Omega", dc.omega_big), ("lambda*mu", dc.product_lm),
+            ("lambda", dc.gauge.lam), ("mu", dc.gauge.mu),
+            ("gamma/Omega", dc.gamma / dc.omega_big)]
     width = max(len(name) for name, _ in rows)
     for name, val in rows:
         print("%-*s  %.6g" % (width, name, val))
@@ -356,7 +352,7 @@ def _invariant_drift(states: np.ndarray, dc) -> tuple[float, float]:
 
 def _state_gap(states, exact, trajectory) -> float:
     """sup|states - exact| over max|z| of the exact trajectory (1 if it is 0):
-    z scales with sqrt(hbar) and the gauge ratio, a relative gap does not."""
+    z scales with the gauge ratio, a relative gap does not."""
     scale = float(np.max(np.abs(trajectory))) or 1.0
     return float(np.max(np.abs(states - exact))) / scale
 
@@ -364,32 +360,37 @@ def _state_gap(states, exact, trajectory) -> float:
 def cmd_simulate(s, out: RunOutput) -> None:
     method = s["method"]
     dc = _physics(s)
-    z0 = ground_mode_ic(dc) if s["ic"] is None else PhaseState(*s["ic"])
-    t_end = s["t_max"] / dc.omega_big
-    dt = s["dt"] / dc.omega_big
+    u, unit = dc.core, dc.state_unit
+    check_scales({"1/omega": 1.0 / dc.omega, "l_q": dc.l_q, "l_p": dc.l_p})
+    z0 = ground_mode_ic(u) if s["ic"] is None else PhaseState(*(np.array(s["ic"]) / unit))
+    t_end = s["t_max"] / u.omega_big
+    dt = s["dt"] / u.omega_big
     n_steps = step_count(t_end, dt)
     _cap_rows("t_max / dt", n_steps + 1)
     man = RunManifest("simulate", s, dc)
 
+    def write(name, times, states):
+        traj = Trajectory(times=times / dc.omega, states=states * unit, constants=dc)
+        out.write(man, name, traj.write_csv)
+
     analytic_states = None
     if method in ("analytic", "both"):
         times = dt * np.arange(n_steps + 1)
-        analytic_states = propagate_analytic(z0, dc, times).as_array()
-        traj = Trajectory(times=times, states=analytic_states, constants=dc)
-        out.write(man, "trajectory_analytic.csv", traj.write_csv)
-        d1, d2 = _invariant_drift(analytic_states, dc)
+        analytic_states = propagate_analytic(z0, u, times).as_array()
+        write("trajectory_analytic.csv", times, analytic_states)
+        d1, d2 = _invariant_drift(analytic_states, u)
         man.check("invariant_quadratic_drift", d1, 1e-10)
         man.check("invariant_angular_drift", d2, 1e-10)
-        if dc.gamma == 0.0:
+        if u.gamma == 0.0:
             periods = s["t_max"] / (2.0 * math.pi)
             if round(periods) >= 1 and abs(periods - round(periods)) < 1e-9:
                 gap = _state_gap(analytic_states[-1], analytic_states[0], analytic_states)
                 man.check("periodic_return", gap, 1e-8)
 
     if method in ("rk4", "both"):
-        traj_n = integrate_numeric(z0, dc, t_end, dt)
-        out.write(man, "trajectory_rk4.csv", traj_n.write_csv)
-        d1, d2 = _invariant_drift(traj_n.states, dc)
+        traj_n = integrate_numeric(z0, u, t_end, dt)
+        write("trajectory_rk4.csv", traj_n.times, traj_n.states)
+        d1, d2 = _invariant_drift(traj_n.states, u)
         man.check("invariant_quadratic_drift_rk4", d1, 1e-8)
         man.check("invariant_angular_drift_rk4", d2, 1e-8)
         if analytic_states is not None:
@@ -429,15 +430,16 @@ def _write_series(out, man, name, dc, omega_t, source, stats) -> np.ndarray:
 def cmd_xi(s, out: RunOutput) -> None:
     source = s["source"]
     dc = _physics(s)
+    u = dc.core
     omega_t = np.linspace(0.0, s["t_max"], s["grid_points"])
     man = RunManifest("xi", s, dc)
 
     def stats(block):  # trajectory and first_order are held to the closed form
         if source in ("trajectory", "first_order"):
-            return _pair_row(block, sector_energy_series(dc, block.times))
+            return _pair_row(block, sector_energy_series(u, block.times))
         return ()
 
-    rows = _write_series(out, man, "xi_%s.csv" % source, dc, omega_t, source, stats)
+    rows = _write_series(out, man, "xi_%s.csv" % source, u, omega_t, source, stats)
     part, *pair = np.max(rows, axis=0)
     man.check("energy_partition", part, 1e-12)
     if source == "trajectory":
@@ -461,58 +463,53 @@ def cmd_wigner(s, out: RunOutput) -> None:
     extent = s["extent"]
     qn = QuantumNumbers(s["n1"], s["n2"])
     dc = _physics(s)
-    params, hb = dc.params, dc.hbar
+    params, hb, u, unit = dc.params, dc.hbar, dc.core, dc.state_unit
     man = RunManifest("wigner", s, dc)
-    # sqrt(hbar) apart from the width ratio, as in ground_mode_ic, so a tiny
-    # hbar times a tiny ratio does not underflow before the square root.
-    w_q = math.sqrt(hb) * math.sqrt(dc.beta / dc.alpha)
-    w_p = math.sqrt(hb) * math.sqrt(dc.alpha / dc.beta)
-    # linspace forms stop - start, the span, which must not overflow.
-    check_scales({"2*extent*w_q": 2 * extent * w_q, "2*extent*w_p": 2 * extent * w_p})
+    # The widths in the core's units; the slice's axes, its spans, its
+    # density and the residual report's values are multiplied by their units.
+    w_q, w_p = math.sqrt(u.beta / u.alpha), math.sqrt(u.alpha / u.beta)
+    per_area, per_action = (1.0 / hb) * (1.0 / hb), dc.omega / hb
+    check_scales({
+        "2*extent*w_q*l_q": 2 * extent * w_q * dc.l_q,
+        "2*extent*w_p*l_p": 2 * extent * w_p * dc.l_p,
+        "1/hbar**2": per_area, "omega/hbar": per_action, "hbar*omega": hb * dc.omega,
+    })
 
     q_axis = np.linspace(-extent * w_q, extent * w_q, n)
     p_axis = np.linspace(-extent * w_p, extent * w_p, n)
     grid_q, grid_p = np.meshgrid(q_axis, p_axis, indexing="ij")
-    rho = wigner_eigenfunction(PhaseState(grid_q, 0.0, grid_p, 0.0), qn, dc)
-    columns = [grid_q.ravel(), "0", grid_p.ravel(), "0", rho.ravel()]
+    rho = wigner_eigenfunction(PhaseState(grid_q, 0.0, grid_p, 0.0), qn, u)
+    columns = [grid_q.ravel() * dc.l_q, "0", grid_p.ravel() * dc.l_p, "0",
+               rho.ravel() * per_area]
     out.write(man, "wigner_slice.csv", write_csv, WIGNER_SLICE_HEADER, columns)
 
-    energy = energy_level(qn, dc)
-    u = np.random.default_rng(s["seed"]).uniform(-2.0, 2.0, (n_points, 4))
-    z = u * np.array([w_q, w_q, w_p, w_p])
+    energy = energy_level(qn, u)
+    z = np.random.default_rng(s["seed"]).uniform(-2.0, 2.0, (n_points, 4))
+    z *= np.array([w_q, w_q, w_p, w_p])
     pts = PhaseState(*z.T)
-    residuals = np.broadcast_to(stargen_residual(pts, qn, dc), n_points)
-    rhos = wigner_eigenfunction(pts, qn, dc)
-    records = []
-    for point, res, rho0 in zip(z.tolist(), residuals.tolist(), rhos.tolist()):
-        rel = max(abs(res.real), abs(res.imag)) / abs(energy * rho0)
-        records.append(
-            {
-                "point": point,
-                "n1": qn.n1,
-                "n2": qn.n2,
-                "rho": rho0,
-                "residual_re": res.real,
-                "residual_im": res.imag,
-                "rel": rel,
-            }
-        )
-    report = {"energy": energy, "n1": qn.n1, "n2": qn.n2, "records": records}
+    residuals = np.broadcast_to(stargen_residual(pts, qn, u), n_points)
+    rhos = wigner_eigenfunction(pts, qn, u)
+    records = [
+        {"point": point, "n1": qn.n1, "n2": qn.n2, "rho": rho0 * per_area,
+         "residual_re": res.real * per_action, "residual_im": res.imag * per_action,
+         "rel": max(abs(res.real), abs(res.imag)) / abs(energy * rho0)}
+        for point, res, rho0 in zip((z * unit).tolist(), residuals.tolist(), rhos.tolist())
+    ]
+    report = {"energy": energy * (hb * dc.omega), "n1": qn.n1, "n2": qn.n2,
+              "records": records}
     out.write(man, "wigner_residuals.json", write_json, report)
     # np.max, unlike max(), carries a NaN residual through to the check.
     worst = float(np.max([r["rel"] for r in records]))
     man.check("stargen_residual_bound", worst, 1e-6)
 
     spread_e = max(
-        abs(energy_level(qn, derived_constants(params, make_gauge(params, r))) - energy)
-        for r in (0.5, 1.0, 2.0)
+        abs(energy_level(qn, derived_constants(params, make_gauge(params, r)).core)
+            - energy) for r in (0.5, 1.0, 2.0)
     )
     man.check("spectrum_gauge_invariance", spread_e, 1e-12 * abs(energy))
 
-    norms = [
-        wigner_normalization(qn, dc, n_nodes=k)
-        for k in (nodes - 10, nodes, nodes + 10)
-    ]
+    rules = (nodes - 10, nodes, nodes + 10)
+    norms = [wigner_normalization(qn, u, n_nodes=k) for k in rules]
     man.add_measured("wigner_normalization", norms[1])
     man.check("normalization_stable", max(norms) - min(norms), 1e-6)
     # Stability alone would pass a prefactor that is off by a constant.
@@ -541,25 +538,25 @@ def cmd_figure(s, out: RunOutput) -> None:
     which = s["which"]
     n = s["grid_points"] or (200000 if which == 1 else 4000)
     dc = _physics(s)
-    params = dc.params
-    if dc.gamma == 0.0:
+    params, u = dc.params, dc.core
+    if u.gamma == 0.0:
         raise ValueError("figure data needs gamma != 0; set --ratio or deformations")
     man = RunManifest("figure", s, dc)
     # Each check expects the ground-mode trajectory at the times it reads.
 
     if which == 1:
-        beat = math.pi * dc.omega_big / abs(dc.gamma)
+        beat = math.pi * u.omega_big / abs(u.gamma)
         full_t = np.linspace(0.0, 3.0 * beat, n)
-        rows = _write_series(out, man, "figure1_full.csv", dc, full_t, "closed_form",
+        rows = _write_series(out, man, "figure1_full.csv", u, full_t, "closed_form",
                              functools.partial(_envelope_row, beat=beat))
 
         t_max = 40.0 if s["t_max"] is None else s["t_max"]
         zoom_t = np.linspace(0.0, min(t_max, 3.0 * beat), 4000)
-        zoom = sector_energy_series(dc, zoom_t, "closed_form")
+        zoom = sector_energy_series(u, zoom_t, "closed_form")
         out.write(man, "figure1_zoom.csv", zoom.write_csv)
 
         (top, env_max), (bottom, env_min), part = _envelopes(rows)
-        traj = sector_energy_series(dc, np.array([full_t[0], top, bottom]), "trajectory")
+        traj = sector_energy_series(u, np.array([full_t[0], top, bottom]), "trajectory")
         want_max, want_min = float(traj.xi1[1]), float(traj.xi2[2])
         man.check("envelope_max_xi1", env_max, want_max + 1e-3, want_max - 1e-3)
         man.check("envelope_min_xi2", env_min, want_min + 1e-3, want_min - 1e-3)
@@ -573,17 +570,17 @@ def cmd_figure(s, out: RunOutput) -> None:
         man.check("zoom_start_xi2_match", abs(start2 - float(traj.xi2[0])), 1e-9)
     else:
         span = 4.0 * math.pi if s["t_max"] is None else s["t_max"]
+        # The rate over hbar*Omega**2, formed on the core, where it is Omega_1**2.
         omega_t = np.linspace(0.0, span, n)
-        t = omega_t / dc.omega_big
-        unit = dc.hbar * dc.omega_big * dc.omega_big
-        check_scales({"hbar*Omega**2": unit})
-        rate = np.asarray(xi_closed_rate(dc, paper_coefficients(dc), t)[0] / unit)
-        target = abs(dc.gamma) / dc.omega_big
+        t = omega_t / u.omega_big
+        unit = u.hbar * u.omega_big * u.omega_big
+        rate = np.asarray(xi_closed_rate(u, paper_coefficients(u), t)[0] / unit)
+        target = abs(u.gamma) / u.omega_big
         out.write(man, "figure2.csv", write_csv, FIG2_HEADER, [omega_t, rate, target])
 
         amplitude = 0.5 * float(np.max(rate) - np.min(rate))
         extremes = t[[np.argmax(rate), np.argmin(rate)]]
-        exact = xi_trajectory_rate(ground_mode_ic(dc), dc, extremes)[0] / unit
+        exact = xi_trajectory_rate(ground_mode_ic(u), u, extremes)[0] / unit
         reference = 0.5 * float(exact[0] - exact[1])
         man.add_measured("rate_amplitude", amplitude)
         man.add_measured("rate_amplitude_target", target)
@@ -593,7 +590,7 @@ def cmd_figure(s, out: RunOutput) -> None:
             window = np.linspace(0.0, 40.0, 4001)
             half = replace(params, theta=params.theta / 2.0, eta=params.eta / 2.0)
             errs = []
-            for d in (dc, derived_constants(half, make_gauge(half, dc.gauge.ratio))):
+            for d in (u, derived_constants(half, make_gauge(half, dc.gauge.ratio)).core):
                 first = sector_energy_series(d, window, "first_order")
                 closed = sector_energy_series(d, window, "closed_form")
                 errs.append(_first_order_rel_err(*_pair_row(first, closed)))
@@ -618,10 +615,10 @@ def cmd_sweep(s, out: RunOutput) -> None:
     for r, name, dc in zip(ratios, names, physics):
         cman = RunManifest("sweep-cell", dict(s, ratio=r), dc)
         # The cheap first-order series is each closed block's partner, then its own file.
-        first = functools.partial(sector_energy_series, dc, source="first_order")
-        rows = _write_series(out, cman, name + "/xi_closed_form.csv", dc, omega_t,
+        first = functools.partial(sector_energy_series, dc.core, source="first_order")
+        rows = _write_series(out, cman, name + "/xi_closed_form.csv", dc.core, omega_t,
                              "closed_form", lambda b: _pair_row(first(b.times), b))
-        _write_series(out, cman, name + "/xi_first_order.csv", dc, omega_t,
+        _write_series(out, cman, name + "/xi_first_order.csv", dc.core, omega_t,
                       "first_order", lambda b: ())
         part, *pair = np.max(rows, axis=0)
         cman.check("energy_partition", part, 1e-12)
@@ -651,40 +648,18 @@ def cmd_sweep(s, out: RunOutput) -> None:
 # defaults).  Those settings are the command's flags and config keys.
 _COMMANDS = {
     "constants": (cmd_constants, "derived constants and algebra checks", {}),
-    "simulate": (
-        cmd_simulate,
-        "trajectory CSV from the exact flow and/or Runge-Kutta",
-        {"t_max": 40.0, "dt": math.pi / 1000.0, "method": "analytic", "ic": None},
-    ),
-    "xi": (
-        cmd_xi,
-        "sector-energy series for a chosen source",
-        {"t_max": 40.0, "grid_points": 4000, "source": "closed_form"},
-    ),
-    "wigner": (
-        cmd_wigner,
-        "stargenfunction slice, residual report, normalization",
-        {
-            "seed": 0,
-            "n1": 0,
-            "n2": 0,
-            "grid_points": 81,
-            "extent": 3.0,
-            "residual_points": 20,
-            "nodes": 40,
-        },
-    ),
+    "simulate": (cmd_simulate, "trajectory CSV from the exact flow and/or Runge-Kutta",
+                 {"t_max": 40.0, "dt": math.pi / 1e3, "method": "analytic", "ic": None}),
+    "xi": (cmd_xi, "sector-energy series for a chosen source",
+           {"t_max": 40.0, "grid_points": 4000, "source": "closed_form"}),
+    "wigner": (cmd_wigner, "stargenfunction slice, residual report, normalization",
+               {"seed": 0, "n1": 0, "n2": 0, "grid_points": 81, "extent": 3.0,
+                "residual_points": 20, "nodes": 40}),
     # figure 1 defaults to 200 000 grid points, figure 2 to 4000.
-    "figure": (
-        cmd_figure,
-        "plot-ready data behind the report figures",
-        {"t_max": None, "grid_points": None},
-    ),
-    "sweep": (
-        cmd_sweep,
-        "gamma/Omega grid with per-cell manifests",
-        {"ratios": (0.001, 0.002, 0.004), "t_max": 40.0, "grid_points": 2000},
-    ),
+    "figure": (cmd_figure, "plot-ready data behind the report figures",
+               {"t_max": None, "grid_points": None}),
+    "sweep": (cmd_sweep, "gamma/Omega grid with per-cell manifests",
+              {"ratios": (0.001, 0.002, 0.004), "t_max": 40.0, "grid_points": 2000}),
 }
 
 
@@ -722,7 +697,7 @@ def main(argv=None) -> int:
     except NCLabError as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return exit_code_for(exc)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: staging, writing or commit
         print("error:", exc, file=sys.stderr)
         return 2
 

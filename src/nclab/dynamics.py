@@ -9,7 +9,9 @@ written out by hand, and the classical fourth-order Runge-Kutta method,
 which for this linear flow is exactly the step matrix
 R = sum_{k<=4} (dt A)**k / k!.  The Runge-Kutta one is a fourth-order
 oracle built from K alone; it exists to cross-check the closed form, not to
-replace it.
+replace it.  Both compute in the units of the model's core: a state is
+divided by DerivedConstants.state_unit and a time multiplied by omega on
+the way in, and the states are multiplied back on the way out.
 """
 from __future__ import annotations
 
@@ -47,11 +49,8 @@ class Trajectory:
 
     def write_csv(self, path) -> None:
         """Write rows t, Omega_t, Q1, Q2, P1, P2 with full precision."""
-        write_csv(
-            path,
-            CSV_HEADER,
-            [self.times, self.constants.omega_big * self.times, *self.states.T],
-        )
+        omega_t = self.constants.omega_big * self.times
+        write_csv(path, CSV_HEADER, [self.times, omega_t, *self.states.T])
 
 
 def eom_rhs(state: PhaseState, dc: DerivedConstants) -> PhaseState:
@@ -75,19 +74,21 @@ def propagate_analytic(z0: PhaseState, dc: DerivedConstants, t) -> PhaseState:
     beta/alpha between positions and momenta, modulated by a rotation at
     gamma between the planes.
     """
-    alpha, beta = dc.alpha, dc.beta
-    x, y, pix, piy = z0.Q1, z0.Q2, z0.P1, z0.P2
-    cO = np.cos(dc.omega_big * t)
-    sO = np.sin(dc.omega_big * t)
-    cg = np.cos(dc.gamma * t)
-    sg = np.sin(dc.gamma * t)
+    u, l_q, l_p = dc.core, dc.l_q, dc.l_p
+    alpha, beta = u.alpha, u.beta
+    x, y, pix, piy = z0.Q1 / l_q, z0.Q2 / l_q, z0.P1 / l_p, z0.P2 / l_p
+    t = dc.omega * t
+    cO = np.cos(u.omega_big * t)
+    sO = np.sin(u.omega_big * t)
+    cg = np.cos(u.gamma * t)
+    sg = np.sin(u.gamma * t)
     ba = beta / alpha
     ab = alpha / beta
     return PhaseState(
-        Q1=x * cO * cg + y * cO * sg + ba * (piy * sO * sg + pix * sO * cg),
-        Q2=y * cO * cg - x * cO * sg - ba * (pix * sO * sg - piy * sO * cg),
-        P1=pix * cO * cg + piy * cO * sg - ab * (y * sO * sg + x * sO * cg),
-        P2=piy * cO * cg - pix * cO * sg + ab * (x * sO * sg - y * sO * cg),
+        Q1=l_q * (x * cO * cg + y * cO * sg + ba * (piy * sO * sg + pix * sO * cg)),
+        Q2=l_q * (y * cO * cg - x * cO * sg - ba * (pix * sO * sg - piy * sO * cg)),
+        P1=l_p * (pix * cO * cg + piy * cO * sg - ab * (y * sO * sg + x * sO * cg)),
+        P2=l_p * (piy * cO * cg - pix * cO * sg + ab * (x * sO * sg - y * sO * cg)),
     )
 
 
@@ -127,7 +128,8 @@ def integrate_numeric(
     if stride < 1:
         raise ValueError("stride must be >= 1")
     n_steps = step_count(t_end, dt)
-    h = dt * dc.A
+    unit = dc.state_unit
+    h = (dc.omega * dt) * dc.core.A
     # R - I in Horner form: h (I + h/2 (I + h/3 (I + h/4))).
     step = np.eye(4)
     for k in (4, 3, 2):
@@ -135,7 +137,7 @@ def integrate_numeric(
     times = dt * np.arange(0, n_steps + 1, stride, dtype=float)
     digits = np.arange(0, n_steps + 1, stride)
     states = np.empty((len(times), 4))
-    states[:] = z0.as_array()
+    states[:] = z0.as_array() / unit
     # Divergence is detected afterwards; silence the benign overflow
     # warnings it produces on the way there.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -157,4 +159,4 @@ def integrate_numeric(
             "non-finite state at t = %g (component %d)"
             % (times[bad[0]], bad[1])
         )
-    return Trajectory(times=times, states=states, constants=dc)
+    return Trajectory(times=times, states=states * unit, constants=dc)

@@ -22,7 +22,7 @@ class NonFiniteState(NCLabError):
 
 
 class DomainError(NCLabError):
-    """A scale a command needs is not a normal float (algebra.check_scales)."""
+    """A value or unit a command writes is not a normal float (algebra.check_scales)."""
 
 
 class DegenerateFormMisuse(NCLabError):

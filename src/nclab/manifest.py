@@ -26,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import datetime
+import errno
 import functools
 import hashlib
 import itertools
@@ -45,25 +46,17 @@ __all__ = ["TOOL_VERSION", "RunManifest", "RunOutput", "file_sha256", "write_csv
 
 TOOL_VERSION = "0.1.0"
 
-# Float values formatted per call.  Each row block with k float columns
-# is cut into ceil(n_rows / (CSV_BLOCK_VALUES // k)) calls of equal size,
-# within one row.  A call's k column slices are copied into one float
-# buffer and formatted bytes x values in one _format_floats call, through
-# some twenty arrays of the call's values; each column's (_CELL, rows)
-# slice of that cell is copied transposed into a rows x bytes buffer
-# filled once per file from the row template, and the rows are compacted
-# and written.  A call costs 49 us at 10 values and 175 us at 3500 (2-core
-# Xeon VM), so the fewer calls the better; but the formatter's temporaries
-# grow with the values per call and the row buffer with the rows per call.
-# A budget in values, not rows, keeps both in hand for every column count:
-# figure 1's 50k rows of three floats peak at 0.669 MiB at 4800 values
-# (tracemalloc, once the tables are built), 0.762 MiB at 5400, and six
-# floats stay under 0.75 MiB too, where 3500 rows per call gave them 1.187
-# MiB.  No bytes x rows array may have rows a multiple of 512 bytes apart:
-# on a 48 KiB, 12-way L1d, rows 2 KiB apart share 2 of its 64 sets, so
-# every walk down a column thrashes (transposing a 99-byte x 2048-row
-# block took 85 us per 1k rows, at 2000 rows 23 us).  _byte_major pads
-# each to an odd number of 64-byte lines.
+# Float values formatted per call.  Each row block with k float columns is
+# cut into ceil(n_rows / (CSV_BLOCK_VALUES // k)) calls of equal size, within
+# one row; a call formats its k column slices bytes x values in one
+# _format_floats call, then copies each column transposed into a rows x
+# bytes buffer filled once per file from the row template.  Fewer calls cost
+# less (49 us at 10 values, 175 us at 3500), but the temporaries grow with
+# the values per call: 4800 values keep every column count under 0.75 MiB
+# (figure 1's three floats peak at 0.669 MiB).  No bytes x rows array may
+# have rows a multiple of 512 bytes apart: on a 48 KiB, 12-way L1d, rows
+# 2 KiB apart share 2 of its 64 sets, so a walk down a column thrashes;
+# _byte_major pads each to an odd number of 64-byte lines.
 CSV_BLOCK_VALUES = 4800
 
 # Exact %.17g.  A finite x with 1e-250 <= |x| < 1e250 has the decimal
@@ -416,8 +409,9 @@ class RunManifest:
     def to_dict(self) -> dict:
         derived = params = gauge = None
         if self.dc is not None:
-            derived = dataclasses.asdict(self.dc)
-            params, gauge = derived.pop("params"), derived.pop("gauge")
+            names = ("alpha", "beta", "gamma", "omega_big", "product_lm")
+            derived = {name: getattr(self.dc, name) for name in names}
+            params, gauge = map(dataclasses.asdict, (self.dc.params, self.dc.gauge))
         return {
             "command": self.command,
             "arguments": self.arguments,
@@ -440,10 +434,11 @@ class RunOutput:
     """The output directory of one run, committed whole or not at all.
 
     ``write`` and ``finish`` stage each file under a temp name beside its
-    target, ``root / name``; ``commit`` renames the data files into place,
-    then the manifests, prints the checks and returns the exit code.  As a
-    context manager it removes every staged file and every directory it
-    made if its block raises.  A ``root`` whose nearest existing ancestor
+    target, ``root / name``; ``commit`` checks that no target is a
+    directory (IsADirectoryError, before the first rename), renames the data
+    files into place, then the manifests, prints the checks and returns the
+    exit code.  As a context manager it removes every staged file and every
+    directory it made if its block raises.  A ``root`` whose nearest existing ancestor
     is not a directory raises ValueError at once, before any run computes
     what it would write.
     """
@@ -497,6 +492,10 @@ class RunOutput:
 
     def commit(self) -> int:
         """Rename staged files into place, print checks, and return the exit code."""
+        for _, path, _ in self._data + self._manifests:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, "output target is a directory",
+                                        str(path))
         for tmp, path, man in self._data + self._manifests:
             os.replace(tmp, path)
             print("wrote", path)

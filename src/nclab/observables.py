@@ -19,7 +19,10 @@ s = sign(g_eta - g_theta), +1 at equality, so the trajectory is the
 paper's form to roundoff.
 
 All energies are gauge-ratio invariant even though the intermediate
-quantities (alpha/beta, the frame coordinates) are not.
+quantities (alpha/beta, the frame coordinates) are not.  The quadratic
+forms are evaluated in the units of the model's core (states over
+DerivedConstants.state_unit, times times omega) and the energies multiplied
+by hbar*omega.
 """
 from __future__ import annotations
 
@@ -60,14 +63,14 @@ def ground_mode_ic(dc: DerivedConstants) -> PhaseState:
     s*sqrt(alpha*hbar/(2*beta)), equally in both planes, so the total energy
     equals the ground level hbar*Omega and the beating between the two
     modes is maximal.  s = sign(g_eta - g_theta), +1 at equality, is the
-    paper's phase, in which xi_1(0) >= xi_2(0).  sqrt(hbar) is taken
-    apart from the width ratio, so a tiny hbar times a tiny ratio does not
-    underflow before the square root.
+    paper's phase, in which xi_1(0) >= xi_2(0).  The widths are formed in
+    the core's units and multiplied by l_q and l_p.
     """
-    g_theta, g_eta = gamma_components(dc.params)
+    u = dc.core
+    g_theta, g_eta = gamma_components(u.params)
     s = 1.0 if g_theta <= g_eta else -1.0
-    x = np.sqrt(dc.hbar) * np.sqrt(dc.beta / (2.0 * dc.alpha))
-    p = s * np.sqrt(dc.hbar) * np.sqrt(dc.alpha / (2.0 * dc.beta))
+    x = dc.l_q * np.sqrt(u.beta / (2.0 * u.alpha))
+    p = s * dc.l_p * np.sqrt(u.alpha / (2.0 * u.beta))
     return PhaseState(Q1=x, Q2=x, P1=p, P2=p)
 
 
@@ -78,9 +81,10 @@ def mode_energy(state: PhaseState, dc: DerivedConstants):
     plane i; the two sum to a constant while individually exchanging
     energy at frequency 2*gamma.
     """
-    z = state.as_array()
+    u, z = dc.core, state.as_array() / dc.state_unit
     return tuple(
-        quadratic_form(z, _plane_form(i, dc.alpha**2, dc.beta**2)) for i in (1, 2)
+        dc.hbar * dc.omega * quadratic_form(z, _plane_form(i, u.alpha**2, u.beta**2))
+        for i in (1, 2)
     )
 
 
@@ -92,11 +96,11 @@ def _plane_form(i: int, q_weight: float, p_weight: float) -> np.ndarray:
 
 
 def _sector_form(dc: DerivedConstants, i: int) -> np.ndarray:
-    """G_i = M^T S_i M, with S_i sector i's energy p_i**2/2m + m w**2 q_i**2/2."""
-    p = dc.params
-    s = _plane_form(i, 0.5 * p.m * p.omega * p.omega, 0.5 / p.m)
+    """G_i = M^T S_i M in the core's units, with S_i sector i's energy
+    p_i**2/2m + m w**2 q_i**2/2, that is (p_i**2 + q_i**2)/2."""
+    m = dc.core.M
     # einsum, not BLAS: a first BLAS call costs the process about 0.4 MiB.
-    return np.einsum("ki,kl,lj->ij", dc.M, s, dc.M)
+    return np.einsum("ki,kl,lj->ij", m, _plane_form(i, 0.5, 0.5), m)
 
 
 def paper_coefficients(dc: DerivedConstants):
@@ -208,20 +212,22 @@ def xi_trajectory(z0: PhaseState, dc: DerivedConstants, t):
     evaluate the physical sector energy of its deformed variables as the
     quadratic form G_i = M^T S_i M.
     """
-    z = propagate_analytic(z0, dc, t).as_array()
-    return tuple(quadratic_form(z, _sector_form(dc, i)) for i in (1, 2))
+    z = propagate_analytic(z0, dc, t).as_array() / dc.state_unit
+    unit = dc.hbar * dc.omega
+    return tuple(unit * quadratic_form(z, _sector_form(dc, i)) for i in (1, 2))
 
 
 def xi_trajectory_rate(z0: PhaseState, dc: DerivedConstants, t):
-    """Exact time derivatives of xi_trajectory, 2 (G_i z).(A z): formed from
-    the vectors G_i z and A z, as the entries of A^T G_i + G_i A can leave
-    float range where the rate does not."""
-    z = propagate_analytic(z0, dc, t).as_array()
-    az = np.einsum("ij,...j->...i", dc.A, z)
+    """Exact time derivatives of xi_trajectory, 2 (G_i z).(A z) in units of
+    hbar*omega**2: formed from the vectors G_i z and A z, as the entries of
+    A^T G_i + G_i A can leave float range where the rate does not."""
+    z = propagate_analytic(z0, dc, t).as_array() / dc.state_unit
+    az = np.einsum("ij,...j->...i", dc.core.A, z)
+    unit = 2.0 * dc.hbar * dc.omega * dc.omega
     rates = []
     for i in (1, 2):
         gz = np.einsum("ij,...j->...i", _sector_form(dc, i), z)
-        rates.append(2.0 * np.einsum("...i,...i->...", gz, az))
+        rates.append(unit * np.einsum("...i,...i->...", gz, az))
     return tuple(rates)
 
 
@@ -251,7 +257,8 @@ def sector_energy_series(
     """Build a SectorEnergySeries on a dimensionless Omega*t grid.
 
     Sources: closed_form, degenerate_form, first_order, trajectory (the
-    last uses ground-mode initial conditions).
+    last uses ground-mode initial conditions).  The series is dimensionless:
+    on ``dc.core`` it is the same at every m, omega and hbar, bit for bit.
     """
     if source not in SOURCES:
         raise ValueError("unknown source %r (choose from %s)" % (source, SOURCES))

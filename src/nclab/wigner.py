@@ -21,6 +21,11 @@ wigner_from_invariants.  So phase-space integrals of them reduce to two
 dimensions, one per mode action, and phase_space_integral takes its
 integrand as a function of (X, L) and integrates it with an n**2
 Gauss-Laguerre rule over the two actions.
+
+The layer computes in the units of the model's core: invariant_pair hands
+it X/hbar and L/hbar of the point in units (DerivedConstants.state_unit).
+hbar is left only in the units of what a function returns: 1/hbar**2 of a
+density, hbar**2 of a phase-space volume, hbar of Omega_pm and an energy.
 """
 from __future__ import annotations
 
@@ -123,11 +128,12 @@ def omega_pm(pt: PhaseState, dc: DerivedConstants):
     """Quadratic mode arguments (Omega_plus, Omega_minus) at a point.
 
     Omega_pm = (alpha/beta)|Q|**2 + (beta/alpha)|P|**2 -+ 2(Q1 P2 - Q2 P1),
-    four times the actions of the two circular modes.  Both are
-    nonnegative: each is a sum of two squares of width-scaled coordinates.
+    four times the actions of the two circular modes: hbar (x -+ 2 ell) of
+    invariant_pair's (x, ell).  Both are nonnegative: each is a sum of two
+    squares of width-scaled coordinates.
     """
     x, ell = invariant_pair(pt, dc)
-    return x - 2.0 * ell, x + 2.0 * ell
+    return dc.hbar * (x - 2.0 * ell), dc.hbar * (x + 2.0 * ell)
 
 
 def wigner_eigenfunction(pt: PhaseState, qn: QuantumNumbers, dc: DerivedConstants):
@@ -140,28 +146,28 @@ def wigner_eigenfunction(pt: PhaseState, qn: QuantumNumbers, dc: DerivedConstant
 
 
 def _gaussian(x, qn: QuantumNumbers, hbar: float):
-    """rho without its Laguerre factors: (-1)**(n1+n2) exp(-X/hbar) / (pi hbar)**2."""
+    """rho without its Laguerre factors: (-1)**(n1+n2) exp(-x) / (pi hbar)**2."""
     sign = -1.0 if (qn.n1 + qn.n2) % 2 else 1.0
-    return sign / (np.pi**2 * hbar**2) * np.exp(-x / hbar)
+    return sign / (np.pi**2 * hbar**2) * np.exp(-x)
 
 
 def wigner_from_invariants(x, ell, qn: QuantumNumbers, dc: DerivedConstants):
-    """Stationary eigenfunction as a function of the invariants X and L.
+    """Stationary eigenfunction as a function of x = X/hbar and ell = L/hbar.
 
-    rho = (-1)**(n1+n2) / (pi**2 hbar**2) * exp(-X/hbar)
-          * L_n1(Omega_plus/hbar) * L_n2(Omega_minus/hbar)
-    with Omega_pm = X -+ 2 L, X the width-scaled quadratic form and L the
-    angular momentum.  The prefactor normalises the distribution: its
-    phase-space integral is 1 (for every n1, n2).  Vectorised in x and ell.
-    Of ``dc`` only hbar is used, so the value does not depend on the gauge.
+    rho = (-1)**(n1+n2) / (pi**2 hbar**2) * exp(-x)
+          * L_n1(x - 2 ell) * L_n2(x + 2 ell)
+    with X the width-scaled quadratic form and L the angular momentum of
+    invariant_pair, so x -+ 2 ell is Omega_pm/hbar.  The prefactor
+    normalises the distribution: its phase-space integral is 1 (for every
+    n1, n2).  Vectorised in x and ell.  Of ``dc`` only hbar is used, so the
+    value does not depend on the gauge.
     """
-    hbar = dc.hbar
-    rho = _gaussian(x, qn, hbar)
+    rho = _gaussian(x, qn, dc.hbar)
     # L_0 = 1, so a zero quantum number skips an exact multiply by one.
     if qn.n1:
-        rho = rho * laguerre0(qn.n1, (x - 2.0 * ell) / hbar)
+        rho = rho * laguerre0(qn.n1, x - 2.0 * ell)
     if qn.n2:
-        rho = rho * laguerre0(qn.n2, (x + 2.0 * ell) / hbar)
+        rho = rho * laguerre0(qn.n2, x + 2.0 * ell)
     return rho
 
 
@@ -179,19 +185,19 @@ def energy_level(qn: QuantumNumbers, dc: DerivedConstants) -> float:
 def hamiltonian_weyl(pt: PhaseState, dc: DerivedConstants):
     """Phase-space symbol of the Hamiltonian in the commutative frame.
 
-    The quadratic form z^T K z of DerivedConstants.K.  Composed with the
-    inverse frame map it reproduces the physical two-sector oscillator
-    energy, independent of the gauge ratio.
+    The quadratic form z^T K z of DerivedConstants.K, evaluated as hbar*omega
+    times the core's form of the point in units.  Composed with the inverse
+    frame map it reproduces the physical two-sector oscillator energy,
+    independent of the gauge ratio.
     """
-    return quadratic_form(pt.as_array(), dc.K)
+    return dc.hbar * dc.omega * quadratic_form(pt.as_array() / dc.state_unit, dc.core.K)
 
 
 def _mode_factor(n: int, u):
-    """One mode factor exp(-Omega/(2 hbar)) L_n(Omega/hbar) at u = Omega/hbar.
+    """One mode factor exp(-u/2) L_n(u) at u = Omega/hbar.
 
-    Returns the factor, hbar times its first and hbar**2 times its second
-    derivative in Omega, each divided by exp(-Omega/(2 hbar)), from
-    L_n' = -L_{n-1}^(1) and L_n'' = L_{n-2}^(2).
+    Returns the factor and its first and second derivatives in u, each
+    divided by exp(-u/2), from L_n' = -L_{n-1}^(1) and L_n'' = L_{n-2}^(2).
     """
     f, d1, d2 = _laguerre(n, 0, u), _laguerre(n - 1, 1, u), _laguerre(n - 2, 2, u)
     return f, -0.5 * f - d1, 0.25 * f + d1 + d2
@@ -216,23 +222,25 @@ def stargen_residual(pt: PhaseState, qn: QuantumNumbers, dc: DerivedConstants):
 
     Vectorised over points: a PhaseState with array fields of shape (N,)
     gives a complex array of shape (N,), a scalar one a Python complex.  A
-    point's residual does not depend on the batch, bit for bit.
+    point's residual does not depend on the batch, bit for bit.  It is
+    formed in the core's units, where hbar = 1, and multiplied by
+    omega/hbar, the unit of H rho.
     """
-    hbar = dc.hbar
+    core, k = dc.core, dc.omega / dc.hbar
     x, ell = invariant_pair(pt, dc)
-    f1, d1, dd1 = _mode_factor(qn.n1, (x - 2.0 * ell) / hbar)
-    f2, d2, dd2 = _mode_factor(qn.n2, (x + 2.0 * ell) / hbar)
-    pre = _gaussian(x, qn, hbar)
+    f1, d1, dd1 = _mode_factor(qn.n1, x - 2.0 * ell)
+    f2, d2, dd2 = _mode_factor(qn.n2, x + 2.0 * ell)
+    pre = _gaussian(x, qn, 1.0)
     rho0 = pre * f1 * f2
     # X = z^T diag(r, r, 1/r, 1/r) z and L = z^T S z / 2, Omega_pm = X -+ 2 L.
-    r = dc.alpha / dc.beta
+    r = core.alpha / core.beta
     diag = np.diag([r, r, 1.0 / r, 1.0 / r])
     s = np.array(
         [[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0],
          [0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
     )
     m_plus, m_minus = diag - s, diag + s
-    z0 = pt.as_array()
+    z0 = pt.as_array() / dc.state_unit
     g_plus = 2.0 * np.einsum("ij,...j->...i", m_plus, z0)
     g_minus = 2.0 * np.einsum("ij,...j->...i", m_minus, z0)
     # H = z^T K z has gradient 2 K z and Hessian 2 K.  The bracket term is
@@ -240,14 +248,13 @@ def stargen_residual(pt: PhaseState, qn: QuantumNumbers, dc: DerivedConstants):
     # rho with J^T (2 K) J.  einsum rather than BLAS: these 4x4 products are
     # too small to gain, and a first BLAS call costs the process about
     # 0.4 MiB of memory.
-    hess = 2.0 * dc.K
+    hess = 2.0 * core.K
     weight = np.einsum("ji,jk,kl->il", J, hess, J)
 
     def form(u, v):
         return np.einsum("...i,ij,...j->...", u, weight, v)
 
-    # hbar times d rho / d Omega_plus and d rho / d Omega_minus: the powers
-    # of hbar are folded into each term, so no hbar**-1 or hbar**-2 is formed.
+    # d rho / d Omega_plus and d rho / d Omega_minus.
     dp, dm = pre * d1 * f2, pre * f1 * d2
     grad = dp[..., None] * g_plus + dm[..., None] * g_minus
     bracket = np.einsum("ij,...j,ik,...k->...", hess, z0, J, grad)
@@ -255,12 +262,12 @@ def stargen_residual(pt: PhaseState, qn: QuantumNumbers, dc: DerivedConstants):
     # out: M_plus J^T K J M_minus = 0, because H does not couple the modes.
     quad = pre / 8.0 * (
         dd1 * f2 * form(g_plus, g_plus) + f1 * dd2 * form(g_minus, g_minus)
-    ) + hbar / 4.0 * (
+    ) + 0.25 * (
         dp * np.einsum("ij,ij->", weight, m_plus)
         + dm * np.einsum("ij,ij->", weight, m_minus)
     )
-    star = hamiltonian_weyl(pt, dc) * rho0 - quad
-    res = star + 0.5j * bracket - energy_level(qn, dc) * rho0
+    star = k * (quadratic_form(z0, core.K) * rho0 - quad)
+    res = star + 0.5j * (k * bracket) - k * energy_level(qn, core) * rho0
     return complex(res) if res.ndim == 0 else res
 
 
@@ -269,8 +276,9 @@ def phase_space_integral(
 ) -> float:
     """Integral over phase space of a function of the two invariants X and L.
 
-    ``func(x, ell)`` receives (n_nodes, n_nodes) arrays of X and L
-    (invariant_pair) and must decay at least like exp(-decay * X / hbar).
+    ``func(x, ell)`` receives (n_nodes, n_nodes) arrays of x = X/hbar and
+    ell = L/hbar (invariant_pair) and must decay at least like
+    exp(-decay * x); the integral is over the dimensional phase space.
     In the width-scaled coordinates q = sqrt(alpha/beta) Q and
     p = sqrt(beta/alpha) P (Jacobian 1),
     Omega_pm = X -+ 2 L = (q1 -+ p2)**2 + (q2 +- p1)**2, so the orthogonal
@@ -278,15 +286,15 @@ def phase_space_integral(
     Omega_minus each twice a squared radius in a plane of its own.
     Integrating out the two polar angles gives
 
-        integral g d^4z = (pi**2 / 4) int_0^inf int_0^inf g da db
+        integral g d^4z = (pi**2 hbar**2 / 4) int_0^inf int_0^inf g da db
 
-    in (a, b) = (Omega_plus, Omega_minus), that is at X = (a + b)/2 and
-    L = (b - a)/4.  Gauss-Laguerre nodes t and weights w with
-    a = 2 hbar t / decay turn it into the n_nodes**2 point rule
+    in (a, b) = (Omega_plus, Omega_minus)/hbar, that is at x = (a + b)/2 and
+    ell = (b - a)/4.  Gauss-Laguerre nodes t and weights w with
+    a = 2 t / decay turn it into the n_nodes**2 point rule
 
         pi**2 (hbar/decay)**2 sum_ij wt_i wt_j g(a_i, b_j),  wt = w exp(t),
 
-    exact when g exp(decay X / hbar) is a polynomial of degree below
+    exact when g exp(decay x) is a polynomial of degree below
     2 n_nodes in each of a and b: degrees n1 and n2 for the eigenfunction
     of (n1, n2) at decay 1, the sums of two such for a product at decay 2.
     No node depends on the gauge: of ``dc`` only hbar is used.  The rule
@@ -295,7 +303,6 @@ def phase_space_integral(
     ValueError if ``n_nodes`` is not an integer from 1 to MAX_NODES (a bool
     is refused), or ``decay`` is not a positive finite number.
     """
-    hbar = dc.hbar
     if not _is_count(n_nodes) or not 1 <= n_nodes <= MAX_NODES:
         raise ValueError(
             "n_nodes must be an integer from 1 to %d, got %r" % (MAX_NODES, n_nodes)
@@ -303,11 +310,11 @@ def phase_space_integral(
     if not (decay > 0.0 and math.isfinite(decay)):
         raise ValueError("decay must be positive and finite, got %r" % (decay,))
     t, wt = _laguerre_rule(int(n_nodes))
-    a = (2.0 * hbar / decay) * t
+    a = (2.0 / decay) * t
     a, b = a[:, None], a[None, :]
     vals = func(0.5 * (a + b), 0.25 * (b - a))
     total = float(np.sum(wt[:, None] * wt[None, :] * vals))
-    return np.pi**2 * (hbar / decay) ** 2 * total
+    return np.pi**2 * (dc.hbar / decay) ** 2 * total
 
 
 def wigner_normalization(

@@ -128,9 +128,25 @@ def test_derived_constants_rejects_off_shell_gauge():
 
 
 @pytest.mark.parametrize("omega", [1e-300, 1e300])
-def test_derived_constants_rejects_omega_out_of_range(omega):
+def test_derived_constants_scales_the_core_at_extreme_omega(omega):
+    # The model is built at m = omega = hbar = 1 and only its recorded
+    # constants carry omega, so no omega**2 is formed.
+    dc = derived_constants(PhysicalParams(1.0, omega, 1.0))
+    assert dc.core == derived_constants(PhysicalParams(1.0, 1.0, 1.0))
+    assert (dc.alpha, dc.beta) == (omega * dc.core.alpha, dc.core.beta)
+    assert (dc.gamma, dc.omega_big) == (0.0, omega * dc.core.omega_big)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(1e-300, 1e-300, 1.0), (1.0, 1.0, 1e-300, 1e10), (1e-308, 1e308, 1.0, 5.0, -5.0)],
+    ids=["m-omega", "a", "Omega"],
+)
+def test_scales_out_of_range_raise_domain_error(args):
+    # m*omega (1e-600), a = theta*m*omega/hbar (1e310) and the recorded
+    # Omega = omega*sqrt(1 - a*b) (5.1e308).
     with pytest.raises(DomainError):
-        derived_constants(PhysicalParams(1.0, omega, 1.0))
+        derived_constants(PhysicalParams(*args))
 
 
 def test_derived_constants_commutative():

@@ -293,20 +293,25 @@ def test_wigner_records_hold_each_point_residual_alone(tmp_path):
     argv = ["wigner", "--theta", "0.05", "--eta", "-0.02", "--hbar", "1.3",
             "--gauge-ratio", "2.0", "--n1", "2", "--n2", "1", "--grid-points", "5",
             "--residual-points", "7", "--nodes", "20", "--seed", "9"]
+    # The points are drawn and the residuals formed on the model's core, then
+    # multiplied by their units: (l_q, l_q, l_p, l_p) and omega/hbar.
     assert main(argv + ["--out", str(tmp_path)]) == 0
     records = read_manifest(tmp_path / "wigner_residuals.json")["records"]
     params = PhysicalParams(1.0, 1.0, 1.3, 0.05, -0.02)
     dc = derived_constants(params, make_gauge(params, 2.0))
-    w_q = math.sqrt(params.hbar) * math.sqrt(dc.beta / dc.alpha)
-    w_p = math.sqrt(params.hbar) * math.sqrt(dc.alpha / dc.beta)
+    core, per_action = dc.core, dc.omega / dc.hbar
+    w_q = math.sqrt(core.beta / core.alpha)
+    w_p = math.sqrt(core.alpha / core.beta)
     rng = np.random.default_rng(9)
     assert len(records) == 7
     for rec in records:
         u = rng.uniform(-2.0, 2.0, 4)
         pt = PhaseState(u[0] * w_q, u[1] * w_q, u[2] * w_p, u[3] * w_p)
-        assert rec["point"] == [float(v) for v in (pt.Q1, pt.Q2, pt.P1, pt.P2)]
-        res = stargen_residual(pt, QuantumNumbers(2, 1), dc)
-        assert (rec["residual_re"], rec["residual_im"]) == (res.real, res.imag)
+        point = np.array([pt.Q1, pt.Q2, pt.P1, pt.P2]) * dc.state_unit
+        assert rec["point"] == point.tolist()
+        res = stargen_residual(pt, QuantumNumbers(2, 1), core)
+        want = (res.real * per_action, res.imag * per_action)
+        assert (rec["residual_re"], rec["residual_im"]) == want
 
 
 def test_normalization_unit_catches_wrong_prefactor(tmp_path, monkeypatch):
@@ -746,75 +751,35 @@ def test_extreme_gauge_ratio_rejected_naming_the_ratio(tmp_path, capsys, ratio):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["constants", "--omega", "1e-300"],
-        ["simulate", "--omega", "1e-300"],
-        ["simulate", "--omega", "1e-300", "--ic", "1,0,0,0", "--method", "rk4"],
-        ["constants", "--omega", "1e300"],
-        ["simulate", "--omega", "1e300"],
-        ["constants", "--ratio", "0.002", "--omega", "1e300"],
-        ["constants", "--ratio", "0.002", "--omega", "1e-300"],
-        ["figure", "1", "--omega", "1e-300"],
-    ],
-    ids=[
-        "constants-tiny", "simulate-tiny", "rk4-tiny", "constants-huge", "simulate-huge",
-        "ratio-huge", "ratio-tiny", "figure-tiny",
-    ],
-)
-def test_extreme_omega_is_a_domain_error_before_output(tmp_path, capsys, argv):
-    # Omega = 2*alpha*beta underflows to 0 or overflows; with --ratio (the
-    # default of figure 1), theta overflows or divides by omega**2 = 0.
-    assert_domain_error_before_output(tmp_path, capsys, argv)
-
-
-@pytest.mark.parametrize("hbar", ["1e300", "1e-300"])
-def test_extreme_hbar_is_a_domain_error_before_output(tmp_path, capsys, hbar):
-    # hbar**2 overflows, or underflows to 0 (not theta*eta >= hbar**2).
-    assert_domain_error_before_output(tmp_path, capsys, ["constants", "--hbar", hbar])
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["xi", "--source", "trajectory", "--omega", "1e160"],
-        ["wigner", "--omega", "1e120", "--m", "1e100"],
-        ["simulate", "--omega", "1e-120", "--m", "1e-100", "--method", "both"],
         ["constants", "--hbar", "1e-300", "--theta", "1e10"],
         ["constants", "--ratio", "0.002", "--m", "1e-200", "--omega", "1e-200"],
-        ["constants", "--ratio", "0.002", "--mode", "symmetric", "--hbar", "1e300"],
-        [
-            "constants", "--m", "1e100", "--omega", "1e100", "--theta", "1e-203",
-            "--eta", "9.9e202", "--gauge-ratio", "1000",
-        ],
-        ["figure", "2", "--m", "1e-100", "--omega", "1e160"],
         [
             "constants", "--ratio", "0.002", "--mode", "symmetric", "--m", "1e-300",
             "--omega", "1e10", "--hbar", "1e-22",
         ],
         ["constants", "--ratio", "0.5", "--hbar", "1e300", "--m", "1e-5", "--omega", "1e-5"],
         ["wigner", "--extent", "1e308", "--grid-points", "5"],
+        ["wigner", "--hbar", "1e-200"],
+        ["simulate", "--hbar", "1e-320", "--m", "1e-150", "--omega", "1e-150"],
+        ["constants", "--omega", "1e308", "--m", "1e-308", "--theta", "5", "--eta", "-5"],
     ],
     ids=[
-        "xi-sector-form", "wigner-K", "rk4-subnormal-alpha2", "theta-over-hbar-inf",
-        "ratio-m-omega-zero", "symmetric-zero-radicand", "scaled-alpha2",
-        "figure2-rate-unit", "symmetric-subnormal-theta", "ratio-theta-overflow",
-        "wigner-slice-span",
+        "theta-over-hbar-inf", "ratio-m-omega-zero", "symmetric-subnormal-theta",
+        "ratio-theta-overflow", "wigner-slice-span", "wigner-density-unit",
+        "simulate-momentum-unit", "recorded-Omega",
     ],
 )
 def test_scale_out_of_range_is_a_domain_error_before_output(tmp_path, capsys, argv):
-    # The scale rule covers m*omega**2, alpha**2 and beta**2, not only alpha,
-    # beta and Omega: without them the first two overflow in _sector_form and
-    # in K, and the third runs RK4 on a subnormal alpha**2 (drift 840).  Then
-    # theta/hbar = inf with eta = 0 (nc_product must not be inf*0 = nan), an
-    # m*omega that underflows to 0 under --ratio, and a symmetric --ratio
-    # whose radicand underflows to 0: none may raise ZeroDivisionError.
-    # At a = 1e-3, a*b = 0.99 and gauge ratio 1e3, m = omega = 1e100 puts
-    # alpha**2 at 2.2e308, the edge that scaled_physics rejects.  Figure 2
-    # divides by hbar*Omega**2 (1e320 here), which once raised OverflowError.
-    # Last, a symmetric --ratio whose theta = eta is subnormal (4e-315): its
-    # a = theta*m*omega/hbar underflows to 0 and gamma/Omega misses r by 1e-12.
-    # A single_theta --ratio whose theta = a*hbar/m/omega overflows to inf is
-    # refused by the same rule, and so is a wigner slice whose span,
-    # 2*extent*width, overflows in linspace (it wrote NaN axes).
+    # a = theta*m*omega/hbar = inf with eta = 0 (nc_product must not be
+    # inf*0 = nan), and an m*omega that underflows to 0 under --ratio: none
+    # may raise ZeroDivisionError.  A symmetric --ratio whose theta = eta is
+    # subnormal (4e-315): its a underflows to 0 and gamma/Omega misses r by
+    # 1e-12.  A single_theta --ratio whose theta = a*hbar/m/omega overflows
+    # to inf, and a wigner slice whose written span, 2*extent*width, overflows
+    # (in linspace it wrote NaN axes).  Then units by which a command scales
+    # what it writes: wigner's density unit 1/hbar**2 (1e400) and simulate's
+    # momentum unit l_p = sqrt(hbar*m*omega) (1e-310).  Last, Omega, which
+    # every manifest records, at 5.1e308.
     assert_domain_error_before_output(tmp_path, capsys, argv)
 
 
@@ -846,19 +811,46 @@ def test_tiny_theta_at_huge_mass_keeps_its_deformation(tmp_path):
         ["constants", "--m=1e-100", "--omega=1e-100", "--hbar=1e-130", "--theta=1e76"],
         ["figure", "2", "--m", "1e-300", "--omega", "1e155", "--hbar", "1e-150"],
         ["constants", "--ratio", "0.001", "--mode", "symmetric", "--omega", "1e78"],
+        ["constants", "--omega", "1e-300"],
+        ["simulate", "--omega", "1e-300"],
+        ["simulate", "--omega", "1e-300", "--ic", "1,0,0,0", "--method", "rk4"],
+        ["constants", "--omega", "1e300"],
+        ["simulate", "--omega", "1e300"],
+        ["constants", "--ratio", "0.002", "--omega", "1e300"],
+        ["constants", "--ratio", "0.002", "--omega", "1e-300"],
+        ["figure", "1", "--omega", "1e-300"],
+        ["constants", "--hbar", "1e300"],
+        ["constants", "--hbar", "1e-300"],
+        ["xi", "--source", "trajectory", "--omega", "1e160"],
+        ["wigner", "--omega", "1e120", "--m", "1e100"],
+        ["simulate", "--omega", "1e-120", "--m", "1e-100", "--method", "both"],
+        ["constants", "--ratio", "0.002", "--mode", "symmetric", "--hbar", "1e300"],
+        [
+            "constants", "--m", "1e100", "--omega", "1e100", "--theta", "1e-203",
+            "--eta", "9.9e202", "--gauge-ratio", "1000",
+        ],
+        ["figure", "2", "--m", "1e-100", "--omega", "1e160"],
     ],
     ids=[
         "ratio-huge-m", "ratio-tiny-m", "huge-omega", "tiny-m-omega", "figure2-huge-omega",
-        "symmetric-huge-omega",
+        "symmetric-huge-omega", "constants-tiny", "simulate-tiny", "rk4-tiny",
+        "constants-huge", "simulate-huge", "ratio-huge", "ratio-tiny", "figure-tiny",
+        "hbar-huge", "hbar-tiny", "xi-sector-form", "wigner-K", "rk4-subnormal-alpha2",
+        "symmetric-zero-radicand", "scaled-alpha2", "figure2-rate-unit",
     ],
 )
 def test_admissible_extreme_scales_run_and_pass(tmp_path, argv):
     # Once: theta**2 underflowed (Omega = 1, ratio_match failed) or
     # overflowed (exit 6), an OverflowError traceback, and a
-    # ZeroDivisionError in derived_constants.  In figure 2, Omega**2 alone
-    # is 1e310, but its rate unit hbar*Omega**2 is 1e160.  A symmetric --ratio
-    # once squared (m omega**2 + 1/m)/(2 hbar), 5e155 at omega = 1e78 (exit 6).
-    manifest = "figure2" if argv[0] == "figure" else argv[0]
+    # ZeroDivisionError in derived_constants.  A symmetric --ratio once
+    # squared (m omega**2 + 1/m)/(2 hbar), 5e155 at omega = 1e78 (exit 6).
+    # The rest were refused (exit 6) while the kernels computed in
+    # dimensional units: omega**2, m*omega**2, hbar**2, alpha**2 or beta**2
+    # left float range (in K, the sector forms, RK4's step matrix), or, in
+    # figure 2, the rate unit hbar*Omega**2 (1e320 in the last case).  On the
+    # model's core none of them is formed, and every unit a command writes
+    # by is a normal float.
+    manifest = "figure" + argv[1] if argv[0] == "figure" else argv[0]
     run_all_passed(tmp_path, argv, manifest + "_manifest.json")
 
 
@@ -936,7 +928,8 @@ def test_reused_parser_carries_nothing_between_runs(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["figure", "2", "--nodes", "11"])
     assert exc.value.code == 2
-    assert main(["figure", "1", "--omega", "1e-300", "--out", str(tmp_path / "d")]) == 6
+    domain = ["figure", "1", "--omega", "1e-300", "--m", "1e-10"]  # m*omega subnormal
+    assert main(domain + ["--out", str(tmp_path / "d")]) == 6
     assert main(["figure", "2", "--theta", "0.004", "--out", str(tmp_path / "t")]) == 0
     reused = tmp_path / "reused"
     assert main(argv + ["--out", str(reused)]) == 0
@@ -1064,6 +1057,22 @@ def test_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, capsys, below
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == [blocker]
     assert blocker.read_bytes() == b"kept"
+
+
+def test_a_target_that_is_a_directory_is_a_usage_error_that_commits_nothing(
+    tmp_path, capsys
+):
+    # figure 1 stages figure1_full.csv, then figure1_zoom.csv, whose target is
+    # a directory: every target is checked before the first rename, so not
+    # even the full series lands, and the error is one line, not a traceback.
+    out = tmp_path / "out"
+    (out / "figure1_zoom.csv").mkdir(parents=True)
+    assert main(["figure", "1", "--grid-points", "10", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "figure1_zoom.csv" in err[0]
+    assert [p.name for p in out.iterdir()] == ["figure1_zoom.csv"]
+    assert list((out / "figure1_zoom.csv").iterdir()) == []
 
 
 def test_out_below_a_file_is_refused_before_the_series_is_built(tmp_path, monkeypatch):

@@ -104,11 +104,15 @@ def test_ground_mode_isotropic():
 def test_ground_mode_anisotropic_frozen():
     # alpha/beta = 2 with hbar = 1: positions 0.5, momenta 1.0, times
     # sign(g_eta - g_theta), which is +1 at equality and -1 where the
-    # position deformation dominates.
+    # position deformation dominates.  The model is its own core, with
+    # unit widths.
     class DC:
         alpha = 2.0
         beta = 1.0
         hbar = 1.0
+        l_q = l_p = 1.0
+
+    DC.core = DC
 
     for theta, sign in ((0.0, 1.0), (0.1, -1.0)):
         DC.params = PhysicalParams(1.0, 1.0, 1.0, theta)

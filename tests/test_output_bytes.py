@@ -147,7 +147,7 @@ def format_calls(monkeypatch):
 # xi and sweep at one row either side of a row block (4800 rows) and over
 # two blocks; figure 1 also at each side of a formatter call (1600 rows) and
 # at its default grid.  xi runs at non-unit scales on the degenerate surface,
-# so that every source applies.
+# so that every source applies; the command computes on the model's core.
 XI_ARGS = ["--ratio", "0.05", "--m", "1.3", "--hbar", "0.8"]
 SERIES_RUNS = [("figure1", n) for n in (2, 1599, 1600, 4799, 4800, 4801, 9601, 200000)] + [
     (command, n)
@@ -206,7 +206,7 @@ def test_figure1_in_blocks_writes_and_checks_as_the_whole_grid(
         argv = ["xi", "--source", source] + XI_ARGS
         params = params_from_ratio(0.05, "single_theta", PhysicalParams(1.3, 1.0, 0.8))
         dc = derived_constants(params, make_gauge(params, 1.0))
-        cells = {"": [sector_energy_series(dc, omega_t, s) for s in (source, "closed_form")]}
+        cells = {"": [sector_energy_series(dc.core, omega_t, s) for s in (source, "closed_form")]}
     assert main(argv + ["--grid-points", str(n), "--out", str(out)]) == 0
     streamed = len(format_calls)
 

@@ -312,7 +312,7 @@ def fresh_rule_integral(func, dc, n_nodes, decay=1.0):
     """phase_space_integral's rule, built from a fresh laggauss call."""
     t, w = np.polynomial.laguerre.laggauss(n_nodes)
     wt = w * np.exp(t)
-    a = (2.0 * dc.hbar / decay) * t
+    a = (2.0 / decay) * t
     a, b = a[:, None], a[None, :]
     vals = func(0.5 * (a + b), 0.25 * (b - a))
     return np.pi**2 * (dc.hbar / decay) ** 2 * float(np.sum(wt[:, None] * wt[None, :] * vals))
@@ -383,18 +383,20 @@ def reference_integral(func, dc, n_nodes, decay):
 
 
 def reference_eigenfunction(pt, qn, dc):
-    """The eigenfunction as first written: omega_pm and both Laguerre factors."""
-    hbar = dc.hbar
-    r = dc.alpha / dc.beta
-    x = r * (pt.Q1**2 + pt.Q2**2) + (pt.P1**2 + pt.P2**2) / r
-    op, om = omega_pm(pt, dc)
+    """The eigenfunction as first written: X/hbar from the point in units,
+    (Q/l_q, P/l_p), and both Laguerre factors of Omega_pm/hbar."""
+    hbar, u = dc.hbar, dc.core
+    r = u.alpha / u.beta
+    q1, q2, p1, p2 = pt.Q1 / dc.l_q, pt.Q2 / dc.l_q, pt.P1 / dc.l_p, pt.P2 / dc.l_p
+    x = r * (q1 * q1 + q2 * q2) + (p1 * p1 + p2 * p2) / r
+    ell = q1 * p2 - q2 * p1
     sign = -1.0 if (qn.n1 + qn.n2) % 2 else 1.0
     return (
         sign
         / (np.pi**2 * hbar**2)
-        * np.exp(-x / hbar)
-        * laguerre0(qn.n1, op / hbar)
-        * laguerre0(qn.n2, om / hbar)
+        * np.exp(-x)
+        * laguerre0(qn.n1, x - 2.0 * ell)
+        * laguerre0(qn.n2, x + 2.0 * ell)
     )
 
 
@@ -676,11 +678,11 @@ def test_stargen_residual_is_exact_and_agrees_with_the_stencil_oracle(
     # The size of the terms that cancel: |E| times rho with each Laguerre
     # factor replaced by 1 + |L_n|, so a nodal surface of rho does not
     # shrink it.
-    x, _ = invariant_pair(pts, dc)
+    x, _ = invariant_pair(pts, dc)  # X/hbar
     omega_plus, omega_minus = omega_pm(pts, dc)
     scale = (
         abs(energy_level(qn, dc))
-        * np.exp(-x / dc.hbar)
+        * np.exp(-x)
         * (1.0 + np.abs(laguerre0(n1, omega_plus / dc.hbar)))
         * (1.0 + np.abs(laguerre0(n2, omega_minus / dc.hbar)))
         / (np.pi**2 * dc.hbar**2)
