@@ -187,7 +187,10 @@ class DerivedConstants:
 
         z = (Q1, Q2, P1, P2) and H = alpha**2 |Q|**2 + beta**2 |P|**2 +
         gamma (P1 Q2 - P2 Q1); the equations of motion, the Weyl symbol and
-        the Moyal terms of the eigen-equation are all derived from K.
+        the Moyal terms of the eigen-equation are all derived from K.  The
+        kernels use the core's K; this dimensional one squares alpha and
+        beta, so at extreme m, omega or hbar it can overflow (OverflowError)
+        where the core's cannot.
         """
         a2, b2, h = self.alpha**2, self.beta**2, 0.5 * self.gamma
         return np.array([[a2, 0.0, 0.0, -h], [0.0, a2, h, 0.0],
@@ -196,7 +199,9 @@ class DerivedConstants:
     @property
     def A(self) -> np.ndarray:
         """Generator of the flow: Hamilton's equations read dz/dt = A z, A = 2 J K."""
-        return (2.0 * J) @ self.K
+        # einsum, not BLAS: J is a signed permutation, so each entry is one
+        # exact product, and a first BLAS call costs the process memory.
+        return np.einsum("ij,jk->ik", 2.0 * J, self.K)
 
     @property
     def M(self) -> np.ndarray:

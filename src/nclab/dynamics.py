@@ -60,8 +60,12 @@ def eom_rhs(state: PhaseState, dc: DerivedConstants) -> PhaseState:
     momentum gradient drives the positions, the position gradient (with a
     sign) drives the momenta, and gamma couples each coordinate to its
     partner plane.  Returned as a PhaseState holding the derivatives.
+    Formed in the core's units: the state in units, times the core's A,
+    times omega and the units again.
     """
-    return PhaseState(*np.einsum("ij,...j->i...", dc.A, state.as_array()))
+    unit = dc.state_unit
+    az = np.einsum("ij,...j->...i", dc.core.A, state.as_array() / unit)
+    return PhaseState(*np.moveaxis(az * (dc.omega * unit), -1, 0))
 
 
 def propagate_analytic(z0: PhaseState, dc: DerivedConstants, t) -> PhaseState:

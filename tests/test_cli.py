@@ -1351,6 +1351,24 @@ def test_module_invocation(tmp_path):
     assert "alpha" in proc.stdout
 
 
+def test_wigner_imports_no_numpy_polynomial(tmp_path):
+    # wigner builds its Gauss-Laguerre rules in plain NumPy; numpy's
+    # laggauss would import numpy.polynomial and make a LAPACK call.
+    code = (
+        "import sys, nclab\n"
+        "assert nclab.main(['wigner', '--out', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_no_exported_callable_takes_a_bare_hbar():
     # hbar enters through PhysicalParams, which validates it, and reaches
     # every other callable inside a DerivedConstants.

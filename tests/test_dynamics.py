@@ -44,6 +44,22 @@ def test_rhs_commutative_frozen():
     assert abs(out.P1 - (-1.0)) < 1e-15
 
 
+def test_rhs_at_extreme_scales_is_the_unit_scale_rhs():
+    # a = 1e-3, b = 990 at m = omega = 1e100 and gauge ratio 1e3, where the
+    # dimensional alpha**2 overflows: eom_rhs computes on the core, so it
+    # is the unit-scale model's vector field, to the rounding of the units.
+    p = PhysicalParams(1e100, 1e100, 1.0, 1e-203, 9.9e202)
+    dc = derived_constants(p, make_gauge(p, 1e3))
+    unit = PhysicalParams(1.0, 1.0, 1.0, p.a, p.b)
+    z = np.array([[0.3, -0.7, 1.1, 0.4], [-1.2, 0.5, 0.0, 2.0]])
+    got = eom_rhs(PhaseState(*(z * dc.state_unit).T), dc).as_array()
+    want = eom_rhs(PhaseState(*z.T), derived_constants(unit, make_gauge(unit, 1e3)))
+    want = want.as_array()
+    assert np.all(np.isfinite(got))
+    scaled = got / (dc.omega * dc.state_unit)
+    assert np.all(np.abs(scaled - want) <= 4e-16 * np.abs(want)), scaled - want
+
+
 def test_propagator_consistent_with_rhs():
     # Central difference of the flow is the vector field, at random times.
     rng = np.random.default_rng(21)
